@@ -150,6 +150,22 @@ def reproject_jacobian(
 # rather than raised so whole images can be processed in one call.
 
 
+def _transform_grid(
+    uv: np.ndarray, depth: np.ndarray, t: SE3Transform, k: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(R X, X' = R X + t, valid, z_safe) for X = backproject(uv, depth).
+
+    valid is z' > 1e-6; z_safe is z' with invalid entries replaced by 1.
+    """
+    uv = np.asarray(uv, dtype=float)
+    depth = np.asarray(depth, dtype=float)
+    ray = [(uv[..., 0] - k.cx) / k.fx, (uv[..., 1] - k.cy) / k.fy, np.ones_like(depth)]
+    rx = (depth[..., None] * np.stack(ray, axis=-1)) @ t.r.m.T
+    x_src = rx + t.t
+    valid = x_src[..., 2] > Z_EPSILON
+    return rx, x_src, valid, np.where(valid, x_src[..., 2], 1.0)
+
+
 def reproject_grid(
     uv: np.ndarray, depth: np.ndarray, t: SE3Transform, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,29 +180,11 @@ def reproject_grid(
         depth (...,), and a bool mask, False where z_src <= 1e-6 (those
         uv_src rows are zero-filled).
     """
-    uv = np.asarray(uv, dtype=float)
-    depth = np.asarray(depth, dtype=float)
-    x = depth[..., None] * np.stack(
-        [
-            (uv[..., 0] - k.cx) / k.fx,
-            (uv[..., 1] - k.cy) / k.fy,
-            np.ones_like(depth),
-        ],
-        axis=-1,
-    )
-    x_src = x @ t.r.m.T + t.t
-    z = x_src[..., 2]
-    valid = z > Z_EPSILON
-    z_safe = np.where(valid, z, 1.0)
-    uv_src = np.stack(
-        [
-            k.fx * x_src[..., 0] / z_safe + k.cx,
-            k.fy * x_src[..., 1] / z_safe + k.cy,
-        ],
-        axis=-1,
-    )
-    uv_src = np.where(valid[..., None], uv_src, 0.0)
-    return uv_src, z, valid
+    _, x_src, valid, z_safe = _transform_grid(uv, depth, t, k)
+    u = k.fx * x_src[..., 0] / z_safe + k.cx
+    v = k.fy * x_src[..., 1] / z_safe + k.cy
+    uv_src = np.where(valid[..., None], np.stack([u, v], axis=-1), 0.0)
+    return uv_src, x_src[..., 2], valid
 
 
 def reproject_jacobian_grid(
@@ -198,42 +196,17 @@ def reproject_jacobian_grid(
         (d_depth, d_pose, valid): shapes (..., 2), (..., 2, 6), (...,).
         Rows for invalid (behind-camera) pixels are zero.
     """
-    uv = np.asarray(uv, dtype=float)
     depth = np.asarray(depth, dtype=float)
-    ray = np.stack(
-        [
-            (uv[..., 0] - k.cx) / k.fx,
-            (uv[..., 1] - k.cy) / k.fy,
-            np.ones_like(depth),
-        ],
-        axis=-1,
-    )
-    x = depth[..., None] * ray
-    rx = x @ t.r.m.T
-    x_src = rx + t.t
-    z = x_src[..., 2]
-    valid = z > Z_EPSILON
-    z_safe = np.where(valid, z, 1.0)
-
-    j_pi = np.zeros(uv.shape[:-1] + (2, 3))
+    rx, x_src, valid, z_safe = _transform_grid(uv, depth, t, k)
+    j_pi = np.zeros(x_src.shape[:-1] + (2, 3))
     j_pi[..., 0, 0] = k.fx / z_safe
     j_pi[..., 0, 2] = -k.fx * x_src[..., 0] / (z_safe * z_safe)
     j_pi[..., 1, 1] = k.fy / z_safe
     j_pi[..., 1, 2] = -k.fy * x_src[..., 1] / (z_safe * z_safe)
 
     d_depth = np.einsum("...ij,...j->...i", j_pi, rx / depth[..., None])
-    # hat(rx) rows expressed without forming per-pixel 3x3s:
-    # (-hat(w)) columns are (w x e_k), so J_pi @ (-hat(w)) = cross terms.
-    minus_hat = np.zeros(uv.shape[:-1] + (3, 3))
-    minus_hat[..., 0, 1] = rx[..., 2]
-    minus_hat[..., 0, 2] = -rx[..., 1]
-    minus_hat[..., 1, 0] = -rx[..., 2]
-    minus_hat[..., 1, 2] = rx[..., 0]
-    minus_hat[..., 2, 0] = rx[..., 1]
-    minus_hat[..., 2, 1] = -rx[..., 0]
-    d_pose = np.concatenate(
-        [np.einsum("...ij,...jk->...ik", j_pi, minus_hat), j_pi], axis=-1
-    )
+    # Row i of J_pi @ (-hat(w)) is w x J_pi[i], so no per-pixel 3x3 is formed.
+    d_pose = np.concatenate([np.cross(rx[..., None, :], j_pi), j_pi], axis=-1)
     d_depth = np.where(valid[..., None], d_depth, 0.0)
     d_pose = np.where(valid[..., None, None], d_pose, 0.0)
     return d_depth, d_pose, valid

@@ -9,9 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 gradient check failed, 2 bad flags, 3 output
 write failure, 4 unreadable alignment inputs, 5 evaluation parse or count
-mismatch. Console numbers are fixed 4-decimal for metrics and poses and
-scientific 4-decimal for gradient errors; identical invocations print
-identical bytes and write identical files.
+mismatch, or alignment inputs too degenerate to use. Console numbers are
+fixed 4-decimal for metrics and poses and scientific 4-decimal for
+gradient errors; identical invocations print identical bytes and write
+identical files.
 """
 
 from __future__ import annotations
@@ -44,15 +45,27 @@ GRADCHECK_TOL = 1e-4
 _DEPTH_FIELDS = ("abs_rel", "sq_rel", "rmse", "rmse_log", "d1", "d2", "d3")
 
 
+def _positive(kind):
+    """argparse type: a finite number of ``kind`` (int or float) above 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = float("nan")
+        if not (np.isfinite(value) and value > 0):
+            msg = f"expected a finite {kind.__name__} > 0, got {text!r}"
+            raise argparse.ArgumentTypeError(msg)
+        return value
+
+    return parse
+
+
 def _size(text: str) -> tuple[int, int]:
-    try:
-        w_tok, h_tok = text.lower().split("x")
-        w, h = int(w_tok), int(h_tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
-    if w < 1 or h < 1:
-        raise argparse.ArgumentTypeError("size must be positive")
-    return w, h
+    parts = text.lower().split("x")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
+    return tuple(_positive(int)(p) for p in parts)
 
 
 def _baseline(text: str) -> tuple[float, ...]:
@@ -76,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient validation")
     p.add_argument("--component", choices=("all",) + COMPONENTS, default="all")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive(int), default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument(
         "--corruption",
@@ -105,9 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="pose_only")
     p.add_argument("--perturb-rot", type=float, default=1.0, metavar="DEG")
     p.add_argument("--perturb-trans", type=float, default=0.02, metavar="FRAC")
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--step", type=float, default=0.1)
+    p.add_argument("--levels", type=_positive(int), default=3)
+    p.add_argument("--max-iters", type=_positive(int), default=100)
+    p.add_argument("--step", type=_positive(float), default=0.1)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default=None, help="optional report file")
     p.set_defaults(func=_cmd_align)
@@ -204,7 +217,11 @@ def _cmd_align(args: argparse.Namespace) -> int:
         step=args.step,
         pyramid_levels=args.levels,
     )
-    report = align_pose(target, source, depth, k, init, opts)
+    try:
+        report = align_pose(target, source, depth, k, init, opts)
+    except ValueError as exc:  # flags are valid, so the pair's content is at fault
+        print(f"error: cannot align pair: {exc}", file=sys.stderr)
+        return 5
 
     est = report.pose.to_transform()
     rot_err_deg = float(np.degrees(np.linalg.norm(log_so3(compose(est, inverse(gt)).r))))
@@ -311,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except DegenerateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 5
 
 
 def entry() -> None:

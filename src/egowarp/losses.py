@@ -16,7 +16,7 @@ import numpy as np
 from .camera import CameraIntrinsics
 from .exceptions import DegenerateInputError
 from .se3 import SE3Transform
-from .warp import DepthMap, ImageBuffer, ValidityMask, inverse_warp, warp_jacobians
+from .warp import DepthMap, ImageBuffer, ValidityMask, _warp_eval
 
 # Explainability masks are clamped here before the log; keeps the
 # regularizer finite when a mask collapses toward zero.
@@ -214,22 +214,23 @@ def loss_gradients(
     _check_same_size(target, source, "target", "source")
     _check_same_size(target, depth, "target", "depth")
     _check_same_size(target, mask, "target", "mask")
-    recon, valid = inverse_warp(source, depth, pose, k)
-    n_valid = valid.count
+    recon, valid, d_recon_depth, d_recon_pose = _warp_eval(
+        source, depth, pose, k, jacobians=True
+    )
+    n_valid = int(valid.sum())
     if n_valid == 0:
         raise DegenerateInputError("loss gradients undefined: no valid pixels")
-    d_recon_depth, d_recon_pose = warp_jacobians(source, depth, pose, k)
 
-    diff = target.data - recon.data
+    diff = target.data - recon
     sgn = np.sign(diff)
-    pix_weight = mask.data * valid.data / n_valid  # (h, w)
+    pix_weight = mask.data * valid / n_valid  # (h, w)
 
     # d|t - r|/d(r) = -sign(t - r), chained through the reconstruction.
     d_photo_depth = -np.einsum("hwc,hwc->hw", sgn, d_recon_depth) * pix_weight
     d_photo_pose = -np.einsum(
         "hwc,hwcp,hw->p", sgn, d_recon_pose, pix_weight
     )
-    d_photo_mask = np.sum(np.abs(diff), axis=2) * valid.data / n_valid
+    d_photo_mask = np.sum(np.abs(diff), axis=2) * valid / n_valid
 
     d_depth = d_photo_depth + weights.lambda_smo * _smoothness_grad_depth(
         depth, target

@@ -6,6 +6,12 @@ border epsilon so that identity reprojection never flags border pixels).
 Out-of-bounds samples return 0 and are marked invalid (zero fill, never
 clamped). On integer grid lines the gradient takes the right/lower cell's
 linear piece (floor binning).
+
+One gather serves every sampler: points are clipped into the image and
+their four corners read by flat index from the source padded with a zero
+bottom row and right column, so a corner past the edge reads 0 (where its
+weight is 0 anyway). Values and (u, v) derivatives share those corners, and
+inverse_warp, warp_jacobians and loss_gradients share one reprojection.
 """
 
 from __future__ import annotations
@@ -118,39 +124,36 @@ def pixel_grid(height: int, width: int) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-def _gather_corners(
-    data: np.ndarray, uv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Corner values and interpolation offsets for (...,) sample points.
+def _bilinear(data: np.ndarray, uv: np.ndarray, grad: bool) -> tuple:
+    """(values, in-bounds mask, d/d(u, v) or None) from one corner gather.
 
-    Returns (i00, i10, i01, i11, fu, fv) where iXY is the value at
-    (u0 + X, v0 + Y), zero-filled outside the image, and fu, fv are the
-    fractional offsets in [0, 1). Binning uses floor, so points on grid
-    lines belong to the right/lower cell.
+    Corner (u0, v0) of the zero-padded (h + 1) x (w + 1) grid is at flat
+    index v0 * (w + 1) + u0.
     """
-    h, w = data.shape[:2]
+    uv = np.asarray(uv, dtype=float)
+    h, w, c = data.shape
     u = uv[..., 0]
     v = uv[..., 1]
-    u0 = np.floor(u).astype(int)
-    v0 = np.floor(v).astype(int)
-    fu = u - u0
-    fv = v - v0
-
-    def at(ui, vi):
-        inside = (ui >= 0) & (ui <= w - 1) & (vi >= 0) & (vi <= h - 1)
-        uc = np.clip(ui, 0, w - 1)
-        vc = np.clip(vi, 0, h - 1)
-        vals = data[vc, uc]
-        return np.where(inside[..., None], vals, 0.0)
-
-    return (
-        at(u0, v0),
-        at(u0 + 1, v0),
-        at(u0, v0 + 1),
-        at(u0 + 1, v0 + 1),
-        fu,
-        fv,
+    valid = (u >= -BORDER_EPS) & (u <= w - 1 + BORDER_EPS)
+    valid &= (v >= -BORDER_EPS) & (v <= h - 1 + BORDER_EPS)
+    u, v = np.clip(u, 0.0, float(w - 1)), np.clip(v, 0.0, float(h - 1))
+    u0, v0 = np.floor(u), np.floor(v)
+    fu, fv = (u - u0)[..., None], (v - v0)[..., None]
+    flat = np.pad(data, ((0, 1), (0, 1), (0, 0))).reshape(-1, c)
+    # mode="clip" keeps NaN coordinates (invalid anyway) from raising.
+    idx = v0.astype(np.intp) * (w + 1) + u0.astype(np.intp)
+    i00, i10, i01, i11 = (
+        np.take(flat, idx + off, axis=0, mode="clip") for off in (0, 1, w + 1, w + 2)
     )
+    vals = (i00 * (1.0 - fu) * (1.0 - fv) + i10 * fu * (1.0 - fv)
+            + i01 * (1.0 - fu) * fv + i11 * fu * fv)
+    vals = np.where(valid[..., None], vals, 0.0)
+    if not grad:
+        return vals, valid, None
+    d_u = (i10 - i00) * (1.0 - fv) + (i11 - i01) * fv
+    d_v = (i01 - i00) * (1.0 - fu) + (i11 - i10) * fu
+    d_uv = np.stack([d_u, d_v], axis=-2)
+    return vals, valid, np.where(valid[..., None, None], d_uv, 0.0)
 
 
 def sample_grid(img: ImageBuffer, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,29 +167,7 @@ def sample_grid(img: ImageBuffer, uv: np.ndarray) -> tuple[np.ndarray, np.ndarra
         (values, valid): (..., c) interpolated values (0 where invalid) and
         the bool in-bounds mask.
     """
-    uv = np.asarray(uv, dtype=float)
-    h, w = img.height, img.width
-    u = uv[..., 0]
-    v = uv[..., 1]
-    valid = (
-        (u >= -BORDER_EPS)
-        & (u <= w - 1 + BORDER_EPS)
-        & (v >= -BORDER_EPS)
-        & (v <= h - 1 + BORDER_EPS)
-    )
-    uv_c = np.stack(
-        [np.clip(u, 0.0, float(w - 1)), np.clip(v, 0.0, float(h - 1))], axis=-1
-    )
-    i00, i10, i01, i11, fu, fv = _gather_corners(img.data, uv_c)
-    fu = fu[..., None]
-    fv = fv[..., None]
-    vals = (
-        i00 * (1.0 - fu) * (1.0 - fv)
-        + i10 * fu * (1.0 - fv)
-        + i01 * (1.0 - fu) * fv
-        + i11 * fu * fv
-    )
-    return np.where(valid[..., None], vals, 0.0), valid
+    return _bilinear(img.data, uv, grad=False)[:2]
 
 
 def sample_grad_grid(img: ImageBuffer, uv: np.ndarray) -> np.ndarray:
@@ -196,26 +177,7 @@ def sample_grad_grid(img: ImageBuffer, uv: np.ndarray) -> np.ndarray:
         (..., 2, c) array; row 0 is d/du, row 1 is d/dv. Out-of-bounds points
         get zeros (callers mask them anyway).
     """
-    uv = np.asarray(uv, dtype=float)
-    h, w = img.height, img.width
-    u = uv[..., 0]
-    v = uv[..., 1]
-    valid = (
-        (u >= -BORDER_EPS)
-        & (u <= w - 1 + BORDER_EPS)
-        & (v >= -BORDER_EPS)
-        & (v <= h - 1 + BORDER_EPS)
-    )
-    uv_c = np.stack(
-        [np.clip(u, 0.0, float(w - 1)), np.clip(v, 0.0, float(h - 1))], axis=-1
-    )
-    i00, i10, i01, i11, fu, fv = _gather_corners(img.data, uv_c)
-    fu = fu[..., None]
-    fv = fv[..., None]
-    d_u = (i10 - i00) * (1.0 - fv) + (i11 - i01) * fv
-    d_v = (i01 - i00) * (1.0 - fu) + (i11 - i10) * fu
-    grad = np.stack([d_u, d_v], axis=-2)
-    return np.where(valid[..., None, None], grad, 0.0)
+    return _bilinear(img.data, uv, grad=True)[2]
 
 
 def bilinear_sample(img: ImageBuffer, p: Pixel) -> tuple[np.ndarray, bool]:
@@ -237,6 +199,35 @@ def bilinear_sample_grad(img: ImageBuffer, p: Pixel) -> np.ndarray:
     return sample_grad_grid(img, np.array([p[0], p[1]]))
 
 
+def _warp_eval(
+    source: ImageBuffer, depth: DepthMap, pose: SE3Transform, k: CameraIntrinsics,
+    jacobians: bool,
+) -> tuple:
+    """(recon, valid, d_depth, d_pose) from one reprojection and one gather.
+
+    See inverse_warp and warp_jacobians; the Jacobians are None unless asked.
+    """
+    if (source.height, source.width) != (depth.height, depth.width):
+        raise ValueError(
+            f"source {source.height}x{source.width} and depth "
+            f"{depth.height}x{depth.width} sizes differ"
+        )
+    uv = pixel_grid(depth.height, depth.width)
+    uv_src, _, in_front = reproject_grid(uv, depth.data, pose, k)
+    vals, in_bounds, grad = _bilinear(source.data, uv_src, jacobians)
+    valid = in_front & in_bounds
+    recon = np.clip(np.where(valid[..., None], vals, 0.0), 0.0, 1.0)
+    if not jacobians:
+        return recon, valid, None, None
+    d_depth_px, d_pose_px, _ = reproject_jacobian_grid(uv, depth.data, pose, k)
+    # (h, w, c) = sum over axis of (h, w, 2, c) * (h, w, 2, 1)
+    d_depth = np.einsum("hwic,hwi->hwc", grad, d_depth_px)
+    d_pose = np.einsum("hwic,hwip->hwcp", grad, d_pose_px)
+    d_depth = np.where(valid[..., None], d_depth, 0.0)
+    d_pose = np.where(valid[..., None, None], d_pose, 0.0)
+    return recon, valid, d_depth, d_pose
+
+
 def inverse_warp(
     source: ImageBuffer, depth: DepthMap, pose: SE3Transform, k: CameraIntrinsics
 ) -> tuple[ImageBuffer, ValidityMask]:
@@ -255,17 +246,8 @@ def inverse_warp(
         and validity mask, False where the reprojection lands out of bounds
         or behind the camera.
     """
-    if (source.height, source.width) != (depth.height, depth.width):
-        raise ValueError(
-            f"source {source.height}x{source.width} and depth "
-            f"{depth.height}x{depth.width} sizes differ"
-        )
-    uv = pixel_grid(depth.height, depth.width)
-    uv_src, _, in_front = reproject_grid(uv, depth.data, pose, k)
-    vals, in_bounds = sample_grid(source, uv_src)
-    valid = in_front & in_bounds
-    vals = np.where(valid[..., None], vals, 0.0)
-    return ImageBuffer(np.clip(vals, 0.0, 1.0)), ValidityMask(valid)
+    recon, valid, _, _ = _warp_eval(source, depth, pose, k, jacobians=False)
+    return ImageBuffer(recon), ValidityMask(valid)
 
 
 def warp_jacobians(
@@ -283,17 +265,4 @@ def warp_jacobians(
         lines and undefined across validity flips; gradient checks exclude
         those pixels.
     """
-    if (source.height, source.width) != (depth.height, depth.width):
-        raise ValueError("source and depth sizes differ")
-    uv = pixel_grid(depth.height, depth.width)
-    uv_src, _, in_front = reproject_grid(uv, depth.data, pose, k)
-    d_depth_px, d_pose_px, _ = reproject_jacobian_grid(uv, depth.data, pose, k)
-    grad = sample_grad_grid(source, uv_src)  # (h, w, 2, c)
-    _, in_bounds = sample_grid(source, uv_src)
-    valid = in_front & in_bounds
-    # (h, w, c) = sum over axis of (h, w, 2, c) * (h, w, 2, 1)
-    d_depth = np.einsum("hwic,hwi->hwc", grad, d_depth_px)
-    d_pose = np.einsum("hwic,hwip->hwcp", grad, d_pose_px)
-    d_depth = np.where(valid[..., None], d_depth, 0.0)
-    d_pose = np.where(valid[..., None, None], d_pose, 0.0)
-    return d_depth, d_pose
+    return _warp_eval(source, depth, pose, k, jacobians=True)[2:]

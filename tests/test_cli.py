@@ -6,7 +6,7 @@ console bytes. The contract under test:
 
 * exit codes: 0 success, 1 gradient-check failure, 2 bad flags, 3 output
   write failure, 4 unreadable alignment inputs, 5 evaluation parse or
-  count mismatch;
+  count mismatch or degenerate content;
 * synth writes exactly target.ppm, source.ppm, gt_depth.pfm, gt_pose.txt,
   intrinsics.txt, and identical invocations produce byte-identical files
   and console output;
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from egowarp import (
+    DegenerateInputError,
     DepthMap,
     SE3Transform,
     write_depth,
@@ -149,6 +150,14 @@ class TestAlign:
         code = main(["align", "--pair", str(pair)])
         assert code == 4
         assert "cannot read pair inputs" in capsys.readouterr().err
+
+    def test_pyramid_deeper_than_image_returns_5(self, tmp_path, capsys):
+        pair = tmp_path / "pair"
+        assert _synth(pair, size="32x32") == 0
+        capsys.readouterr()
+        assert main(["align", "--pair", str(pair), "--levels", "8"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEvalDepth:
@@ -285,6 +294,15 @@ class TestGradcheck:
         assert "FAIL" in out
 
 
+def test_degenerate_input_error_returns_5(monkeypatch, capsys):
+    def no_valid_pixels(*args, **kwargs):
+        raise DegenerateInputError("no valid pixels")
+
+    monkeypatch.setattr("egowarp.cli.grad_check", no_valid_pixels)
+    assert main(["gradcheck", "--trials", "1"]) == 5
+    assert capsys.readouterr().err == "error: no valid pixels\n"
+
+
 class TestBadFlags:
     @pytest.mark.parametrize(
         "argv",
@@ -297,6 +315,10 @@ class TestBadFlags:
             ["align"],
             ["eval-depth", "--pred", "x"],
             ["no-such-command"],
+            ["align", "--pair", "x", "--levels", "0"],
+            ["align", "--pair", "x", "--max-iters", "0"],
+            ["align", "--pair", "x", "--step", "-1"],
+            ["gradcheck", "--trials", "0"],
         ],
     )
     def test_returns_2(self, argv, capsys):

@@ -23,6 +23,8 @@ from egowarp import (
     bilinear_sample_grad,
     inverse_warp,
     pixel_grid,
+    reproject_grid,
+    retract_pose,
     warp_jacobians,
 )
 
@@ -254,3 +256,61 @@ class TestWarpJacobians:
         stable = v_hi & v_lo
         # 0.4 px shift keeps every sample 0.4 away from grid lines.
         np.testing.assert_allclose(d_pose[:, :, 0, 3][stable], fd[stable], atol=1e-5)
+
+    def test_non_square_rgb_border_matches_fd_and_loop_oracle(self):
+        # 12x20 RGB with a different pattern per channel; the pose shifts by
+        # ~5 px right and ~1.5 px down, so about 30 % of the pixels land
+        # out of frame. Values are checked against a per-pixel loop over the
+        # four corners, Jacobians against central differences of inverse_warp.
+        h, w = 12, 20
+        k = CameraIntrinsics(fx=16.0, fy=16.0, cx=9.5, cy=5.5)
+        v, u = np.mgrid[0:h, 0:w].astype(float)
+        src = ImageBuffer(
+            np.stack(
+                [
+                    (np.sin(0.6 * u) * np.cos(0.4 * v) + 1.0) / 2.0,
+                    (np.cos(0.3 * u + 0.8 * v) + 1.0) / 2.0,
+                    (u / (w - 1) + v**2 / (h - 1) ** 2) / 2.0,
+                ],
+                axis=-1,
+            )
+        )
+        depth = DepthMap(4.0 + 0.3 * np.sin(0.5 * u) + 0.2 * np.cos(0.7 * v))
+        pose = retract_pose(
+            SE3Transform.from_translation(np.array([1.2, 0.4, 0.1])),
+            np.array([0.02, -0.03, 0.01, 0.0, 0.0, 0.0]),
+        )
+        recon, valid = inverse_warp(src, depth, pose, k)
+        assert 0.15 < 1.0 - valid.data.mean() < 0.35
+
+        uv_src, _, _ = reproject_grid(pixel_grid(h, w), depth.data, pose, k)
+        expected = np.zeros_like(src.data)
+        for r, c in zip(*np.nonzero(valid.data)):
+            su, sv = uv_src[r, c]
+            for cu in (np.floor(su), np.floor(su) + 1):
+                for cv in (np.floor(sv), np.floor(sv) + 1):
+                    if cu < w and cv < h:
+                        weight = (1 - abs(su - cu)) * (1 - abs(sv - cv))
+                        expected[r, c] += weight * src.data[int(cv), int(cu)]
+        np.testing.assert_allclose(recon.data, expected, atol=1e-12)
+
+        step = 1e-6
+        d_depth, d_pose = warp_jacobians(src, depth, pose, k)
+        frac = uv_src - np.floor(uv_src)
+        stable = valid.data & np.all(np.minimum(frac, 1.0 - frac) > 1e-3, axis=-1)
+        columns = [(DepthMap(depth.data + step), DepthMap(depth.data - step), pose, pose)]
+        for i in range(6):
+            delta = np.zeros(6)
+            delta[i] = step
+            columns.append(
+                (depth, depth, retract_pose(pose, delta), retract_pose(pose, -delta))
+            )
+        for col, (d_hi, d_lo, p_hi, p_lo) in enumerate(columns):
+            hi, v_hi = inverse_warp(src, d_hi, p_hi, k)
+            lo, v_lo = inverse_warp(src, d_lo, p_lo, k)
+            fd = (hi.data - lo.data) / (2 * step)
+            analytic = d_depth if col == 0 else d_pose[..., col - 1]
+            both = stable & v_hi.data & v_lo.data
+            np.testing.assert_allclose(analytic[both], fd[both], rtol=1e-6, atol=1e-7)
+        np.testing.assert_array_equal(d_depth[~valid.data], 0.0)
+        np.testing.assert_array_equal(d_pose[~valid.data], 0.0)
