@@ -2,10 +2,13 @@
 
 Minimizes the single-pair total loss (photometric + weighted smoothness,
 mask fixed at 1) over the 6 pose parameters, optionally alternating with
-projected depth steps, coarse-to-fine over an area-averaged pyramid. Steps
-use Armijo backtracking (factor 0.5, c = 1e-4), so accepted steps never
-increase the loss. A pair variant optimizes forward and backward poses
-jointly with the backward-forward consistency term.
+projected depth steps, coarse-to-fine over an area-averaged pyramid. A pair
+variant optimizes forward and backward poses jointly with the
+backward-forward consistency term. One driver runs all three: per level and
+iteration, each parameter block (pose; pose then depth; the 12-vector pose
+pair) takes one Barzilai-Borwein-seeded Armijo step (factor 0.5, c = 1e-4),
+so accepted steps never increase the loss. A level whose starting loss is
+not finite (no valid pixel) is skipped, so loss histories stay finite.
 """
 
 from __future__ import annotations
@@ -77,11 +80,12 @@ class AlignOptions:
 class AlignReport:
     """Outcome of align_pose.
 
-    converged is True iff the finest level stopped because no parameter
+    converged is True iff the finest level ran and stopped because no block
     moved more than tol_step (gradient below tol_grad or line search
     exhausted at an L1 kink bottom); hitting max_iters reports False.
-    loss_history holds the finest level's total loss: the initial value, then
-    one entry per accepted step (non-increasing by construction).
+    Levels with a non-finite starting loss are skipped and add no iters.
+    loss_history holds the finest level's finite total losses: the initial
+    value, then one entry per accepted step (non-increasing by construction).
     """
 
     converged: bool
@@ -94,7 +98,7 @@ class AlignReport:
 
 @dataclass(frozen=True, eq=False)
 class AlignPairReport:
-    """Outcome of align_pose_pair (joint forward/backward optimization)."""
+    """Outcome of align_pose_pair; shared fields mean what they do in AlignReport."""
 
     converged: bool
     iters: int
@@ -150,6 +154,11 @@ def _pair_total(
     )
 
 
+def _floored(depth: np.ndarray) -> DepthMap:
+    """The depth map max(depth, DEPTH_FLOOR)."""
+    return DepthMap(np.maximum(depth, DEPTH_FLOOR))
+
+
 def _backtrack(loss_fn, retract, x, loss0, grad, direction, step0, tol_step):
     """One Armijo line search. Returns (x_new, loss_new, step_used) or None."""
     slope = float(np.sum(grad * direction))
@@ -187,6 +196,54 @@ def _bb_step(delta: np.ndarray | None, grad: np.ndarray, prev_grad: np.ndarray |
     return float(np.clip((delta @ delta) / denom, 1e-12, 1e6))
 
 
+def _descend(x, loss0, blocks, opts, on_accept):
+    """One pyramid level from state x; returns (x, loss, iters, converged).
+
+    A block is (grad(x), preconditioner, loss(x), retract(x, delta)) and
+    steps along -preconditioner * grad(x). The level converges when an
+    iteration moves no block; on_accept sees every accepted loss.
+    """
+    memory = [(None, None)] * len(blocks)  # (last step, its gradient) per block
+    for it in range(1, opts.max_iters + 1):
+        moved = False
+        for b, (grad, precond, loss_fn, retract) in enumerate(blocks):
+            g = grad(x)
+            if float(np.linalg.norm(g)) < opts.tol_grad:
+                continue
+            direction = -g * precond
+            delta, prev_g = memory[b]
+            step0 = _bb_step(delta, g.ravel(), prev_g, opts.step)
+            res = _backtrack(loss_fn, retract, x, loss0, g, direction, step0, opts.tol_step)
+            if res is None:
+                continue
+            x, loss0, used = res
+            memory[b] = (used * direction.ravel(), g.ravel())
+            moved = True
+            on_accept(loss0)
+        if not moved:
+            return x, loss0, it, True
+    return x, loss0, opts.max_iters, False
+
+
+def _coarse_to_fine(levels, x, level, opts):
+    """Levels coarsest to finest; returns (x, loss, iters, converged, history).
+
+    level(li, x) gives level li's starting state, loss function and blocks.
+    converged and history describe the finest level.
+    """
+    iters, converged, history, loss0 = 0, False, [], float("inf")
+    for li in range(levels - 1, -1, -1):
+        x, loss_fn, blocks = level(li, x)
+        loss0, converged = loss_fn(x), False
+        if not np.isfinite(loss0):
+            continue
+        on_accept = history.append if li == 0 else lambda _: None
+        on_accept(loss0)
+        x, loss0, n, converged = _descend(x, loss0, blocks, opts, on_accept)
+        iters += n
+    return x, loss0, iters, converged, tuple(history)
+
+
 def align_pose(
     target: ImageBuffer,
     source: ImageBuffer,
@@ -217,98 +274,39 @@ def align_pose(
     depths = depth_pyramid(depth, levels)
     ks = intrinsics_pyramid(k, levels)
     refine_depth = opts.mode == "pose_and_depth"
+    w = opts.weights
 
-    pose = init.to_transform()
-    depth_est = depths[-1] if refine_depth else None
-    iters = 0
-    converged = False
-    history: list[float] = []
-    loss0 = float("inf")
-
-    for li in range(levels - 1, -1, -1):
+    def level(li: int, x: tuple[SE3Transform, DepthMap]):
         t_l, s_l, k_l = imgs_t[li], imgs_s[li], ks[li]
-        d_l = depth_est if refine_depth else depths[li]
-        finest = li == 0
+        pose, d_l = x
+        if not refine_depth:
+            d_l = depths[li]
+        elif li < levels - 1:  # hand the coarser estimate up one level
+            d_l = _floored(upsample2x(d_l.data, t_l.height, t_l.width))
         ones = WeightMask.ones(t_l.height, t_l.width)
-        loss0 = _pair_total(t_l, s_l, d_l, pose, k_l, opts.weights)
-        if finest:
-            history.append(loss0)
-        if not np.isfinite(loss0):
-            break
-        pose_delta = pose_prev_g = None
-        depth_delta = depth_prev_g = None
-        for _ in range(opts.max_iters):
-            iters += 1
-            moved = False
-            grads = loss_gradients(t_l, s_l, d_l, pose, k_l, ones, opts.weights)
-            if float(np.linalg.norm(grads.d_pose)) >= opts.tol_grad:
-                direction = -grads.d_pose
-                step0 = _bb_step(pose_delta, grads.d_pose, pose_prev_g, opts.step)
-                res = _backtrack(
-                    lambda p: _pair_total(t_l, s_l, d_l, p, k_l, opts.weights),
-                    retract_pose,
-                    pose,
-                    loss0,
-                    grads.d_pose,
-                    direction,
-                    step0,
-                    opts.tol_step,
-                )
-                if res is not None:
-                    pose, loss0, used = res
-                    pose_delta, pose_prev_g = used * direction, grads.d_pose
-                    moved = True
-                    if finest:
-                        history.append(loss0)
-            if refine_depth:
-                grads = loss_gradients(t_l, s_l, d_l, pose, k_l, ones, opts.weights)
-                g_d = grads.d_depth
-                direction = -g_d * g_d.size  # pixel-count preconditioner
-                if float(np.linalg.norm(g_d)) >= opts.tol_grad:
-                    step0 = _bb_step(
-                        depth_delta, g_d.ravel(), depth_prev_g, opts.step
-                    )
-                    res = _backtrack(
-                        lambda dd: _pair_total(
-                            t_l, s_l, DepthMap(dd), pose, k_l, opts.weights
-                        ),
-                        lambda dd, step: np.maximum(dd + step, DEPTH_FLOOR),
-                        d_l.data,
-                        loss0,
-                        g_d,
-                        direction,
-                        step0,
-                        opts.tol_step,
-                    )
-                    if res is not None:
-                        d_l, loss0 = DepthMap(res[0]), res[1]
-                        depth_delta = res[2] * direction.ravel()
-                        depth_prev_g = g_d.ravel()
-                        moved = True
-                        if finest:
-                            history.append(loss0)
-            if not moved:
-                if finest:
-                    converged = True
-                break
-        if refine_depth:
-            if li > 0:
-                target_shape = imgs_t[li - 1].data.shape[:2]
-                depth_est = DepthMap(
-                    np.maximum(
-                        upsample2x(d_l.data, target_shape[0], target_shape[1]),
-                        DEPTH_FLOOR,
-                    )
-                )
-            else:
-                depth_est = d_l
 
+        def grads(x):
+            return loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w)
+
+        def loss_fn(x):
+            return _pair_total(t_l, s_l, x[1], x[0], k_l, w)
+
+        blocks = [(lambda x: grads(x).d_pose, 1.0, loss_fn,
+                   lambda x, delta: (retract_pose(x[0], delta), x[1]))]
+        if refine_depth:  # pixel-count preconditioner, projected above DEPTH_FLOOR
+            blocks.append((lambda x: grads(x).d_depth, d_l.data.size, loss_fn,
+                           lambda x, delta: (x[0], _floored(x[1].data + delta))))
+        return (pose, d_l), loss_fn, blocks
+
+    (pose, depth_est), loss, iters, converged, history = _coarse_to_fine(
+        levels, (init.to_transform(), depths[-1]), level, opts
+    )
     return AlignReport(
         converged=converged,
         iters=iters,
-        final_loss=loss0,
+        final_loss=loss,
         pose=Pose6DoF(log_so3(pose.r), pose.t),
-        loss_history=tuple(history),
+        loss_history=history,
         depth=depth_est if refine_depth else None,
     )
 
@@ -339,70 +337,37 @@ def align_pose_pair(
     ks = intrinsics_pyramid(k, levels)
     w = opts.weights
 
-    def level_loss(li: int, poses: tuple[SE3Transform, SE3Transform]) -> float:
-        fwd, bwd = poses
-        l_f = _pair_total(imgs_t[li], imgs_s[li], depths_t[li], fwd, ks[li], w)
-        l_b = _pair_total(imgs_s[li], imgs_t[li], depths_s[li], bwd, ks[li], w)
-        if not (np.isfinite(l_f) and np.isfinite(l_b)):
-            return float("inf")
-        return l_f + l_b + w.lambda_bf * bf_consistency_loss([(fwd, bwd)])
+    def level(li: int, poses: tuple[SE3Transform, SE3Transform]):
+        t_l, s_l, k_l = imgs_t[li], imgs_s[li], ks[li]
+        ones_t = WeightMask.ones(t_l.height, t_l.width)
+        ones_s = WeightMask.ones(s_l.height, s_l.width)
 
-    def level_grad(li: int, poses: tuple[SE3Transform, SE3Transform]) -> np.ndarray:
-        fwd, bwd = poses
-        ones_t = WeightMask.ones(imgs_t[li].height, imgs_t[li].width)
-        ones_s = WeightMask.ones(imgs_s[li].height, imgs_s[li].width)
-        g_f = loss_gradients(imgs_t[li], imgs_s[li], depths_t[li], fwd, ks[li], ones_t, w)
-        g_b = loss_gradients(imgs_s[li], imgs_t[li], depths_s[li], bwd, ks[li], ones_s, w)
-        bf_f, bf_b = bf_consistency_grad([(fwd, bwd)])[0]
-        return np.concatenate(
-            [g_f.d_pose + w.lambda_bf * bf_f, g_b.d_pose + w.lambda_bf * bf_b]
-        )
+        def loss_fn(poses):  # inf when either direction has no valid pixel
+            fwd, bwd = poses
+            l_f = _pair_total(t_l, s_l, depths_t[li], fwd, k_l, w)
+            l_b = _pair_total(s_l, t_l, depths_s[li], bwd, k_l, w)
+            return l_f + l_b + w.lambda_bf * bf_consistency_loss([(fwd, bwd)])
 
-    def retract(poses: tuple[SE3Transform, SE3Transform], delta: np.ndarray):
-        return (retract_pose(poses[0], delta[:6]), retract_pose(poses[1], delta[6:]))
+        def grad(poses):
+            fwd, bwd = poses
+            g_f = loss_gradients(t_l, s_l, depths_t[li], fwd, k_l, ones_t, w)
+            g_b = loss_gradients(s_l, t_l, depths_s[li], bwd, k_l, ones_s, w)
+            bf_f, bf_b = bf_consistency_grad([(fwd, bwd)])[0]
+            return np.concatenate([g_f.d_pose + w.lambda_bf * bf_f,
+                                   g_b.d_pose + w.lambda_bf * bf_b])
 
-    poses = (init_forward.to_transform(), init_backward.to_transform())
-    iters = 0
-    converged = False
-    history: list[float] = []
-    loss0 = float("inf")
+        return poses, loss_fn, [(grad, 1.0, loss_fn, lambda p, delta: (
+            retract_pose(p[0], delta[:6]), retract_pose(p[1], delta[6:])))]
 
-    for li in range(levels - 1, -1, -1):
-        finest = li == 0
-        loss0 = level_loss(li, poses)
-        if finest:
-            history.append(loss0)
-        if not np.isfinite(loss0):
-            break
-        delta = prev_g = None
-        for _ in range(opts.max_iters):
-            iters += 1
-            g = level_grad(li, poses)
-            if float(np.linalg.norm(g)) < opts.tol_grad:
-                if finest:
-                    converged = True
-                break
-            step0 = _bb_step(delta, g, prev_g, opts.step)
-            res = _backtrack(
-                lambda p: level_loss(li, p), retract, poses, loss0, g, -g,
-                step0, opts.tol_step,
-            )
-            if res is None:
-                if finest:
-                    converged = True
-                break
-            poses, loss0, used = res
-            delta, prev_g = -used * g, g
-            if finest:
-                history.append(loss0)
-
-    fwd, bwd = poses
+    (fwd, bwd), loss, iters, converged, history = _coarse_to_fine(
+        levels, (init_forward.to_transform(), init_backward.to_transform()), level, opts
+    )
     return AlignPairReport(
         converged=converged,
         iters=iters,
-        final_loss=loss0,
+        final_loss=loss,
         pose_forward=Pose6DoF(log_so3(fwd.r), fwd.t),
         pose_backward=Pose6DoF(log_so3(bwd.r), bwd.t),
         bf_term=bf_consistency_loss([(fwd, bwd)]),
-        loss_history=tuple(history),
+        loss_history=history,
     )

@@ -45,16 +45,19 @@ GRADCHECK_TOL = 1e-4
 _DEPTH_FIELDS = ("abs_rel", "sq_rel", "rmse", "rmse_log", "d1", "d2", "d3")
 
 
-def _positive(kind):
-    """argparse type: a finite number of ``kind`` (int or float) above 0."""
+def _number(kind, low=None, closed=False):
+    """argparse type: a finite number of ``kind`` (int or float) above
+    ``low``, or at least ``low`` when ``closed``; no bound when low is None."""
+    bound = "" if low is None else f" {'>=' if closed else '>'} {low}"
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = float("nan")
-        if not (np.isfinite(value) and value > 0):
-            msg = f"expected a finite {kind.__name__} > 0, got {text!r}"
+        in_range = low is None or (value >= low if closed else value > low)
+        if not (in_range and abs(value) < float("inf")):  # False for NaN too
+            msg = f"expected a finite {kind.__name__}{bound}, got {text!r}"
             raise argparse.ArgumentTypeError(msg)
         return value
 
@@ -65,7 +68,7 @@ def _size(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
-    return tuple(_positive(int)(p) for p in parts)
+    return tuple(_number(int, 0)(p) for p in parts)
 
 
 def _baseline(text: str) -> tuple[float, ...]:
@@ -89,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient validation")
     p.add_argument("--component", choices=("all",) + COMPONENTS, default="all")
-    p.add_argument("--trials", type=_positive(int), default=100)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", type=_number(int, 0), default=100)
+    p.add_argument("--seed", type=_number(int, 0, closed=True), default=42)
     p.add_argument(
         "--corruption",
         type=float,
@@ -109,19 +112,19 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="TX,TY,TZ,RX,RY,RZ",
         help="target-to-source pose: translation then axis-angle radians",
     )
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_number(int, 0, closed=True), default=42)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("align", help="recover the pose of a rendered pair")
     p.add_argument("--pair", required=True, help="directory written by synth")
     p.add_argument("--mode", choices=MODES, default="pose_only")
-    p.add_argument("--perturb-rot", type=float, default=1.0, metavar="DEG")
-    p.add_argument("--perturb-trans", type=float, default=0.02, metavar="FRAC")
-    p.add_argument("--levels", type=_positive(int), default=3)
-    p.add_argument("--max-iters", type=_positive(int), default=100)
-    p.add_argument("--step", type=_positive(float), default=0.1)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--perturb-rot", type=_number(float), default=1.0, metavar="DEG")
+    p.add_argument("--perturb-trans", type=_number(float), default=0.02, metavar="FRAC")
+    p.add_argument("--levels", type=_number(int, 0), default=3)
+    p.add_argument("--max-iters", type=_number(int, 0), default=100)
+    p.add_argument("--step", type=_number(float, 0), default=0.1)
+    p.add_argument("--seed", type=_number(int, 0, closed=True), default=42)
     p.add_argument("--out", default=None, help="optional report file")
     p.set_defaults(func=_cmd_align)
 

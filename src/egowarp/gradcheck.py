@@ -66,10 +66,17 @@ class GradCheckReport:
 
 
 def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
+    """|analytic - fd| / max(1, |analytic|, |fd|), with NaN read as inf.
+
+    A NaN here (a NaN input, or inf against inf) would otherwise vanish in
+    the callers' max(), so a non-finite gradient could never fail.
+    """
     analytic = np.asarray(analytic, dtype=float)
     fd = np.asarray(fd, dtype=float)
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
-    return np.abs(analytic - fd) / denom
+    with np.errstate(invalid="ignore"):
+        denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
+        err = np.abs(analytic - fd) / denom
+    return np.where(np.isnan(err), np.inf, err)
 
 
 def _corrupt(arr: np.ndarray, corruption: float) -> np.ndarray:

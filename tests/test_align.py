@@ -27,6 +27,7 @@ Quantitative thresholds were chosen with several times the measured margin:
 import numpy as np
 import pytest
 
+import egowarp.align as align_module
 from egowarp import (
     AlignOptions,
     DepthMap,
@@ -200,6 +201,24 @@ class TestPoseRecovery:
         assert report.final_loss == float("inf")
         assert report.loss_history == ()
 
+    def test_behind_camera_single_level_history_is_empty(self, slanted64):
+        # The skipped level's non-finite starting loss stays out of the history.
+        pair, k, _ = slanted64
+        behind = Pose6DoF(np.zeros(3), np.array([0.0, 0.0, -12.0]))
+        opts = AlignOptions(max_iters=5, pyramid_levels=1)
+        _, depth_source, _ = render_view(
+            make_scene("slanted_plane"), SE3Transform.from_translation(GT_TRANS), k, 64, 64
+        )
+        single = align_pose(pair.target, pair.source, pair.gt_depth, k, behind, opts)
+        joint = align_pose_pair(
+            pair.target, pair.source, pair.gt_depth, depth_source, k, behind, behind, opts
+        )
+        for report in (single, joint):
+            assert report.loss_history == ()
+            assert report.final_loss == float("inf")
+            assert report.iters == 0
+            assert not report.converged
+
 
 class TestPoseAndDepth:
     def test_refines_nonuniform_depth_error(self):
@@ -251,3 +270,54 @@ class TestAlignPosePair:
             rot_err, trans_err = _pose_errors(est, ref)
             assert rot_err < 2.0
             assert trans_err / np.linalg.norm(GT_TRANS) < 0.05
+
+
+class TestEvaluationCounts:
+    """One loss_gradients call per iteration in pose_only, two in
+    pose_and_depth and in the pair solve, and a non-increasing history."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Heights of the images passed to each loss_gradients call."""
+        calls = []
+        inner = align_module.loss_gradients
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].height)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(align_module, "loss_gradients", counting)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def slanted32(self):
+        k = default_intrinsics(32, 32)
+        gt = SE3Transform.from_translation(GT_TRANS)
+        pair = render_pair(make_scene("slanted_plane"), gt, k, 32, 32)
+        _, depth_source, _ = render_view(make_scene("slanted_plane"), gt, k, 32, 32)
+        return pair, depth_source, k, Pose6DoF(np.zeros(3), GT_TRANS)
+
+    @pytest.mark.parametrize("mode, per_iter", [("pose_only", 1), ("pose_and_depth", 2)])
+    def test_align_pose(self, counted, slanted32, mode, per_iter):
+        pair, _, k, gt6 = slanted32
+        report = align_pose(
+            pair.target, pair.source, pair.gt_depth, k, perturb_pose(gt6, 1.0, 0.02, seed=5),
+            AlignOptions(mode=mode, max_iters=40),
+        )
+        assert report.iters > 0
+        assert len(counted) == per_iter * report.iters
+        assert set(counted) == {32, 16, 8}
+        assert _monotone(report.loss_history)
+
+    def test_align_pose_pair(self, counted, slanted32):
+        pair, depth_source, k, gt6 = slanted32
+        bwd = inverse(SE3Transform.from_translation(GT_TRANS))
+        report = align_pose_pair(
+            pair.target, pair.source, pair.gt_depth, depth_source, k,
+            perturb_pose(gt6, 1.0, 0.02, seed=1),
+            perturb_pose(Pose6DoF(log_so3(bwd.r), bwd.t), 1.0, 0.02, seed=2),
+            AlignOptions(max_iters=40, weights=LossWeights(lambda_bf=10.0)),
+        )
+        assert report.iters > 0
+        assert len(counted) == 2 * report.iters
+        assert _monotone(report.loss_history)

@@ -159,6 +159,20 @@ class TestAlign:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_unusable_coarse_level_is_skipped(self, tmp_path, capsys):
+        # At 32x32 the sixth level is 1x1 and has no valid pixel; the run
+        # skips it and gives what five levels give.
+        pair = tmp_path / "pair"
+        assert _synth(pair, size="32x32") == 0
+        capsys.readouterr()
+        outs = []
+        for levels in ("5", "6"):
+            argv = ["align", "--pair", str(pair), "--levels", levels, "--max-iters", "3"]
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+        assert "final_loss=inf" not in outs[1]
+
 
 class TestEvalDepth:
     def test_identical_dirs_give_zero_row(self, tmp_path, capsys):
@@ -293,6 +307,13 @@ class TestGradcheck:
         assert code == 1
         assert "FAIL" in out
 
+    def test_nan_corruption_fails_with_exit_1(self, capsys):
+        code = main(["gradcheck", "--trials", "1", "--corruption", "nan"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert len(lines) == 4
+        assert all(line.endswith("max_rel_err=inf FAIL") for line in lines)
+
 
 def test_degenerate_input_error_returns_5(monkeypatch, capsys):
     def no_valid_pixels(*args, **kwargs):
@@ -319,6 +340,11 @@ class TestBadFlags:
             ["align", "--pair", "x", "--max-iters", "0"],
             ["align", "--pair", "x", "--step", "-1"],
             ["gradcheck", "--trials", "0"],
+            ["gradcheck", "--seed", "-1"],
+            ["synth", "--seed", "-1", "--out", "x"],
+            ["align", "--pair", "x", "--seed", "-1"],
+            ["align", "--pair", "x", "--perturb-rot", "nan"],
+            ["align", "--pair", "x", "--perturb-trans", "inf"],
         ],
     )
     def test_returns_2(self, argv, capsys):

@@ -44,6 +44,12 @@ class TestSelfTest:
         assert broken.max_rel_err > 1e-3
         assert broken.max_rel_err > 10 * clean.max_rel_err
 
+    @pytest.mark.parametrize("component", COMPONENTS)
+    def test_nan_corruption_is_detected(self, component):
+        # A NaN gradient must not vanish in the running max of errors.
+        broken = grad_check(component, seed=42, trials=3, corruption=float("nan"))
+        assert broken.max_rel_err == float("inf")
+
 
 class TestValidation:
     def test_unknown_component_rejected(self):
