@@ -8,7 +8,8 @@ backward-forward consistency term. One driver runs all three: per level and
 iteration, each parameter block (pose; pose then depth; the 12-vector pose
 pair) takes one Barzilai-Borwein-seeded Armijo step (factor 0.5, c = 1e-4),
 so accepted steps never increase the loss. A level whose starting loss is
-not finite (no valid pixel) is skipped, so loss histories stay finite.
+not finite (no valid pixel) is skipped, so loss histories stay finite; the
+next level then starts from the caller's depth, not an upsampled estimate.
 """
 
 from __future__ import annotations
@@ -228,14 +229,16 @@ def _descend(x, loss0, blocks, opts, on_accept):
 def _coarse_to_fine(levels, x, level, opts):
     """Levels coarsest to finest; returns (x, loss, iters, converged, history).
 
-    level(li, x) gives level li's starting state, loss function and blocks.
+    level(li, x, ran) gives level li's starting state, loss function and
+    blocks; ran says whether level li + 1 ran (was not skipped).
     converged and history describe the finest level.
     """
-    iters, converged, history, loss0 = 0, False, [], float("inf")
+    iters, converged, history, loss0, ran = 0, False, [], float("inf"), False
     for li in range(levels - 1, -1, -1):
-        x, loss_fn, blocks = level(li, x)
+        x, loss_fn, blocks = level(li, x, ran)
         loss0, converged = loss_fn(x), False
-        if not np.isfinite(loss0):
+        ran = bool(np.isfinite(loss0))
+        if not ran:
             continue
         on_accept = history.append if li == 0 else lambda _: None
         on_accept(loss0)
@@ -276,13 +279,13 @@ def align_pose(
     refine_depth = opts.mode == "pose_and_depth"
     w = opts.weights
 
-    def level(li: int, x: tuple[SE3Transform, DepthMap]):
+    def level(li: int, x: tuple[SE3Transform, DepthMap | None], ran: bool):
         t_l, s_l, k_l = imgs_t[li], imgs_s[li], ks[li]
         pose, d_l = x
-        if not refine_depth:
-            d_l = depths[li]
-        elif li < levels - 1:  # hand the coarser estimate up one level
+        if refine_depth and ran:  # hand the coarser level's estimate up
             d_l = _floored(upsample2x(d_l.data, t_l.height, t_l.width))
+        else:  # the caller's own depth, also after a skipped level
+            d_l = depths[li]
         ones = WeightMask.ones(t_l.height, t_l.width)
 
         def grads(x):
@@ -299,7 +302,7 @@ def align_pose(
         return (pose, d_l), loss_fn, blocks
 
     (pose, depth_est), loss, iters, converged, history = _coarse_to_fine(
-        levels, (init.to_transform(), depths[-1]), level, opts
+        levels, (init.to_transform(), None), level, opts
     )
     return AlignReport(
         converged=converged,
@@ -337,7 +340,7 @@ def align_pose_pair(
     ks = intrinsics_pyramid(k, levels)
     w = opts.weights
 
-    def level(li: int, poses: tuple[SE3Transform, SE3Transform]):
+    def level(li: int, poses: tuple[SE3Transform, SE3Transform], _ran: bool):
         t_l, s_l, k_l = imgs_t[li], imgs_s[li], ks[li]
         ones_t = WeightMask.ones(t_l.height, t_l.width)
         ones_s = WeightMask.ones(s_l.height, s_l.width)

@@ -68,7 +68,7 @@ def _size(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
-    return tuple(_number(int, 0)(p) for p in parts)
+    return tuple(_number(int, 2, closed=True)(p) for p in parts)
 
 
 def _baseline(text: str) -> tuple[float, ...]:
@@ -131,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-depth", help="average depth metrics over PFM pairs")
     p.add_argument("--pred", required=True, help="directory of predicted *.pfm")
     p.add_argument("--gt", required=True, help="directory of ground-truth *.pfm")
-    p.add_argument("--min-depth", type=float, default=DEFAULT_MIN_DEPTH)
-    p.add_argument("--max-depth", type=float, default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--min-depth", type=_number(float, 0), default=DEFAULT_MIN_DEPTH)
+    p.add_argument("--max-depth", type=_number(float, 0), default=DEFAULT_MAX_DEPTH)
     p.add_argument(
         "--median-align",
         action="store_true",
@@ -147,7 +147,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--gt-times", default=None, help="ground-truth timestamps (default: --times)"
     )
-    p.add_argument("--snippet-len", type=int, default=DEFAULT_SNIPPET_LEN)
+    p.add_argument(
+        "--snippet-len", type=_number(int, 2, closed=True), default=DEFAULT_SNIPPET_LEN
+    )
     p.set_defaults(func=_cmd_eval_ate)
 
     return parser
@@ -222,6 +224,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
     )
     try:
         report = align_pose(target, source, depth, k, init, opts)
+        if not np.isfinite(report.final_loss):  # every level was skipped
+            raise ValueError("no pyramid level has a valid pixel")
     except ValueError as exc:  # flags are valid, so the pair's content is at fault
         print(f"error: cannot align pair: {exc}", file=sys.stderr)
         return 5
@@ -325,6 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "eval-depth" and not args.min_depth < args.max_depth:
+            parser.error("--min-depth must be below --max-depth")
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
     try:

@@ -7,6 +7,19 @@ construction: sample points near bilinear grid lines or validity borders,
 photometric residuals near L1 zero crossings, depth differences near
 smoothness sign flips, and ReLU preactivations near zero.
 
+Components (one random configuration per trial):
+  reproject  reproject_jacobian_grid, the kernel every warp runs, against
+             reproject_grid on an 8x8 grid of random pixels and depths.
+  warp       warp_jacobians against inverse_warp on a random 8x8 image,
+             depth and small pose, at pixels whose sample point is stable.
+  losses     loss_gradients (depth, pose, mask) against the scalar
+             photometric + smoothness + explainability total, on a frame
+             drawn free of kinks.
+  attention  ag_backward (every gate parameter, x and g) against the
+             scalar <upstream, gated> of ag_forward.
+Per-pixel maps depend on depth(p) alone, so one whole-map depth step gives
+their diagonal; pose columns step along the six retract_pose directions.
+
 The `corruption` knob is the checker's self-test: it shifts every analytic
 entry by corruption * (1 + |entry|), which guarantees a reported error of at
 least ~corruption / (1 + corruption) whatever the gradient's scale.
@@ -14,19 +27,12 @@ least ~corruption / (1 + corruption) whatever the gradient's scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attention import AttentionGateParams, FeatureMap, ag_backward, ag_forward
-from .camera import (
-    CameraIntrinsics,
-    Pixel,
-    backproject,
-    reproject,
-    reproject_grid,
-    reproject_jacobian,
-)
+from .camera import CameraIntrinsics, reproject_grid, reproject_jacobian_grid
 from .align import retract_pose
 from .losses import (
     LossWeights,
@@ -58,11 +64,17 @@ _MAX_DRAWS = 400
 
 @dataclass(frozen=True)
 class GradCheckReport:
-    """Worst relative error over all trials of one component."""
+    """Worst relative error over all trials of one component.
+
+    worst_trial is the trial it came from and worst_entry the analytic
+    entry, named with its index, e.g. "d_pose[4]".
+    """
 
     component: str
     trials: int
     max_rel_err: float
+    worst_trial: int
+    worst_entry: str
 
 
 def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
@@ -79,10 +91,57 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(err), np.inf, err)
 
 
-def _corrupt(arr: np.ndarray, corruption: float) -> np.ndarray:
-    if corruption == 0.0:
-        return arr
-    return arr + corruption * (1.0 + np.abs(arr))
+def _worst(terms, corruption: float) -> tuple[float, str]:
+    """(largest error, its entry) over (name, analytic, fd, include) terms.
+
+    Analytic entries are corrupted first (see the module docstring).
+    include (None for all) masks the leading axes; excluded entries read 0.
+    """
+    found = []
+    for name, analytic, fd, include in terms:
+        analytic = np.asarray(analytic, dtype=float)
+        if corruption != 0.0:
+            analytic = analytic + corruption * (1.0 + np.abs(analytic))
+        err = _rel_err(analytic, fd)
+        if include is not None:
+            err[~include] = 0.0
+        idx = np.unravel_index(np.argmax(err), err.shape)
+        found.append((float(err[idx]), f"{name}{[int(i) for i in idx]}"))
+    return max(found, key=lambda f: f[0])
+
+
+def _central(f, move):
+    """(f(move(h)) - f(move(-h))) / 2h for h = FD_STEP."""
+    return (f(move(FD_STEP)) - f(move(-FD_STEP))) / (2.0 * FD_STEP)
+
+
+def _bumped(arr: np.ndarray, idx, eps: float) -> np.ndarray:
+    """A copy of arr with arr[idx] += eps."""
+    out = np.array(arr, dtype=float)
+    out[idx] += eps
+    return out
+
+
+def _fd(f, x: np.ndarray, include: np.ndarray | None = None) -> np.ndarray:
+    """Central differences of scalar f at x along each entry (0 outside include)."""
+    fd = np.zeros(np.shape(x))
+    for idx in np.ndindex(fd.shape):
+        if include is None or include[idx]:
+            fd[idx] = _central(f, lambda eps: _bumped(x, idx, eps))
+    return fd
+
+
+def _fd_pose(f, pose: SE3Transform) -> np.ndarray:
+    """Central differences of f along the six retract_pose directions, last axis."""
+    cols = [_central(f, lambda eps: retract_pose(pose, eps * e)) for e in np.eye(6)]
+    return np.stack(cols, axis=-1)
+
+
+def _per_pixel(f, d_depth, d_pose, depth: np.ndarray, pose: SE3Transform, include=None):
+    """Terms for a map f(depth, pose) whose pixel p depends on depth(p) only."""
+    fd_depth = _central(lambda d: f(d, pose), lambda eps: depth + eps)
+    fd_pose = _fd_pose(lambda p: f(depth, p), pose)
+    return [("d_depth", d_depth, fd_depth, include), ("d_pose", d_pose, fd_pose, include)]
 
 
 def _smooth_field(rng: np.random.Generator, h: int, w: int, amp: float) -> np.ndarray:
@@ -112,7 +171,7 @@ def _random_small_pose(rng: np.random.Generator) -> SE3Transform:
     )
 
 
-def _check_reproject(rng: np.random.Generator, corruption: float) -> float:
+def _check_reproject(rng: np.random.Generator) -> list:
     for _ in range(_MAX_DRAWS):
         k = CameraIntrinsics(
             fx=rng.uniform(80.0, 150.0),
@@ -120,32 +179,16 @@ def _check_reproject(rng: np.random.Generator, corruption: float) -> float:
             cx=rng.uniform(28.0, 36.0),
             cy=rng.uniform(28.0, 36.0),
         )
-        p = Pixel(rng.uniform(4.0, 60.0), rng.uniform(4.0, 60.0))
-        depth = rng.uniform(2.0, 8.0)
+        uv = rng.uniform(4.0, 60.0, (8, 8, 2))
+        depth = rng.uniform(2.0, 8.0, (8, 8))
         t = SE3Transform(exp_so3(rng.uniform(-0.3, 0.3, 3)), rng.uniform(-0.5, 0.5, 3))
-        if t.apply(backproject(p, depth, k))[2] > 0.5:
+        if np.all(reproject_grid(uv, depth, t, k)[1] > 0.5):
             break
     else:
         raise RuntimeError("could not draw a valid reproject configuration")
 
-    d_depth, d_pose = reproject_jacobian(p, depth, t, k)
-    d_depth = _corrupt(d_depth, corruption)
-    d_pose = _corrupt(d_pose, corruption)
-    h = FD_STEP
-    fd_depth = (
-        np.array(reproject(p, depth + h, t, k))
-        - np.array(reproject(p, depth - h, t, k))
-    ) / (2.0 * h)
-    worst = float(np.max(_rel_err(d_depth, fd_depth)))
-    for i in range(6):
-        delta = np.zeros(6)
-        delta[i] = h
-        fd = (
-            np.array(reproject(p, depth, retract_pose(t, delta), k))
-            - np.array(reproject(p, depth, retract_pose(t, -delta), k))
-        ) / (2.0 * h)
-        worst = max(worst, float(np.max(_rel_err(d_pose[:, i], fd))))
-    return worst
+    d_depth, d_pose, _ = reproject_jacobian_grid(uv, depth, t, k)
+    return _per_pixel(lambda d, p: reproject_grid(uv, d, p, k)[0], d_depth, d_pose, depth, t)
 
 
 def _stable_pixels(
@@ -167,42 +210,22 @@ def _stable_pixels(
     return in_front & (z > 0.5) & inside & off_grid
 
 
-def _check_warp(
-    rng: np.random.Generator,
-    corruption: float,
-    source: ImageBuffer | None = None,
-) -> float:
+def _check_warp(rng: np.random.Generator) -> list:
     h = w = 8
     k = CameraIntrinsics(8.0, 8.0, 3.5, 3.5)
-    if source is None:
-        source = _random_image(rng, h, w)
+    source = _random_image(rng, h, w)
     depth = _random_depth(rng, h, w)
     pose = _random_small_pose(rng)
     include = _stable_pixels(source, depth, pose, k)
 
-    d_depth_an, d_pose_an = warp_jacobians(source, depth, pose, k)
-    d_depth_an = _corrupt(d_depth_an, corruption)
-    d_pose_an = _corrupt(d_pose_an, corruption)
-
-    step = FD_STEP
-    # recon(p) depends on depth(p) alone, so one whole-map perturbation
-    # yields every diagonal entry at once.
-    r_plus = inverse_warp(source, DepthMap(depth.data + step), pose, k)[0].data
-    r_minus = inverse_warp(source, DepthMap(depth.data - step), pose, k)[0].data
-    fd_depth = (r_plus - r_minus) / (2.0 * step)
-    worst = float(np.max(_rel_err(d_depth_an, fd_depth)[include], initial=0.0))
-    for i in range(6):
-        delta = np.zeros(6)
-        delta[i] = step
-        r_plus = inverse_warp(source, depth, retract_pose(pose, delta), k)[0].data
-        r_minus = inverse_warp(source, depth, retract_pose(pose, -delta), k)[0].data
-        fd = (r_plus - r_minus) / (2.0 * step)
-        err = _rel_err(d_pose_an[..., i], fd)[include]
-        worst = max(worst, float(np.max(err, initial=0.0)))
-    return worst
+    d_depth, d_pose = warp_jacobians(source, depth, pose, k)
+    return _per_pixel(
+        lambda d, p: inverse_warp(source, DepthMap(d), p, k)[0].data,
+        d_depth, d_pose, depth.data, pose, include,
+    )
 
 
-def _check_losses(rng: np.random.Generator, corruption: float) -> float:
+def _check_losses(rng: np.random.Generator) -> list:
     h = w = 8
     k = CameraIntrinsics(8.0, 8.0, 3.5, 3.5)
     for _ in range(_MAX_DRAWS):
@@ -249,12 +272,6 @@ def _check_losses(rng: np.random.Generator, corruption: float) -> float:
         )
 
     g = loss_gradients(target, source, depth, pose, k, mask, weights)
-    d_depth = _corrupt(g.d_depth, corruption)
-    d_pose = _corrupt(g.d_pose, corruption)
-    d_mask = _corrupt(g.d_mask, corruption)
-    step = FD_STEP
-    worst = 0.0
-
     # Per-pixel depth FD; a pixel also needs its smoothness edges sign-stable.
     edge_ok = np.ones((h, w), dtype=bool)
     edge_ok[:, 1:] &= dx_ok
@@ -262,42 +279,17 @@ def _check_losses(rng: np.random.Generator, corruption: float) -> float:
     edge_ok[1:, :] &= dy_ok
     edge_ok[:-1, :] &= dy_ok
     depth_ok = edge_ok & (~valid.data | stable)
-    for i in range(h):
-        for j in range(w):
-            if not depth_ok[i, j]:
-                continue
-            dp = depth.data.copy()
-            dp[i, j] += step
-            dm = depth.data.copy()
-            dm[i, j] -= step
-            fd = (scalar_loss(dp, pose, mask.data) - scalar_loss(dm, pose, mask.data)) / (
-                2.0 * step
-            )
-            worst = max(worst, float(_rel_err(d_depth[i, j], fd)))
-
-    for i in range(6):
-        delta = np.zeros(6)
-        delta[i] = step
-        fd = (
-            scalar_loss(depth.data, retract_pose(pose, delta), mask.data)
-            - scalar_loss(depth.data, retract_pose(pose, -delta), mask.data)
-        ) / (2.0 * step)
-        worst = max(worst, float(_rel_err(d_pose[i], fd)))
-
-    for i in range(h):
-        for j in range(w):
-            mp = mask.data.copy()
-            mp[i, j] += step
-            mm = mask.data.copy()
-            mm[i, j] -= step
-            fd = (scalar_loss(depth.data, pose, mp) - scalar_loss(depth.data, pose, mm)) / (
-                2.0 * step
-            )
-            worst = max(worst, float(_rel_err(d_mask[i, j], fd)))
-    return worst
+    fd_depth = _fd(lambda d: scalar_loss(d, pose, mask.data), depth.data, depth_ok)
+    fd_pose = _fd_pose(lambda p: scalar_loss(depth.data, p, mask.data), pose)
+    fd_mask = _fd(lambda m: scalar_loss(depth.data, pose, m), mask.data)
+    return [
+        ("d_depth", g.d_depth, fd_depth, depth_ok),
+        ("d_pose", g.d_pose, fd_pose, None),
+        ("d_mask", g.d_mask, fd_mask, None),
+    ]
 
 
-def _check_attention(rng: np.random.Generator, corruption: float) -> float:
+def _check_attention(rng: np.random.Generator) -> list:
     for _ in range(_MAX_DRAWS):
         f_x, f_g, f_int = (int(n) for n in rng.integers(1, 5, 3))
         h, w = (int(n) for n in rng.integers(2, 4, 2))
@@ -322,58 +314,14 @@ def _check_attention(rng: np.random.Generator, corruption: float) -> float:
         return float(np.sum(upstream.data * gated.data))
 
     d_params, d_x, d_g = ag_backward(x, g, params, upstream)
-    step = FD_STEP
-    worst = 0.0
-
-    def fd_param(build) -> float:
-        return (
-            loss_at(build(step), x.data, g.data) - loss_at(build(-step), x.data, g.data)
-        ) / (2.0 * step)
-
-    def bumped(field_name: str, idx, eps: float) -> AttentionGateParams:
-        fields = {
-            "w_x": params.w_x.copy(),
-            "w_g": params.w_g.copy(),
-            "psi": params.psi.copy(),
-            "b_xg": params.b_xg.copy(),
-            "b_psi": params.b_psi,
-        }
-        if field_name == "b_psi":
-            fields["b_psi"] = params.b_psi + eps
-        else:
-            fields[field_name][idx] += eps
-        return AttentionGateParams(**fields)
-
-    for name, analytic in (
-        ("w_x", _corrupt(d_params.w_x, corruption)),
-        ("w_g", _corrupt(d_params.w_g, corruption)),
-        ("psi", _corrupt(d_params.psi, corruption)),
-        ("b_xg", _corrupt(d_params.b_xg, corruption)),
-    ):
-        arr = getattr(params, name)
-        for idx in np.ndindex(arr.shape):
-            fd = fd_param(lambda eps, i=idx, n=name: bumped(n, i, eps))
-            worst = max(worst, float(_rel_err(analytic[idx], fd)))
-    fd = fd_param(lambda eps: bumped("b_psi", None, eps))
-    worst = max(worst, float(_rel_err(_corrupt(np.float64(d_params.b_psi), corruption), fd)))
-
-    d_x_c = _corrupt(d_x.data, corruption)
-    for idx in np.ndindex(x.data.shape):
-        xp = x.data.copy()
-        xp[idx] += step
-        xm = x.data.copy()
-        xm[idx] -= step
-        fd = (loss_at(params, xp, g.data) - loss_at(params, xm, g.data)) / (2.0 * step)
-        worst = max(worst, float(_rel_err(d_x_c[idx], fd)))
-    d_g_c = _corrupt(d_g.data, corruption)
-    for idx in np.ndindex(g.data.shape):
-        gp = g.data.copy()
-        gp[idx] += step
-        gm = g.data.copy()
-        gm[idx] -= step
-        fd = (loss_at(params, x.data, gp) - loss_at(params, x.data, gm)) / (2.0 * step)
-        worst = max(worst, float(_rel_err(d_g_c[idx], fd)))
-    return worst
+    terms = []
+    for name in ("w_x", "w_g", "psi", "b_xg", "b_psi"):
+        fd = _fd(lambda a, n=name: loss_at(replace(params, **{n: a}), x.data, g.data),
+                 getattr(params, name))
+        terms.append((f"d_params.{name}", getattr(d_params, name), fd, None))
+    terms.append(("d_x", d_x.data, _fd(lambda a: loss_at(params, a, g.data), x.data), None))
+    terms.append(("d_g", d_g.data, _fd(lambda a: loss_at(params, x.data, a), g.data), None))
+    return terms
 
 
 _CHECKERS = {
@@ -396,15 +344,16 @@ def grad_check(
         corruption: self-test knob, see module docstring. Zero in normal use.
 
     Returns:
-        GradCheckReport with the worst relative error observed.
+        GradCheckReport with the worst relative error observed and where.
     """
     if component not in _CHECKERS:
         raise ValueError(f"component must be one of {COMPONENTS}, got {component!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     checker = _CHECKERS[component]
-    worst = 0.0
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        worst = max(worst, checker(rng, corruption))
-    return GradCheckReport(component=component, trials=trials, max_rel_err=worst)
+    found = [
+        _worst(checker(np.random.default_rng([seed, i])), corruption) for i in range(trials)
+    ]
+    trial = max(range(trials), key=lambda i: found[i][0])
+    err, entry = found[trial]
+    return GradCheckReport(component, trials, err, trial, entry)

@@ -17,13 +17,16 @@ Criteria:
  9 CLI byte-reproducibility and file-format round trips
 """
 
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
+import egowarp
 from egowarp import (
     AlignOptions,
     AttentionGateParams,
@@ -301,10 +304,16 @@ def test_criterion_8_metric_correctness():
 
 def test_criterion_9_determinism_and_io(tmp_path):
     with _criterion(9, "determinism and I/O"):
+        # The child imports the same egowarp as this process, however
+        # pytest's pythonpath or the caller's PYTHONPATH provided it.
+        src = str(Path(egowarp.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+
         def run(*argv: str) -> bytes:
             proc = subprocess.run(
                 [sys.executable, "-m", "egowarp.cli", *argv],
-                capture_output=True, check=True,
+                capture_output=True, check=True, env=env,
             )
             return proc.stdout
 

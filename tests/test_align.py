@@ -221,6 +221,38 @@ class TestPoseRecovery:
 
 
 class TestPoseAndDepth:
+    def test_all_levels_skipped_returns_input_depth(self, slanted64):
+        # No level runs, so no level may hand a blurred coarse depth upward.
+        pair, k, _ = slanted64
+        report = align_pose(
+            pair.target, pair.source, pair.gt_depth, k,
+            Pose6DoF(np.zeros(3), np.array([0.0, 0.0, -12.0])),
+            AlignOptions(mode="pose_and_depth", max_iters=5),
+        )
+        assert report.iters == 0
+        assert np.array_equal(report.depth.data, pair.gt_depth.data)
+
+    def test_skipped_coarsest_level_changes_nothing(self):
+        # At 32x32 the sixth level is 1x1 with no valid pixel; the fifth
+        # level must start from the caller's depth, as with five levels.
+        k = default_intrinsics(32, 32)
+        pair = render_pair(
+            make_scene("slanted_plane"), SE3Transform.from_translation(GT_TRANS), k, 32, 32
+        )
+        init = perturb_pose(Pose6DoF(np.zeros(3), GT_TRANS), 1.0, 0.02, seed=5)
+        five, six = (
+            align_pose(pair.target, pair.source, pair.gt_depth, k, init,
+                       AlignOptions(mode="pose_and_depth", max_iters=10, pyramid_levels=n))
+            for n in (5, 6)
+        )
+        assert (six.iters, six.converged, six.final_loss) == (
+            five.iters, five.converged, five.final_loss
+        )
+        assert six.loss_history == five.loss_history
+        assert np.array_equal(six.pose.rot, five.pose.rot)
+        assert np.array_equal(six.pose.trans, five.pose.trans)
+        assert np.array_equal(six.depth.data, five.depth.data)
+
     def test_refines_nonuniform_depth_error(self):
         k = default_intrinsics(48, 48)
         pair = render_pair(

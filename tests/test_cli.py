@@ -159,6 +159,18 @@ class TestAlign:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_pair_without_overlap_returns_5(self, tmp_path, capsys):
+        # A 50-unit baseline moves every pixel out of frame at every level,
+        # so no level runs and the final loss is inf.
+        pair = tmp_path / "pair"
+        assert _synth(pair, baseline="50,0,0,0,0,0") == 0
+        capsys.readouterr()
+        assert main(["align", "--pair", str(pair)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot align pair: ")
+        assert captured.err.count("\n") == 1
+
     def test_unusable_coarse_level_is_skipped(self, tmp_path, capsys):
         # At 32x32 the sixth level is 1x1 and has no valid pixel; the run
         # skips it and gives what five levels give.
@@ -345,6 +357,13 @@ class TestBadFlags:
             ["align", "--pair", "x", "--seed", "-1"],
             ["align", "--pair", "x", "--perturb-rot", "nan"],
             ["align", "--pair", "x", "--perturb-trans", "inf"],
+            ["synth", "--size", "1x1", "--out", "x"],
+            ["synth", "--size", "4x1", "--out", "x"],
+            ["synth", "--size", "1x4", "--out", "x"],
+            ["eval-ate", "--pred", "x", "--gt", "x", "--times", "x", "--snippet-len", "0"],
+            ["eval-ate", "--pred", "x", "--gt", "x", "--times", "x", "--snippet-len", "-1"],
+            ["eval-depth", "--pred", "x", "--gt", "x", "--min-depth", "nan"],
+            ["eval-depth", "--pred", "x", "--gt", "x", "--min-depth", "5", "--max-depth", "1"],
         ],
     )
     def test_returns_2(self, argv, capsys):

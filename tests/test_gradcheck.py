@@ -12,7 +12,7 @@ well above the 1e-4 pass threshold.
 import numpy as np
 import pytest
 
-from egowarp import grad_check
+from egowarp import grad_check, gradcheck
 from egowarp.gradcheck import COMPONENTS
 
 PASS_TOL = 1e-4
@@ -49,6 +49,44 @@ class TestSelfTest:
         # A NaN gradient must not vanish in the running max of errors.
         broken = grad_check(component, seed=42, trials=3, corruption=float("nan"))
         assert broken.max_rel_err == float("inf")
+
+
+class TestWorstLocation:
+    def test_report_names_the_broken_entry(self, monkeypatch):
+        # Break d_pose[4] in the second trial only; the report must say so.
+        inner = gradcheck.loss_gradients
+        calls = []
+
+        def broken(*args, **kwargs):
+            g = inner(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 2:
+                d_pose = g.d_pose.copy()
+                d_pose[4] += 0.5
+                g = g._replace(d_pose=d_pose)
+            return g
+
+        monkeypatch.setattr(gradcheck, "loss_gradients", broken)
+        report = grad_check("losses", seed=42, trials=3)
+        assert report.max_rel_err > 1e-3
+        assert report.worst_trial == 1
+        assert report.worst_entry == "d_pose[4]"
+
+    def test_reproject_checks_the_grid_kernel(self, monkeypatch):
+        # The reproject component checks reproject_jacobian_grid, the
+        # kernel every warp runs, one pixel and pose column at a time.
+        inner = gradcheck.reproject_jacobian_grid
+
+        def broken(*args):
+            d_depth, d_pose, valid = inner(*args)
+            d_pose = d_pose.copy()
+            d_pose[2, 3, 1, 0] += 1.0 + abs(d_pose[2, 3, 1, 0])
+            return d_depth, d_pose, valid
+
+        monkeypatch.setattr(gradcheck, "reproject_jacobian_grid", broken)
+        report = grad_check("reproject", seed=42, trials=2)
+        assert report.max_rel_err > 0.1
+        assert report.worst_entry == "d_pose[2, 3, 1, 0]"
 
 
 class TestValidation:
