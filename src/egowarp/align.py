@@ -42,6 +42,8 @@ from .se3 import (
 from .warp import DepthMap, ImageBuffer, inverse_warp
 
 ARMIJO_C = 1e-4
+TOL_GRAD = 1e-9
+TOL_STEP = 1e-12
 ARMIJO_FACTOR = 0.5
 _MAX_BACKTRACKS = 60
 # Depth estimates are kept above this during projected steps.
@@ -61,8 +63,6 @@ class AlignOptions:
     mode: str = "pose_only"
     max_iters: int = 100
     step: float = 0.1
-    tol_grad: float = 1e-9
-    tol_step: float = 1e-12
     pyramid_levels: int = 3
     weights: LossWeights = field(default_factory=LossWeights)
 
@@ -71,8 +71,8 @@ class AlignOptions:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step <= 0 or self.tol_grad < 0 or self.tol_step < 0:
-            raise ValueError("step must be > 0 and tolerances >= 0")
+        if self.step <= 0:
+            raise ValueError("step must be > 0")
         if self.pyramid_levels < 1:
             raise ValueError("pyramid_levels must be >= 1")
 
@@ -82,7 +82,7 @@ class AlignReport:
     """Outcome of align_pose.
 
     converged is True iff the finest level ran and stopped because no block
-    moved more than tol_step (gradient below tol_grad or line search
+    moved more than TOL_STEP (gradient below TOL_GRAD or line search
     exhausted at an L1 kink bottom); hitting max_iters reports False.
     Levels with a non-finite starting loss are skipped and add no iters.
     loss_history holds the finest level's finite total losses: the initial
@@ -160,7 +160,7 @@ def _floored(depth: np.ndarray) -> DepthMap:
     return DepthMap(np.maximum(depth, DEPTH_FLOOR))
 
 
-def _backtrack(loss_fn, retract, x, loss0, grad, direction, step0, tol_step):
+def _backtrack(loss_fn, retract, x, loss0, grad, direction, step0):
     """One Armijo line search. Returns (x_new, loss_new, step_used) or None."""
     slope = float(np.sum(grad * direction))
     if slope >= 0.0:
@@ -168,7 +168,7 @@ def _backtrack(loss_fn, retract, x, loss0, grad, direction, step0, tol_step):
     dir_norm = float(np.linalg.norm(direction))
     step = float(step0)
     for _ in range(_MAX_BACKTRACKS):
-        if step * dir_norm < tol_step:
+        if step * dir_norm < TOL_STEP:
             return None
         cand = retract(x, step * direction)
         cand_loss = loss_fn(cand)
@@ -209,12 +209,12 @@ def _descend(x, loss0, blocks, opts, on_accept):
         moved = False
         for b, (grad, precond, loss_fn, retract) in enumerate(blocks):
             g = grad(x)
-            if float(np.linalg.norm(g)) < opts.tol_grad:
+            if float(np.linalg.norm(g)) < TOL_GRAD:
                 continue
             direction = -g * precond
             delta, prev_g = memory[b]
             step0 = _bb_step(delta, g.ravel(), prev_g, opts.step)
-            res = _backtrack(loss_fn, retract, x, loss0, g, direction, step0, opts.tol_step)
+            res = _backtrack(loss_fn, retract, x, loss0, g, direction, step0)
             if res is None:
                 continue
             x, loss0, used = res

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import WeightMask
-from .pyramid import upsample2x
+from .warp import _resample
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,14 +186,26 @@ def ag_backward(
     return d_params, FeatureMap(d_x), FeatureMap(d_g)
 
 
+def _align_corners(arr: np.ndarray, out_height: int, out_width: int) -> np.ndarray:
+    """Bilinear resize mapping corner samples onto corner samples.
+
+    Output (i, j) reads the input at (j (w - 1) / (out_width - 1),
+    i (h - 1) / (out_height - 1)). Attention grids differ by arbitrary
+    ratios and carry no intrinsics, so there is no pyramid half-pixel map
+    to invert, as pyramid.upsample2x does.
+    """
+    h, w = arr.shape[:2]
+    u = np.arange(out_width) * ((w - 1) / max(out_width - 1, 1))
+    v = np.arange(out_height) * ((h - 1) / max(out_height - 1, 1))
+    return _resample(arr, u, v)
+
+
 def resample_gating(g: FeatureMap, out_height: int, out_width: int) -> FeatureMap:
     """Bilinear, align-corners resampling of the gating signal to x's grid.
 
     A 1x1 gating signal broadcasts to a constant map.
     """
-    if out_height < 1 or out_width < 1:
-        raise ValueError("output size must be positive")
-    return FeatureMap(upsample2x(g.data, out_height, out_width))
+    return FeatureMap(_align_corners(g.data, out_height, out_width))
 
 
 def alpha_to_loss_mask(
@@ -204,5 +216,5 @@ def alpha_to_loss_mask(
     Bilinear align-corners interpolation of values in [0, 1] stays in [0, 1];
     the clip only sweeps float dust.
     """
-    up = upsample2x(alpha.data, out_height, out_width)
+    up = _align_corners(alpha.data, out_height, out_width)
     return WeightMask(np.clip(up, 0.0, 1.0))

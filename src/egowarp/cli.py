@@ -77,10 +77,10 @@ def _baseline(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(
             f"expected tx,ty,tz,rx,ry,rz (6 numbers), got {text!r}"
         )
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric baseline {text!r}") from None
+    values = tuple(_number(float)(p) for p in parts)
+    if not np.linalg.norm(values[3:]) < np.pi:
+        raise argparse.ArgumentTypeError(f"rotation norm must be below pi, got {text!r}")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -276,6 +276,11 @@ def _cmd_eval_depth(args: argparse.Namespace) -> int:
             f"error: {len(pred_files)} predictions vs {len(gt_files)} ground-truth files",
             file=sys.stderr,
         )
+        return 5
+    gt_names = {f.name for f in gt_files}
+    unmatched = [f for f in pred_files if f.name not in gt_names]
+    if unmatched:  # counts are equal, so this also catches every extra gt name
+        print(f"error: no ground-truth file for {unmatched[0]}", file=sys.stderr)
         return 5
     totals = np.zeros(len(_DEPTH_FIELDS))
     try:

@@ -44,36 +44,41 @@ def write_pfm(path: str | Path, data: np.ndarray) -> None:
         f.write(data[::-1].astype("<f4").tobytes())
 
 
-def read_pfm(path: str | Path) -> np.ndarray:
-    """Read a grayscale PFM into an (h, w) float64 array."""
-    with open(path, "rb") as f:
-        raw = f.read()
-
-    def next_token(pos: int) -> tuple[bytes, int]:
+def _header(raw: bytes, count: int) -> tuple[list[bytes], int]:
+    """Up to `count` leading whitespace-separated tokens of raw (fewer if it
+    ends first) and the offset one byte past the last: where a binary
+    payload starts, whatever its own first byte is."""
+    tokens: list[bytes] = []
+    pos = 0
+    while len(tokens) < count:
         while pos < len(raw) and raw[pos : pos + 1].isspace():
             pos += 1
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise ValueError(f"{path}: truncated PFM header")
-        return raw[start:pos], pos
+            break
+        tokens.append(raw[start:pos])
+    return tokens, pos + 1
 
-    magic, pos = next_token(0)
-    if magic == b"PF":
+
+def read_pfm(path: str | Path) -> np.ndarray:
+    """Read a grayscale PFM into an (h, w) float64 array."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    tokens, pos = _header(raw, 4)
+    if tokens[:1] == [b"PF"]:
         raise ValueError(f"{path}: color PFM is not supported")
-    if magic != b"Pf":
-        raise ValueError(f"{path}: not a PFM file (magic {magic!r})")
-    w_tok, pos = next_token(pos)
-    h_tok, pos = next_token(pos)
-    scale_tok, pos = next_token(pos)
+    if tokens and tokens[0] != b"Pf":
+        raise ValueError(f"{path}: not a PFM file (magic {tokens[0]!r})")
+    if len(tokens) < 4:
+        raise ValueError(f"{path}: truncated PFM header")
     try:
-        w, h, scale = int(w_tok), int(h_tok), float(scale_tok)
+        w, h, scale = int(tokens[1]), int(tokens[2]), float(tokens[3])
     except ValueError as exc:
         raise ValueError(f"{path}: bad PFM header") from exc
     if w < 1 or h < 1 or scale == 0:
         raise ValueError(f"{path}: bad PFM header values")
-    pos += 1  # single whitespace byte after the scale line
     expected = w * h * 4
     pixels = raw[pos : pos + expected]
     if len(pixels) != expected:
@@ -99,21 +104,18 @@ def read_image(path: str | Path) -> ImageBuffer:
     """Read a binary PGM/PPM written by write_image (maxval 255)."""
     with open(path, "rb") as f:
         raw = f.read()
-    parts = raw.split(maxsplit=4)
-    if len(parts) < 5 or parts[0] not in (b"P5", b"P6"):
+    tokens, pos = _header(raw, 4)
+    if len(tokens) < 4 or tokens[0] not in (b"P5", b"P6"):
         raise ValueError(f"{path}: not a binary PGM/PPM file")
-    magic, w_tok, h_tok, maxval_tok = parts[0], parts[1], parts[2], parts[3]
     try:
-        w, h, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise ValueError(f"{path}: bad PGM/PPM header") from exc
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
-    channels = 1 if magic == b"P5" else 3
+    channels = 1 if tokens[0] == b"P5" else 3
     expected = w * h * channels
-    # payload starts exactly one whitespace byte after the maxval token
-    header_len = len(raw) - len(parts[4])
-    pixels = raw[header_len : header_len + expected]
+    pixels = raw[pos : pos + expected]
     if len(pixels) != expected:
         raise ValueError(f"{path}: image payload truncated")
     data = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, channels)

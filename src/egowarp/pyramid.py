@@ -1,7 +1,11 @@
-"""2x area-average pyramids and matching intrinsic rescaling.
+"""2x area-average pyramids, matching intrinsic rescaling and the 2x upsample.
 
 Used by the multi-scale smoothness loss and the coarse-to-fine aligner. Odd
-trailing rows/columns are cropped before averaging.
+trailing rows/columns are cropped before averaging. Every level puts pixel
+centres at integers, so one level down maps u to u' = (u + 0.5) / 2 - 0.5:
+downsample2x averages the 2x2 block around u', downscale_intrinsics moves
+the principal point by that map and upsample2x inverts it, reading through
+the warp's bilinear kernel.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .warp import DepthMap, ImageBuffer
+from .warp import DepthMap, ImageBuffer, _resample
 
 
 def downsample2x(arr: np.ndarray) -> np.ndarray:
@@ -64,31 +68,13 @@ def intrinsics_pyramid(k: CameraIntrinsics, levels: int) -> list[CameraIntrinsic
 
 
 def upsample2x(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear upsample of an (h, w) array to (out_h, out_w), align-corners."""
-    arr = np.asarray(arr, dtype=float)
-    h, w = arr.shape[:2]
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output size must be positive")
-    sv = (h - 1) / (out_h - 1) if out_h > 1 else 0.0
-    su = (w - 1) / (out_w - 1) if out_w > 1 else 0.0
-    v = np.arange(out_h) * sv
-    u = np.arange(out_w) * su
-    v0 = np.minimum(np.floor(v).astype(int), h - 1)
-    u0 = np.minimum(np.floor(u).astype(int), w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
-    u1 = np.minimum(u0 + 1, w - 1)
-    fv = (v - v0)[:, None]
-    fu = (u - u0)[None, :]
-    if arr.ndim == 3:
-        fv = fv[..., None]
-        fu = fu[..., None]
-    a = arr[np.ix_(v0, u0)]
-    b = arr[np.ix_(v0, u1)]
-    c = arr[np.ix_(v1, u0)]
-    d = arr[np.ix_(v1, u1)]
-    return (
-        a * (1 - fu) * (1 - fv)
-        + b * fu * (1 - fv)
-        + c * (1 - fu) * fv
-        + d * fu * fv
-    )
+    """Bilinear 2x upsample of an (h, w) or (h, w, c) array to (out_h, out_w).
+
+    The inverse of downscale_intrinsics: output pixel (i, j) reads the input
+    at ((j + 0.5) / 2 - 0.5, (i + 0.5) / 2 - 0.5), clamped to the input's
+    extent. The factor is 2 whatever the sizes, so a trailing row or column
+    that downsample2x cropped reads the input's last one.
+    """
+    u = (np.arange(out_w) + 0.5) / 2.0 - 0.5
+    v = (np.arange(out_h) + 0.5) / 2.0 - 0.5
+    return _resample(arr, u, v)

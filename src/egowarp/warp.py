@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Pixel, reproject_grid, reproject_jacobian_grid
+from .camera import CameraIntrinsics, reproject_grid, reproject_jacobian_grid
 from .se3 import SE3Transform
 
 # Tolerance for the in-bounds test; absorbs reprojection round-off at borders.
@@ -180,23 +180,21 @@ def sample_grad_grid(img: ImageBuffer, uv: np.ndarray) -> np.ndarray:
     return _bilinear(img.data, uv, grad=True)[2]
 
 
-def bilinear_sample(img: ImageBuffer, p: Pixel) -> tuple[np.ndarray, bool]:
-    """Sample one point; see sample_grid.
+def _resample(arr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Read an (h, w) or (h, w, c) array on the grid of columns u by rows v.
 
-    Returns:
-        ((c,) values, valid flag). Out of bounds gives zeros and False.
+    Coordinates are clipped to the array's extent first, so a resize reads
+    the border sample where its map points past it and never zero-fills.
+    Returns a (len(v), len(u)) or (len(v), len(u), c) array.
     """
-    vals, valid = sample_grid(img, np.array([p[0], p[1]]))
-    return vals, bool(valid)
-
-
-def bilinear_sample_grad(img: ImageBuffer, p: Pixel) -> np.ndarray:
-    """(2, c) derivative of bilinear_sample w.r.t. (u, v) at one point.
-
-    On integer grid lines this is the right/lower cell's linear piece; the
-    sampled value is continuous there but the derivative jumps.
-    """
-    return sample_grad_grid(img, np.array([p[0], p[1]]))
+    if len(u) < 1 or len(v) < 1:
+        raise ValueError("output size must be positive")
+    arr = np.asarray(arr, dtype=float)
+    h, w = arr.shape[:2]
+    u, v = np.clip(u, 0.0, w - 1.0), np.clip(v, 0.0, h - 1.0)
+    uv = np.stack(np.meshgrid(u, v), axis=-1)
+    vals = _bilinear(arr.reshape(h, w, -1), uv, grad=False)[0]
+    return vals.reshape(uv.shape[:2] + arr.shape[2:])
 
 
 def _warp_eval(
@@ -233,7 +231,7 @@ def inverse_warp(
 ) -> tuple[ImageBuffer, ValidityMask]:
     """Reconstruct the target view by sampling the source at reprojections.
 
-    recon(p_t) = bilinear_sample(source, reproject(p_t, depth(p_t), pose, k)).
+    recon(p_t) = sample_grid(source, reproject(p_t, depth(p_t), pose, k)).
 
     Args:
         source: source view image.

@@ -185,6 +185,16 @@ class TestAlign:
         assert outs[1] == outs[0]
         assert "final_loss=inf" not in outs[1]
 
+    def test_payload_starting_with_whitespace_byte(self, tmp_path, capsys):
+        # This seed's target image starts with byte 32, the value a header
+        # separator has; align must still read all 32x32x3 bytes.
+        pair = tmp_path / "pair"
+        argv = ["synth", "--scene", "fronto_plane", "--seed", "62", "--size", "32x32"]
+        assert main(argv + ["--out", str(pair)]) == 0
+        assert (pair / "target.ppm").read_bytes()[len(b"P6\n32 32\n255\n")] == 32
+        assert main(["align", "--pair", str(pair)]) == 0
+        capsys.readouterr()
+
 
 class TestEvalDepth:
     def test_identical_dirs_give_zero_row(self, tmp_path, capsys):
@@ -232,6 +242,21 @@ class TestEvalDepth:
         )
         assert code == 5
         assert "1 predictions vs 2" in capsys.readouterr().err
+
+    def test_files_paired_by_name(self, tmp_path, capsys):
+        # Equal counts but 002.pfm has no ground truth; zipping the sorted
+        # lists would score it against 001.pfm.
+        _write_depth_dir(tmp_path / "gt", [5.0, 7.0])
+        (tmp_path / "pred").mkdir()
+        for name, v in (("000.pfm", 5.0), ("002.pfm", 7.0)):
+            write_depth(tmp_path / "pred" / name, DepthMap(np.full((4, 4), v)))
+        code = main(
+            ["eval-depth", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt")]
+        )
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "002.pfm" in captured.err
 
     def test_empty_pred_returns_5(self, tmp_path, capsys):
         (tmp_path / "pred").mkdir()
@@ -364,6 +389,9 @@ class TestBadFlags:
             ["eval-ate", "--pred", "x", "--gt", "x", "--times", "x", "--snippet-len", "-1"],
             ["eval-depth", "--pred", "x", "--gt", "x", "--min-depth", "nan"],
             ["eval-depth", "--pred", "x", "--gt", "x", "--min-depth", "5", "--max-depth", "1"],
+            ["synth", "--baseline", "nan,0,0,0,0,0", "--out", "x"],
+            ["synth", "--baseline", "0,0,0,inf,0,0", "--out", "x"],
+            ["synth", "--baseline", "0,0,0,4,0,0", "--out", "x"],
         ],
     )
     def test_returns_2(self, argv, capsys):

@@ -150,6 +150,18 @@ class TestImages:
         got = read_image(path)
         assert np.max(np.abs(got.data - img.data)) <= 0.5 / 255.0 + 1e-12
 
+    @pytest.mark.parametrize("first", [9, 10, 11, 12, 13, 32])
+    def test_whitespace_first_payload_byte(self, tmp_path, first):
+        # The payload starts one byte after maxval whatever its value: a
+        # leading byte that is also ASCII whitespace is data, not separator.
+        for name, channels in (("w.pgm", 1), ("w.ppm", 3)):
+            path = tmp_path / name
+            data = np.random.default_rng(first).integers(0, 256, (3, 4, channels))
+            data.flat[0] = first
+            img = ImageBuffer(data / 255.0)
+            write_image(path, img)
+            np.testing.assert_array_equal(read_image(path).data, img.data)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.ppm"
         path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")

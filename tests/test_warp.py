@@ -16,17 +16,15 @@ from egowarp import (
     CameraIntrinsics,
     DepthMap,
     ImageBuffer,
-    Pixel,
     SE3Transform,
     ValidityMask,
-    bilinear_sample,
-    bilinear_sample_grad,
     inverse_warp,
     pixel_grid,
     reproject_grid,
     retract_pose,
     warp_jacobians,
 )
+from egowarp.warp import sample_grad_grid, sample_grid
 
 RAMP22 = ImageBuffer.grayscale(np.array([[0.0, 1.0], [2.0, 3.0]]) / 3.0)
 
@@ -74,12 +72,12 @@ class TestPixelGrid:
 class TestBilinearSample:
     def test_exact_at_pixel_centers(self):
         for (u, v), want in [((0, 0), 0.0), ((1, 0), 1.0), ((0, 1), 2.0), ((1, 1), 3.0)]:
-            val, ok = bilinear_sample(RAMP22, Pixel(float(u), float(v)))
+            val, ok = sample_grid(RAMP22, np.array([u, v], dtype=float))
             assert ok
             assert val[0] * 3.0 == pytest.approx(want, abs=1e-15)
 
     def test_center_is_mean(self):
-        val, ok = bilinear_sample(RAMP22, Pixel(0.5, 0.5))
+        val, ok = sample_grid(RAMP22, np.array([0.5, 0.5]))
         assert ok
         assert val[0] * 3.0 == pytest.approx(1.5, abs=1e-15)
 
@@ -88,37 +86,37 @@ class TestBilinearSample:
         rng = np.random.default_rng(0)
         for _ in range(100):
             u, v = rng.uniform(0, 1, size=2)
-            val, ok = bilinear_sample(RAMP22, Pixel(u, v))
+            val, ok = sample_grid(RAMP22, np.array([u, v]))
             assert ok
             assert val[0] == pytest.approx((u + 2 * v) / 3.0, abs=1e-14)
 
     def test_out_of_bounds_zero_and_invalid(self):
-        for p in [Pixel(-0.5, 0.0), Pixel(0.0, -0.01), Pixel(1.5, 0.0), Pixel(0.0, 1.0001)]:
-            val, ok = bilinear_sample(RAMP22, p)
+        for p in [(-0.5, 0.0), (0.0, -0.01), (1.5, 0.0), (0.0, 1.0001)]:
+            val, ok = sample_grid(RAMP22, np.array(p))
             assert not ok
             np.testing.assert_array_equal(val, [0.0])
 
     def test_border_is_valid(self):
-        val, ok = bilinear_sample(RAMP22, Pixel(1.0, 1.0))
+        val, ok = sample_grid(RAMP22, np.array([1.0, 1.0]))
         assert ok and val[0] == pytest.approx(1.0)
 
     def test_epsilon_over_border_still_valid(self):
         # Round-off tolerance: 1e-10 beyond the edge clamps to the edge value.
-        val, ok = bilinear_sample(RAMP22, Pixel(1.0 + 1e-10, 0.5))
+        val, ok = sample_grid(RAMP22, np.array([1.0 + 1e-10, 0.5]))
         assert ok
         assert val[0] * 3.0 == pytest.approx(2.0, abs=1e-9)
 
     def test_multichannel(self):
         plane = _gray(RAMP22)
         img = ImageBuffer(np.stack([plane, 1.0 - plane, plane * 0.5], axis=-1))
-        val, ok = bilinear_sample(img, Pixel(0.5, 0.5))
+        val, ok = sample_grid(img, np.array([0.5, 0.5]))
         assert ok
         np.testing.assert_allclose(val, [0.5, 0.5, 0.25], atol=1e-15)
 
 
 class TestBilinearSampleGrad:
     def test_hand_slopes(self):
-        g = bilinear_sample_grad(RAMP22, Pixel(0.3, 0.6))
+        g = sample_grad_grid(RAMP22, np.array([0.3, 0.6]))
         # d/du (u + 2v)/3 = 1/3, d/dv = 2/3
         np.testing.assert_allclose(g[:, 0], [1.0 / 3.0, 2.0 / 3.0], atol=1e-14)
 
@@ -131,11 +129,11 @@ class TestBilinearSampleGrad:
             v = rng.uniform(0.01, 6.99)
             if min(u % 1, 1 - u % 1) < 1e-3 or min(v % 1, 1 - v % 1) < 1e-3:
                 continue
-            g = bilinear_sample_grad(img, Pixel(u, v))
-            fu = (bilinear_sample(img, Pixel(u + h, v))[0]
-                  - bilinear_sample(img, Pixel(u - h, v))[0]) / (2 * h)
-            fv = (bilinear_sample(img, Pixel(u, v + h))[0]
-                  - bilinear_sample(img, Pixel(u, v - h))[0]) / (2 * h)
+            g = sample_grad_grid(img, np.array([u, v]))
+            fu = (sample_grid(img, np.array([u + h, v]))[0]
+                  - sample_grid(img, np.array([u - h, v]))[0]) / (2 * h)
+            fv = (sample_grid(img, np.array([u, v + h]))[0]
+                  - sample_grid(img, np.array([u, v - h]))[0]) / (2 * h)
             np.testing.assert_allclose(g[0], fu, atol=1e-6)
             np.testing.assert_allclose(g[1], fv, atol=1e-6)
 
@@ -143,7 +141,7 @@ class TestBilinearSampleGrad:
         # At u = 1.0 on a 1x3 ramp [0, 1, 5], the derivative is the right
         # cell's slope 5 - 1 = 4 (floor binning).
         img = ImageBuffer.grayscale(np.array([[0.0, 1.0, 5.0]]) / 5.0)
-        g = bilinear_sample_grad(img, Pixel(1.0, 0.0))
+        g = sample_grad_grid(img, np.array([1.0, 0.0]))
         assert g[0, 0] * 5.0 == pytest.approx(4.0, abs=1e-13)
 
 
