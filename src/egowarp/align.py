@@ -1,4 +1,4 @@
-"""Desk-scale direct pose (and depth) alignment by gradient descent.
+"""Desk-scale direct pose (and depth) alignment by IRLS Gauss-Newton.
 
 Minimizes the single-pair total loss (photometric + weighted smoothness,
 mask fixed at 1) over the 6 pose parameters, optionally alternating with
@@ -6,10 +6,18 @@ projected depth steps, coarse-to-fine over an area-averaged pyramid. A pair
 variant optimizes forward and backward poses jointly with the
 backward-forward consistency term. One driver runs all three: per level and
 iteration, each parameter block (pose; pose then depth; the 12-vector pose
-pair) takes one Barzilai-Borwein-seeded Armijo step (factor 0.5, c = 1e-4),
-so accepted steps never increase the loss. A level whose starting loss is
-not finite (no valid pixel) is skipped, so loss histories stay finite; the
-next level then starts from the caller's depth, not an upsampled estimate.
+pair) takes one Newton-type step, the direct-alignment step of Baker and
+Matthews, "Lucas-Kanade 20 Years On" (IJCV 2004). Each L1 residual r is
+reweighted by 1 / max(|r|, floor) (iteratively reweighted least squares),
+so the pose block solves the 6x6 Gauss-Newton normal equations, the pair
+block one 12x12 system holding both photometric terms and the bf term's 12
+residuals, and the depth block takes the per-pixel diagonal Newton step.
+The gradient and the curvature come from the one loss_gradients call per
+block. Every step starts at length 1 under Armijo backtracking (factor 0.5,
+c = 1e-4), so accepted steps never increase the loss. A level whose
+starting loss is not finite (no valid pixel) is skipped, so loss histories
+stay finite; the next level then starts from the caller's depth, not an
+upsampled estimate.
 """
 
 from __future__ import annotations
@@ -34,35 +42,40 @@ from .se3 import (
     Pose6DoF,
     Rotation,
     SE3Transform,
-    bf_consistency_grad,
     bf_consistency_loss,
+    bf_residual_jacobian,
     exp_so3,
     log_so3,
 )
 from .warp import DepthMap, ImageBuffer, inverse_warp
 
 ARMIJO_C = 1e-4
-TOL_GRAD = 1e-9
-TOL_STEP = 1e-12
 ARMIJO_FACTOR = 0.5
-_MAX_BACKTRACKS = 60
+TOL_GRAD = 1e-9
+# A line search gives up after _MAX_BACKTRACKS halvings of the Newton step
+# or once the move is shorter than TOL_STEP; the block then does not move.
+TOL_STEP = 1e-6
+_MAX_BACKTRACKS = 10
 # Depth estimates are kept above this during projected steps.
 DEPTH_FLOOR = 1e-3
+# Damping of the diagonal depth step, relative to the mean curvature: a
+# pixel with little photometric curvature (out of frame, flat texture)
+# would otherwise take an unbounded step and stall the line search.
+DEPTH_DAMPING = 0.1
+# IRLS floor of the bf residuals. It is small because the bf term is an
+# unnormalized L1 penalty that the solve should drive to (near) zero: a
+# floor of 1e-3 stalls the pair solve at 2-7 % translation error.
+BF_IRLS_FLOOR = 1e-6
 
 MODES = ("pose_only", "pose_and_depth")
 
 
 @dataclass(frozen=True)
 class AlignOptions:
-    """Optimizer settings.
-
-    max_iters applies per pyramid level. step is the initial Armijo step for
-    pose parameters; depth steps reuse it on the pixel-count-scaled gradient.
-    """
+    """Solver settings; max_iters applies per pyramid level."""
 
     mode: str = "pose_only"
     max_iters: int = 100
-    step: float = 0.1
     pyramid_levels: int = 3
     weights: LossWeights = field(default_factory=LossWeights)
 
@@ -71,8 +84,6 @@ class AlignOptions:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
         if self.pyramid_levels < 1:
             raise ValueError("pyramid_levels must be >= 1")
 
@@ -81,9 +92,13 @@ class AlignOptions:
 class AlignReport:
     """Outcome of align_pose.
 
-    converged is True iff the finest level ran and stopped because no block
-    moved more than TOL_STEP (gradient below TOL_GRAD or line search
-    exhausted at an L1 kink bottom); hitting max_iters reports False.
+    converged is True iff the finest level ran and its last iteration moved
+    no block: for each block, the gradient norm was below TOL_GRAD, or the
+    Armijo line search found no decrease within _MAX_BACKTRACKS halvings of
+    the full Newton step before the move fell below TOL_STEP. It says the
+    step's model is exhausted, not that the gradient vanished: at an L1
+    kink it never does, and in pose_and_depth mode the diagonal depth step
+    can stop short of the minimum. Hitting max_iters reports False.
     Levels with a non-finite starting loss are skipped and add no iters.
     loss_history holds the finest level's finite total losses: the initial
     value, then one entry per accepted step (non-increasing by construction).
@@ -160,65 +175,53 @@ def _floored(depth: np.ndarray) -> DepthMap:
     return DepthMap(np.maximum(depth, DEPTH_FLOOR))
 
 
-def _backtrack(loss_fn, retract, x, loss0, grad, direction, step0):
-    """One Armijo line search. Returns (x_new, loss_new, step_used) or None."""
+def _backtrack(loss_fn, retract, x, loss0, grad, direction):
+    """One Armijo line search from the full step. Returns (x_new, loss_new) or None."""
     slope = float(np.sum(grad * direction))
-    if slope >= 0.0:
+    if not slope < 0.0:
         return None
     dir_norm = float(np.linalg.norm(direction))
-    step = float(step0)
+    step = 1.0
     for _ in range(_MAX_BACKTRACKS):
         if step * dir_norm < TOL_STEP:
             return None
         cand = retract(x, step * direction)
         cand_loss = loss_fn(cand)
         if np.isfinite(cand_loss) and cand_loss <= loss0 + ARMIJO_C * step * slope:
-            return cand, cand_loss, step
+            return cand, cand_loss
         step *= ARMIJO_FACTOR
     return None
 
 
-def _bb_step(delta: np.ndarray | None, grad: np.ndarray, prev_grad: np.ndarray | None,
-             fallback: float) -> float:
-    """Barzilai-Borwein trial step for the next steepest-descent iteration.
+def _gauss_newton(grad: np.ndarray, curvature: np.ndarray) -> np.ndarray:
+    """The step -H^+ g; the pseudo-inverse keeps a rank-deficient H usable."""
+    return -np.linalg.lstsq(curvature, grad, rcond=None)[0]
 
-    s^T s / s^T y adapts the step to the local curvature along the trajectory,
-    which plain fixed-step descent needs thousands of iterations to match on
-    ill-conditioned pose problems. Armijo backtracking still guards every
-    step, so accepted losses remain non-increasing. Falls back to the
-    configured step on the first iteration or when curvature is non-convex.
-    """
-    if delta is None or prev_grad is None:
-        return fallback
-    y = grad - prev_grad
-    denom = float(delta @ y)
-    if denom <= 0.0:
-        return fallback
-    return float(np.clip((delta @ delta) / denom, 1e-12, 1e6))
+
+def _diagonal_newton(grad: np.ndarray, curvature: np.ndarray) -> np.ndarray:
+    """The per-pixel step -g / (h + mu), Levenberg-Marquardt damped by
+    mu = DEPTH_DAMPING * mean(h); pixels whose h + mu is 0 do not move."""
+    denom = curvature + DEPTH_DAMPING * curvature.mean()
+    return np.divide(-grad, denom, out=np.zeros_like(grad), where=denom > 0)
 
 
 def _descend(x, loss0, blocks, opts, on_accept):
     """One pyramid level from state x; returns (x, loss, iters, converged).
 
-    A block is (grad(x), preconditioner, loss(x), retract(x, delta)) and
-    steps along -preconditioner * grad(x). The level converges when an
+    A block is (newton(x), loss(x), retract(x, delta)); newton gives the
+    block's gradient and Newton step at x. The level converges when an
     iteration moves no block; on_accept sees every accepted loss.
     """
-    memory = [(None, None)] * len(blocks)  # (last step, its gradient) per block
     for it in range(1, opts.max_iters + 1):
         moved = False
-        for b, (grad, precond, loss_fn, retract) in enumerate(blocks):
-            g = grad(x)
+        for newton, loss_fn, retract in blocks:
+            g, direction = newton(x)
             if float(np.linalg.norm(g)) < TOL_GRAD:
                 continue
-            direction = -g * precond
-            delta, prev_g = memory[b]
-            step0 = _bb_step(delta, g.ravel(), prev_g, opts.step)
-            res = _backtrack(loss_fn, retract, x, loss0, g, direction, step0)
+            res = _backtrack(loss_fn, retract, x, loss0, g, direction)
             if res is None:
                 continue
-            x, loss0, used = res
-            memory[b] = (used * direction.ravel(), g.ravel())
+            x, loss0 = res
             moved = True
             on_accept(loss0)
         if not moved:
@@ -255,7 +258,7 @@ def align_pose(
     init: Pose6DoF,
     opts: AlignOptions | None = None,
 ) -> AlignReport:
-    """Recover the target-to-source pose by direct photometric descent.
+    """Recover the target-to-source pose by direct photometric alignment.
 
     Args:
         target: image whose reconstruction error is minimized.
@@ -289,15 +292,23 @@ def align_pose(
         ones = WeightMask.ones(t_l.height, t_l.width)
 
         def grads(x):
-            return loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w)
+            return loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w, curvature=True)
 
         def loss_fn(x):
             return _pair_total(t_l, s_l, x[1], x[0], k_l, w)
 
-        blocks = [(lambda x: grads(x).d_pose, 1.0, loss_fn,
+        def pose_newton(x):
+            g = grads(x)
+            return g.d_pose, _gauss_newton(g.d_pose, g.h_pose)
+
+        def depth_newton(x):
+            g = grads(x)
+            return g.d_depth, _diagonal_newton(g.d_depth, g.h_depth)
+
+        blocks = [(pose_newton, loss_fn,
                    lambda x, delta: (retract_pose(x[0], delta), x[1]))]
-        if refine_depth:  # pixel-count preconditioner, projected above DEPTH_FLOOR
-            blocks.append((lambda x: grads(x).d_depth, d_l.data.size, loss_fn,
+        if refine_depth:  # projected above DEPTH_FLOOR
+            blocks.append((depth_newton, loss_fn,
                            lambda x, delta: (x[0], _floored(x[1].data + delta))))
         return (pose, d_l), loss_fn, blocks
 
@@ -351,15 +362,18 @@ def align_pose_pair(
             l_b = _pair_total(s_l, t_l, depths_s[li], bwd, k_l, w)
             return l_f + l_b + w.lambda_bf * bf_consistency_loss([(fwd, bwd)])
 
-        def grad(poses):
+        def newton(poses):
             fwd, bwd = poses
-            g_f = loss_gradients(t_l, s_l, depths_t[li], fwd, k_l, ones_t, w)
-            g_b = loss_gradients(s_l, t_l, depths_s[li], bwd, k_l, ones_s, w)
-            bf_f, bf_b = bf_consistency_grad([(fwd, bwd)])[0]
-            return np.concatenate([g_f.d_pose + w.lambda_bf * bf_f,
-                                   g_b.d_pose + w.lambda_bf * bf_b])
+            g_f = loss_gradients(t_l, s_l, depths_t[li], fwd, k_l, ones_t, w, curvature=True)
+            g_b = loss_gradients(s_l, t_l, depths_s[li], bwd, k_l, ones_s, w, curvature=True)
+            e, jac = bf_residual_jacobian(fwd, bwd)
+            grad = np.concatenate([g_f.d_pose, g_b.d_pose]) + w.lambda_bf * (jac.T @ np.sign(e))
+            curv = w.lambda_bf * (jac.T / np.maximum(np.abs(e), BF_IRLS_FLOOR)) @ jac
+            curv[:6, :6] += g_f.h_pose
+            curv[6:, 6:] += g_b.h_pose
+            return grad, _gauss_newton(grad, curv)
 
-        return poses, loss_fn, [(grad, 1.0, loss_fn, lambda p, delta: (
+        return poses, loss_fn, [(newton, loss_fn, lambda p, delta: (
             retract_pose(p[0], delta[:6]), retract_pose(p[1], delta[6:])))]
 
     (fwd, bwd), loss, iters, converged, history = _coarse_to_fine(

@@ -123,7 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb-trans", type=_number(float), default=0.02, metavar="FRAC")
     p.add_argument("--levels", type=_number(int, 0), default=3)
     p.add_argument("--max-iters", type=_number(int, 0), default=100)
-    p.add_argument("--step", type=_number(float, 0), default=0.1)
     p.add_argument("--seed", type=_number(int, 0, closed=True), default=42)
     p.add_argument("--out", default=None, help="optional report file")
     p.set_defaults(func=_cmd_align)
@@ -219,7 +218,6 @@ def _cmd_align(args: argparse.Namespace) -> int:
     opts = AlignOptions(
         mode=args.mode,
         max_iters=args.max_iters,
-        step=args.step,
         pyramid_levels=args.levels,
     )
     try:

@@ -21,6 +21,8 @@ from .warp import DepthMap, ImageBuffer, ValidityMask, _warp_eval
 # Explainability masks are clamped here before the log; keeps the
 # regularizer finite when a mask collapses toward zero.
 MASK_FLOOR = 1e-7
+# IRLS weights 1 / max(|r|, IRLS_FLOOR) stay finite where a residual vanishes.
+IRLS_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,14 @@ class WeightMask:
 
 
 class LossGradients(NamedTuple):
-    """Analytic gradients of the single-pair total (photo + smo + reg)."""
+    """Analytic gradients of the single-pair total (photo + smo + reg), and
+    the photometric term's IRLS curvature when it was asked for."""
 
     d_depth: np.ndarray  # (h, w)
     d_pose: np.ndarray  # (6,)
     d_mask: np.ndarray  # (h, w)
+    h_pose: np.ndarray | None = None  # (6, 6)
+    h_depth: np.ndarray | None = None  # (h, w), the Hessian's diagonal
 
 
 def _check_same_size(a, b, name_a: str, name_b: str) -> None:
@@ -199,6 +204,7 @@ def loss_gradients(
     k: CameraIntrinsics,
     mask: WeightMask,
     weights: LossWeights,
+    curvature: bool = False,
 ) -> LossGradients:
     """Gradients of photo + lambda_smo*smo + lambda_reg*reg for one pair.
 
@@ -207,9 +213,17 @@ def loss_gradients(
     subgradients are one-sided at L1 kinks, bilinear grid lines, and
     visibility flips, and checks exclude those sets.
 
+    With curvature=True the photometric term's iteratively reweighted
+    least-squares (Gauss-Newton) curvature is returned too: each residual r
+    of the pixel-and-channel sum is replaced by r^2 / (2 max(|r|, 1e-3)),
+    so h_pose = sum m v / (n max(|r|, 1e-3)) J J^T over pixels and
+    channels, with J = d(recon)/d(pose), and h_depth is the same sum with
+    J = d(recon)/d(depth) per pixel (the depth Hessian is diagonal).
+
     Returns:
-        LossGradients(d_depth (h, w), d_pose (6,), d_mask (h, w)); the pose
-        entries follow the left-perturbation rotation convention.
+        LossGradients(d_depth (h, w), d_pose (6,), d_mask (h, w), h_pose,
+        h_depth); the pose entries follow the left-perturbation rotation
+        convention, and h_pose and h_depth are None unless curvature is set.
     """
     _check_same_size(target, source, "target", "source")
     _check_same_size(target, depth, "target", "depth")
@@ -241,4 +255,10 @@ def loss_gradients(
         mask.data > MASK_FLOOR, -1.0 / (n_pix * np.maximum(mask.data, MASK_FLOOR)), 0.0
     )
     d_mask = d_photo_mask + weights.lambda_reg * d_reg_mask
-    return LossGradients(d_depth, d_photo_pose, d_mask)
+    if not curvature:
+        return LossGradients(d_depth, d_photo_pose, d_mask)
+    irls = pix_weight[..., None] / np.maximum(np.abs(diff), IRLS_FLOOR)  # (h, w, c)
+    jac = d_recon_pose.reshape(-1, 6)
+    h_pose = jac.T @ (jac * irls.reshape(-1, 1))
+    h_depth = np.einsum("hwc,hwc->hw", irls, d_recon_depth * d_recon_depth)
+    return LossGradients(d_depth, d_photo_pose, d_mask, h_pose, h_depth)

@@ -61,6 +61,9 @@ def depth_pyramid(depth: DepthMap, levels: int) -> list[DepthMap]:
 
 
 def intrinsics_pyramid(k: CameraIntrinsics, levels: int) -> list[CameraIntrinsics]:
+    """Fine-to-coarse list of `levels` intrinsics, matching image_pyramid."""
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
     out = [k]
     for _ in range(levels - 1):
         out.append(downscale_intrinsics(out[-1]))

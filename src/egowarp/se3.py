@@ -225,15 +225,43 @@ def bf_consistency_loss(pairs: list[tuple[SE3Transform, SE3Transform]]) -> float
     return total
 
 
+def bf_residual_jacobian(
+    forward: SE3Transform, backward: SE3Transform
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the bf penalty and their Jacobian w.r.t. both poses.
+
+    The residuals are the 12 entries of the top three rows of
+    (backward o forward - I4), row-major; the bottom row is identically 0.
+    Columns 0..5 perturb the forward pose and 6..11 the backward pose, each
+    as in the reprojection Jacobian: rotation left-multiplicatively
+    (exp(d^) @ R), translation additively.
+
+    Returns:
+        (e, jac): shapes (12,) and (12, 12).
+    """
+    rf, rb = forward.r.m, backward.r.m
+    e = (backward.matrix() @ forward.matrix() - np.eye(4))[:3].ravel()
+    jac = np.zeros((3, 4, 12))
+    for k in range(3):
+        g = hat(np.eye(3)[k])
+        # B @ dF: dF = [g R_f, 0] for a rotation, [0, e_k] for a translation.
+        jac[:, :3, k] = rb @ g @ rf
+        jac[:, 3, 3 + k] = rb[:, k]
+        # dB @ F: dB = [g R_b, 0] moves both blocks of F; [0, e_k] adds e_k.
+        jac[:, :3, 6 + k] = g @ rb @ rf
+        jac[:, 3, 6 + k] = g @ rb @ forward.t
+        jac[k, 3, 9 + k] = 1.0
+    return e, jac.reshape(12, 12)
+
+
 def bf_consistency_grad(
     pairs: list[tuple[SE3Transform, SE3Transform]],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Subgradients of bf_consistency_loss w.r.t. each pose's 6 parameters.
 
-    Parameterization matches the reprojection Jacobian: columns 0..2 perturb
-    the rotation left-multiplicatively (exp(d^) @ R), columns 3..5 are
-    additive translation. At entries where (backward o forward - I) is exactly
-    zero the subgradient 0 is used.
+    J^T sign(e) from bf_residual_jacobian, so the parameterization matches
+    the reprojection Jacobian. At entries where (backward o forward - I) is
+    exactly zero the subgradient 0 is used.
 
     Returns:
         One (d_forward, d_backward) pair of (6,) arrays per input pair.
@@ -241,29 +269,8 @@ def bf_consistency_grad(
     if len(pairs) == 0:
         raise ValueError("bf_consistency_grad needs at least one pose pair")
     grads = []
-    basis = np.eye(3)
     for forward, backward in pairs:
-        f = forward.matrix()
-        b = backward.matrix()
-        s = np.sign(b @ f - np.eye(4))
-        d_f = np.zeros(6)
-        d_b = np.zeros(6)
-        for k in range(3):
-            g = hat(basis[k])
-            # d(B @ F)/d(delta_f,k): rotation block and its action on t_f are
-            # both captured by perturbing the 3x3 block of F; t column fixed.
-            df = np.zeros((4, 4))
-            df[:3, :3] = g @ forward.r.m
-            d_f[k] = np.sum(s * (b @ df))
-            db = np.zeros((4, 4))
-            db[:3, :3] = g @ backward.r.m
-            d_b[k] = np.sum(s * (db @ f))
-        for k in range(3):
-            df = np.zeros((4, 4))
-            df[:3, 3] = basis[k]
-            d_f[3 + k] = np.sum(s * (b @ df))
-            db = np.zeros((4, 4))
-            db[:3, 3] = basis[k]
-            d_b[3 + k] = np.sum(s * (db @ f))
-        grads.append((d_f, d_b))
+        e, jac = bf_residual_jacobian(forward, backward)
+        g = jac.T @ np.sign(e)
+        grads.append((g[:6], g[6:]))
     return grads

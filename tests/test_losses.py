@@ -22,6 +22,7 @@ from egowarp import (
     SE3Transform,
     ValidityMask,
     WeightMask,
+    exp_so3,
     explainability_reg,
     inverse_warp,
     loss_gradients,
@@ -29,6 +30,7 @@ from egowarp import (
     photometric_l1,
     smoothness,
     total_loss,
+    warp_jacobians,
 )
 
 
@@ -280,3 +282,54 @@ class TestLossGradients:
         assert grads.d_depth.shape == (8, 8)
         assert grads.d_pose.shape == (6,)
         assert grads.d_mask.shape == (8, 8)
+
+
+def _curvature_setup():
+    """Non-square RGB pair, ~30 % of pixels warped out of frame, a
+    non-uniform mask, and some residuals below the IRLS floor."""
+    rng = np.random.default_rng(21)
+    h, w = 10, 14
+    k = CameraIntrinsics(fx=12.0, fy=12.0, cx=6.5, cy=4.5)
+    v, u = np.mgrid[0:h, 0:w].astype(float)
+    phase = rng.uniform(0, np.pi, 3)
+    source = ImageBuffer(np.stack(
+        [(np.sin(u * 0.5 + p) * np.cos(v * 0.4 - p) + 1.5) / 3.0 for p in phase], axis=-1))
+    depth = DepthMap(3.0 + 0.4 * np.sin(u * 0.3) + 0.2 * v / h)
+    pose = SE3Transform(exp_so3(np.array([0.02, -0.03, 0.01])), np.array([0.9, 0.3, -0.1]))
+    recon, valid = inverse_warp(source, depth, pose, k)
+    noise = np.clip(recon.data + rng.normal(0.0, 0.05, recon.data.shape), 0.0, 1.0)
+    exact = rng.random(recon.data.shape) < 0.2  # |r| = 0, below the floor
+    target = ImageBuffer(np.where(exact, recon.data, noise))
+    mask = WeightMask(rng.uniform(0.2, 1.0, size=(h, w)) * (rng.random((h, w)) > 0.1))
+    return target, source, depth, pose, k, mask, valid
+
+
+class TestCurvature:
+    def test_matches_per_pixel_loop(self):
+        target, source, depth, pose, k, mask, valid = _curvature_setup()
+        assert np.mean(valid.data) < 0.8
+        grads = loss_gradients(target, source, depth, pose, k, mask, LossWeights(),
+                               curvature=True)
+        recon, _ = inverse_warp(source, depth, pose, k)
+        d_depth, d_pose = warp_jacobians(source, depth, pose, k)
+        n = valid.count
+        h_pose = np.zeros((6, 6))
+        h_depth = np.zeros(depth.data.shape)
+        for i, j in zip(*np.nonzero(valid.data)):
+            for c in range(target.channels):
+                r = target.data[i, j, c] - recon.data[i, j, c]
+                wgt = mask.data[i, j] / (n * max(abs(r), 1e-3))
+                h_pose += wgt * np.outer(d_pose[i, j, c], d_pose[i, j, c])
+                h_depth[i, j] += wgt * d_depth[i, j, c] ** 2
+        assert np.max(np.abs(grads.h_pose - h_pose)) <= 1e-12 * np.max(np.abs(h_pose))
+        assert np.max(np.abs(grads.h_depth - h_depth)) <= 1e-12 * np.max(np.abs(h_depth))
+        assert np.all(grads.h_depth[~valid.data] == 0.0)
+
+    def test_gradients_do_not_depend_on_the_request(self):
+        target, source, depth, pose, k, mask, _ = _curvature_setup()
+        plain = loss_gradients(target, source, depth, pose, k, mask, LossWeights())
+        full = loss_gradients(target, source, depth, pose, k, mask, LossWeights(),
+                              curvature=True)
+        assert plain.h_pose is None and plain.h_depth is None
+        for name in ("d_depth", "d_pose", "d_mask"):
+            assert np.array_equal(getattr(plain, name), getattr(full, name)), name

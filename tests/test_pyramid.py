@@ -91,6 +91,16 @@ class TestPyramids:
         img = ImageBuffer.grayscale(np.ones((4, 4)))
         assert len(image_pyramid(img, 1)) == 1
 
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_no_level_rejected_by_every_pyramid(self, levels):
+        k = CameraIntrinsics(fx=100.0, fy=100.0, cx=31.5, cy=31.5)
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            intrinsics_pyramid(k, levels)
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            image_pyramid(ImageBuffer.grayscale(np.ones((4, 4))), levels)
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            depth_pyramid(DepthMap(np.ones((4, 4))), levels)
+
 
 class TestUpsample2x:
     def test_half_pixel_hand_case(self):

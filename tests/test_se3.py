@@ -20,6 +20,7 @@ from egowarp import (
     SE3Transform,
     bf_consistency_grad,
     bf_consistency_loss,
+    bf_residual_jacobian,
     compose,
     exp_so3,
     hat,
@@ -284,6 +285,35 @@ def _perturb(t: SE3Transform, delta: np.ndarray) -> SE3Transform:
     return SE3Transform(
         Rotation(exp_so3(delta[:3]).m @ t.r.m), t.t + delta[3:]
     )
+
+
+class TestBfResidualJacobian:
+    def test_residuals_are_the_penalty_entries(self):
+        rng = np.random.default_rng(18)
+        f, b = _rand_transform(rng), _rand_transform(rng)
+        e, _ = bf_residual_jacobian(f, b)
+        np.testing.assert_array_equal(e, (b.matrix() @ f.matrix() - np.eye(4))[:3].ravel())
+        assert np.sum(np.abs(e)) == pytest.approx(bf_consistency_loss([(f, b)]), rel=1e-12)
+
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(19)
+        h = 1e-6
+        for _ in range(20):
+            f, b = _rand_transform(rng), _rand_transform(rng)
+            _, jac = bf_residual_jacobian(f, b)
+            assert jac.shape == (12, 12)
+            for col in range(12):
+                e = np.zeros(6)
+                e[col % 6] = h
+                if col < 6:
+                    plus, minus = (bf_residual_jacobian(_perturb(f, s * e), b)[0]
+                                   for s in (1.0, -1.0))
+                else:
+                    plus, minus = (bf_residual_jacobian(f, _perturb(b, s * e))[0]
+                                   for s in (1.0, -1.0))
+                fd = (plus - minus) / (2 * h)
+                np.testing.assert_allclose(jac[:, col], fd, rtol=0, atol=1e-7,
+                                           err_msg=f"column {col}")
 
 
 class TestBfConsistencyGrad:
