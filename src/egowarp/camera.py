@@ -166,6 +166,42 @@ def _transform_grid(
     return rx, x_src, valid, np.where(valid, x_src[..., 2], 1.0)
 
 
+def _project_grid(transformed: tuple, k: CameraIntrinsics) -> np.ndarray:
+    """(..., 2) pixels of a _transform_grid result, zero-filled where invalid."""
+    _, x_src, valid, z_safe = transformed
+    u = k.fx * x_src[..., 0] / z_safe + k.cx
+    v = k.fy * x_src[..., 1] / z_safe + k.cy
+    return np.where(valid[..., None], np.stack([u, v], axis=-1), 0.0)
+
+
+def _projection_vjp(
+    x_src: np.ndarray, z_safe: np.ndarray, k: CameraIntrinsics, g_u, g_v
+) -> np.ndarray:
+    """(g_u, g_v) @ J_pi as a (..., 3) stack, J_pi = d(u, v)/d(X').
+
+    J_pi = [[fx / z, 0, -fx x / z^2], [0, fy / z, -fy y / z^2]]. x_src
+    (..., 3) and z_safe (...) broadcast against g_u and g_v; g = (1, 0) and
+    (0, 1) give J_pi's rows.
+    """
+    a_u = k.fx * g_u / z_safe
+    a_v = k.fy * g_v / z_safe
+    a_z = -(a_u * x_src[..., 0] + a_v * x_src[..., 1]) / z_safe
+    return np.stack(np.broadcast_arrays(a_u, a_v, a_z), axis=-1)
+
+
+def _pose_rows(a: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """a @ [-hat(R X) | I] for (..., 3) a = dL/dX': (R X x a, a), (..., 6).
+
+    The cross product is spelled out: np.cross is slower on these shapes.
+    """
+    rows = np.empty(np.broadcast_shapes(a.shape, rx.shape)[:-1] + (6,))
+    rows[..., 0] = rx[..., 1] * a[..., 2] - rx[..., 2] * a[..., 1]
+    rows[..., 1] = rx[..., 2] * a[..., 0] - rx[..., 0] * a[..., 2]
+    rows[..., 2] = rx[..., 0] * a[..., 1] - rx[..., 1] * a[..., 0]
+    rows[..., 3:] = a
+    return rows
+
+
 def reproject_grid(
     uv: np.ndarray, depth: np.ndarray, t: SE3Transform, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,11 +216,9 @@ def reproject_grid(
         depth (...,), and a bool mask, False where z_src <= 1e-6 (those
         uv_src rows are zero-filled).
     """
-    _, x_src, valid, z_safe = _transform_grid(uv, depth, t, k)
-    u = k.fx * x_src[..., 0] / z_safe + k.cx
-    v = k.fy * x_src[..., 1] / z_safe + k.cy
-    uv_src = np.where(valid[..., None], np.stack([u, v], axis=-1), 0.0)
-    return uv_src, x_src[..., 2], valid
+    transformed = _transform_grid(uv, depth, t, k)
+    _, x_src, valid, _ = transformed
+    return _project_grid(transformed, k), x_src[..., 2], valid
 
 
 def reproject_jacobian_grid(
@@ -192,21 +226,21 @@ def reproject_jacobian_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized reproject_jacobian.
 
+    J_pi and the pose rows come from the helpers that warp_jacobians and
+    loss_gradients chain through, so a check of this kernel checks theirs.
+
     Returns:
         (d_depth, d_pose, valid): shapes (..., 2), (..., 2, 6), (...,).
         Rows for invalid (behind-camera) pixels are zero.
     """
     depth = np.asarray(depth, dtype=float)
     rx, x_src, valid, z_safe = _transform_grid(uv, depth, t, k)
-    j_pi = np.zeros(x_src.shape[:-1] + (2, 3))
-    j_pi[..., 0, 0] = k.fx / z_safe
-    j_pi[..., 0, 2] = -k.fx * x_src[..., 0] / (z_safe * z_safe)
-    j_pi[..., 1, 1] = k.fy / z_safe
-    j_pi[..., 1, 2] = -k.fy * x_src[..., 1] / (z_safe * z_safe)
-
+    j_pi = np.stack(
+        [_projection_vjp(x_src, z_safe, k, 1.0, 0.0),
+         _projection_vjp(x_src, z_safe, k, 0.0, 1.0)], axis=-2
+    )
     d_depth = np.einsum("...ij,...j->...i", j_pi, rx / depth[..., None])
-    # Row i of J_pi @ (-hat(w)) is w x J_pi[i], so no per-pixel 3x3 is formed.
-    d_pose = np.concatenate([np.cross(rx[..., None, :], j_pi), j_pi], axis=-1)
+    d_pose = _pose_rows(j_pi, rx[..., None, :])
     d_depth = np.where(valid[..., None], d_depth, 0.0)
     d_pose = np.where(valid[..., None, None], d_pose, 0.0)
     return d_depth, d_pose, valid

@@ -8,8 +8,10 @@ photometric residuals near L1 zero crossings, depth differences near
 smoothness sign flips, and ReLU preactivations near zero.
 
 Components (one random configuration per trial):
-  reproject  reproject_jacobian_grid, the kernel every warp runs, against
-             reproject_grid on an 8x8 grid of random pixels and depths.
+  reproject  reproject_jacobian_grid, built from the projection Jacobian
+             and pose rows that warp_jacobians and loss_gradients chain
+             through, against reproject_grid on an 8x8 grid of random
+             pixels and depths.
   warp       warp_jacobians against inverse_warp on a random 8x8 image,
              depth and small pose, at pixels whose sample point is stable.
   losses     loss_gradients (depth, pose, mask) against the scalar

@@ -13,10 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .camera import CameraIntrinsics
+from .camera import CameraIntrinsics, _projection_vjp
 from .exceptions import DegenerateInputError
 from .se3 import SE3Transform
-from .warp import DepthMap, ImageBuffer, ValidityMask, _warp_eval
+from .warp import DepthMap, ImageBuffer, ValidityMask, _channel_jacobians, _warp_eval
 
 # Explainability masks are clamped here before the log; keeps the
 # regularizer finite when a mask collapses toward zero.
@@ -213,6 +213,12 @@ def loss_gradients(
     subgradients are one-sided at L1 kinks, bilinear grid lines, and
     visibility flips, and checks exclude those sets.
 
+    The photometric gradient runs in reverse mode over one point transform:
+    the sign- and mask-weighted sampler gradient is contracted over
+    channels to dL/d(u, v), chained through d(u, v)/d(X') to dL/dX', and
+    read off as d_t = sum dL/dX', d_rot = sum R X x dL/dX' and
+    d_depth = dL/dX' . R X / depth.
+
     With curvature=True the photometric term's iteratively reweighted
     least-squares (Gauss-Newton) curvature is returned too: each residual r
     of the pixel-and-channel sum is replaced by r^2 / (2 max(|r|, 1e-3)),
@@ -228,22 +234,24 @@ def loss_gradients(
     _check_same_size(target, source, "target", "source")
     _check_same_size(target, depth, "target", "depth")
     _check_same_size(target, mask, "target", "mask")
-    recon, valid, d_recon_depth, d_recon_pose = _warp_eval(
-        source, depth, pose, k, jacobians=True
-    )
+    recon, valid, grad, transformed = _warp_eval(source, depth, pose, k, jacobians=True)
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise DegenerateInputError("loss gradients undefined: no valid pixels")
 
     diff = target.data - recon
-    sgn = np.sign(diff)
     pix_weight = mask.data * valid / n_valid  # (h, w)
 
-    # d|t - r|/d(r) = -sign(t - r), chained through the reconstruction.
-    d_photo_depth = -np.einsum("hwc,hwc->hw", sgn, d_recon_depth) * pix_weight
-    d_photo_pose = -np.einsum(
-        "hwc,hwcp,hw->p", sgn, d_recon_pose, pix_weight
-    )
+    # d|t - r|/d(r) = -sign(t - r), contracted over channels to dL/d(u, v)
+    # and chained back through the reprojection.
+    d_uv = -np.einsum("hwic,hwc->hwi", grad, np.sign(diff)) * pix_weight[..., None]
+    rx, x_src, _, z_safe = transformed
+    d_x = _projection_vjp(x_src, z_safe, k, d_uv[..., 0], d_uv[..., 1])  # dL/dX'
+    # sum_p R X x dL/dX' = sum_i e_i x m[i] for m = sum_p R X dL/dX'^T.
+    d_x_rows = d_x.reshape(-1, 3)
+    m = rx.reshape(-1, 3).T @ d_x_rows
+    d_photo_pose = np.concatenate([np.cross(np.eye(3), m).sum(axis=0), d_x_rows.sum(axis=0)])
+    d_photo_depth = np.einsum("hwj,hwj->hw", d_x, rx) / depth.data
     d_photo_mask = np.sum(np.abs(diff), axis=2) * valid / n_valid
 
     d_depth = d_photo_depth + weights.lambda_smo * _smoothness_grad_depth(
@@ -258,7 +266,8 @@ def loss_gradients(
     if not curvature:
         return LossGradients(d_depth, d_photo_pose, d_mask)
     irls = pix_weight[..., None] / np.maximum(np.abs(diff), IRLS_FLOOR)  # (h, w, c)
-    jac = d_recon_pose.reshape(-1, 6)
+    j_depth, j_pose = _channel_jacobians(grad, transformed, depth.data, k)
+    jac = j_pose.reshape(-1, 6)
     h_pose = jac.T @ (jac * irls.reshape(-1, 1))
-    h_depth = np.einsum("hwc,hwc->hw", irls, d_recon_depth * d_recon_depth)
+    h_depth = np.einsum("hwc,hwc->hw", irls, j_depth * j_depth)
     return LossGradients(d_depth, d_photo_pose, d_mask, h_pose, h_depth)

@@ -73,8 +73,9 @@ class TestWorstLocation:
         assert report.worst_entry == "d_pose[4]"
 
     def test_reproject_checks_the_grid_kernel(self, monkeypatch):
-        # The reproject component checks reproject_jacobian_grid, the
-        # kernel every warp runs, one pixel and pose column at a time.
+        # The reproject component checks reproject_jacobian_grid, whose
+        # projection Jacobian the warp's derivatives chain through, one
+        # pixel and pose column at a time.
         inner = gradcheck.reproject_jacobian_grid
 
         def broken(*args):

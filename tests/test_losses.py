@@ -9,10 +9,12 @@ log, and the smoothness cases have one forward difference per axis.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import egowarp.camera as camera_module
 from egowarp import (
     CameraIntrinsics,
     DegenerateInputError,
@@ -28,6 +30,8 @@ from egowarp import (
     loss_gradients,
     multiscale_smoothness,
     photometric_l1,
+    pixel_grid,
+    reproject_grid,
     smoothness,
     total_loss,
     warp_jacobians,
@@ -333,3 +337,112 @@ class TestCurvature:
         assert plain.h_pose is None and plain.h_depth is None
         for name in ("d_depth", "d_pose", "d_mask"):
             assert np.array_equal(getattr(plain, name), getattr(full, name)), name
+
+
+def _behind_camera_setup():
+    """RGB pair whose near top-right patch (depth 0.6) ends up behind a
+    camera that moves 1.0 forward: those 20 pixels reproject to the
+    zero-filled (0, 0), which lies in bounds, so only the in-front test
+    keeps them out of the loss."""
+    rng = np.random.default_rng(22)
+    h, w = 10, 14
+    k = CameraIntrinsics(fx=12.0, fy=12.0, cx=6.5, cy=4.5)
+    v, u = np.mgrid[0:h, 0:w].astype(float)
+    phase = rng.uniform(0, np.pi, 3)
+    source = ImageBuffer(np.stack(
+        [(np.sin(u * 0.5 + p) * np.cos(v * 0.4 - p) + 1.5) / 3.0 for p in phase], axis=-1))
+    near = (u > 8) & (v < 4)
+    depth = DepthMap(np.where(near, 0.6, 6.0 + 0.3 * np.sin(u * 0.3) + 0.1 * v))
+    pose = SE3Transform(exp_so3(np.array([0.01, 0.02, -0.01])), np.array([0.1, -0.05, -1.0]))
+    target = ImageBuffer(rng.uniform(0.0, 1.0, (h, w, 3)))
+    mask = WeightMask(rng.uniform(0.2, 1.0, size=(h, w)))
+    return target, source, depth, pose, k, mask
+
+
+def _forward_mode_gradients(target, source, depth, pose, k, mask, weights):
+    """(d_depth, d_pose, d_mask) as the forward-mode contraction
+    -sum sign(t - r) warp_jacobians m v / n plus the smoothness and
+    regularizer terms, with v rebuilt from reproject_grid: in front of the
+    camera and inside [0, w-1] x [0, h-1]."""
+    h, w = depth.data.shape
+    uv_src, _, in_front = reproject_grid(pixel_grid(h, w), depth.data, pose, k)
+    u, v = uv_src[..., 0], uv_src[..., 1]
+    eps = 1e-9
+    valid = in_front & (u >= -eps) & (u <= w - 1 + eps) & (v >= -eps) & (v <= h - 1 + eps)
+    n = valid.sum()
+    recon, _ = inverse_warp(source, depth, pose, k)
+    j_depth, j_pose = warp_jacobians(source, depth, pose, k)
+    coef = -np.sign(target.data - recon.data) * (mask.data * valid / n)[..., None]
+    d_pose = np.einsum("hwc,hwcp->p", coef, j_pose)
+    d_depth = np.einsum("hwc,hwc->hw", coef, j_depth)
+
+    img, d = target.data, depth.data
+    sx = (np.sign(d[:, 1:] - d[:, :-1]) / (h * (w - 1))
+          * np.exp(-np.mean(np.abs(img[:, 1:] - img[:, :-1]), axis=2)))
+    sy = (np.sign(d[1:] - d[:-1]) / ((h - 1) * w)
+          * np.exp(-np.mean(np.abs(img[1:] - img[:-1]), axis=2)))
+    d_smo = np.zeros((h, w))
+    d_smo[:, 1:] += sx
+    d_smo[:, :-1] -= sx
+    d_smo[1:] += sy
+    d_smo[:-1] -= sy
+    d_depth = d_depth + weights.lambda_smo * d_smo
+
+    d_reg = np.where(mask.data > 1e-7, -1.0 / (h * w * np.maximum(mask.data, 1e-7)), 0.0)
+    d_photo_mask = np.sum(np.abs(target.data - recon.data), axis=2) * valid / n
+    return d_depth, d_pose, d_photo_mask + weights.lambda_reg * d_reg
+
+
+class TestReverseMode:
+    """loss_gradients contracts channels first and chains back through one
+    transform; its outputs must equal the forward-mode contraction."""
+
+    @pytest.mark.parametrize("setup", ["curvature", "behind_camera"])
+    def test_matches_forward_mode_contraction(self, setup):
+        if setup == "curvature":
+            target, source, depth, pose, k, mask, _ = _curvature_setup()
+        else:
+            target, source, depth, pose, k, mask = _behind_camera_setup()
+            h, w = depth.data.shape
+            uv_src, _, in_front = reproject_grid(pixel_grid(h, w), depth.data, pose, k)
+            assert np.sum(~in_front) == 20
+            assert np.all(uv_src[~in_front] == 0.0)  # in bounds, at (0, 0)
+        weights = LossWeights(lambda_smo=0.3, lambda_reg=0.2)
+        grads = loss_gradients(target, source, depth, pose, k, mask, weights)
+        want = _forward_mode_gradients(target, source, depth, pose, k, mask, weights)
+        for name, expected in zip(("d_depth", "d_pose", "d_mask"), want):
+            got = getattr(grads, name)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
+
+
+def _patch_everywhere(monkeypatch, fn, replacement) -> None:
+    """Rebind fn to replacement in every egowarp module that binds it."""
+    bound = 0
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "egowarp" or name.startswith("egowarp.")):
+            continue
+        for attr, obj in list(vars(mod).items()):
+            if obj is fn:
+                monkeypatch.setattr(mod, attr, replacement)
+                bound += 1
+    assert bound > 0
+
+
+class TestOneTransform:
+    @pytest.mark.parametrize("curvature", [False, True])
+    def test_loss_gradients_transforms_points_once(self, monkeypatch, curvature):
+        target, source, depth, pose, k, mask, _ = _curvature_setup()
+        calls = {"_transform_grid": 0, "reproject_jacobian_grid": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            fn = getattr(camera_module, name)
+            _patch_everywhere(monkeypatch, fn, counted(fn))
+        loss_gradients(target, source, depth, pose, k, mask, LossWeights(),
+                       curvature=curvature)
+        assert calls == {"_transform_grid": 1, "reproject_jacobian_grid": 0}
