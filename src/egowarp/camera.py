@@ -1,8 +1,16 @@
-"""Pinhole projection, backprojection, reprojection, and their Jacobians.
+"""Pinhole reprojection of pixel grids, and its Jacobians.
 
 Pixel convention: p = (u, v) with u = column, v = row, origin at the center
-of the top-left pixel. The camera looks down +z; only points with
-z > Z_EPSILON project.
+of the top-left pixel. The camera looks down +z; a point reprojects only
+where its camera-frame z' > Z_EPSILON. Elsewhere it is flagged invalid and
+its pixel and Jacobian rows are zero-filled, so whole images go through in
+one call. Every function takes any leading shape: an (h, w, 2) grid with
+(h, w) depths, or one (2,) pixel with a 0-d depth.
+
+This is the package's one reprojection. _transform_grid backprojects and
+moves the points, _project_grid projects them, and _projection_vjp holds the
+one projection Jacobian J_pi = d(u, v)/d(X'). reproject_grid,
+reproject_jacobian_grid, the warp and loss_gradients are built from them.
 
 The pose Jacobian uses the same 6-parameter convention everywhere in this
 package: columns 0..2 are a left-multiplicative rotation perturbation
@@ -12,22 +20,13 @@ package: columns 0..2 are a left-multiplicative rotation perturbation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import BehindCameraError
-from .se3 import SE3Transform, hat
+from .se3 import SE3Transform
 
 # Points with camera-frame z at or below this are treated as behind the camera.
 Z_EPSILON = 1e-6
-
-
-class Pixel(NamedTuple):
-    """Continuous pixel location, u = column, v = row."""
-
-    u: float
-    v: float
 
 
 @dataclass(frozen=True)
@@ -46,114 +45,11 @@ class CameraIntrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.fx, 0.0, self.cx],
-                [0.0, self.fy, self.cy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-
-
-def backproject(p: Pixel, depth: float, k: CameraIntrinsics) -> np.ndarray:
-    """Lift a pixel at a known depth into camera coordinates.
-
-    Args:
-        p: pixel location.
-        depth: camera-frame z of the 3D point; must be > 0.
-
-    Returns:
-        (3,) point D * K^-1 * (u, v, 1).
-    """
-    if not np.isfinite(depth) or depth <= 0:
-        raise ValueError(f"depth must be positive and finite, got {depth}")
-    return depth * np.array(
-        [(p[0] - k.cx) / k.fx, (p[1] - k.cy) / k.fy, 1.0]
-    )
-
-
-def project(point: np.ndarray, k: CameraIntrinsics) -> Pixel:
-    """Pinhole projection of a camera-frame point.
-
-    Raises:
-        BehindCameraError: z <= 1e-6 (homogeneous normalization undefined).
-    """
-    point = np.asarray(point, dtype=float)
-    if point.shape != (3,):
-        raise ValueError(f"point must have shape (3,), got {point.shape}")
-    if not np.all(np.isfinite(point)):
-        raise ValueError("point must be finite")
-    z = point[2]
-    if z <= Z_EPSILON:
-        raise BehindCameraError(f"point z = {z:.3e} is behind the camera")
-    return Pixel(k.fx * point[0] / z + k.cx, k.fy * point[1] / z + k.cy)
-
-
-def reproject(
-    p_t: Pixel, depth: float, t: SE3Transform, k: CameraIntrinsics
-) -> Pixel:
-    """Map a target pixel with known depth into the source view.
-
-    p_s = project(T @ backproject(p_t, depth)); the homogeneous scale cancels,
-    so an identity transform returns p_t up to a few ulps for any depth.
-    """
-    x_src = t.apply(backproject(p_t, depth, k))
-    return project(x_src, k)
-
-
-def reproject_jacobian(
-    p_t: Pixel, depth: float, t: SE3Transform, k: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic derivatives of the reprojected pixel.
-
-    With X = backproject(p_t, depth), X' = R X + t, and the projection
-    J_pi = d(p_s)/d(X'), the chain rule gives:
-
-      d(p_s)/d(depth) = J_pi @ (R @ (X / depth))         (X / depth = K^-1 p~)
-      d(p_s)/d(delta_rot) = J_pi @ (-hat(R @ X))          (left perturbation)
-      d(p_s)/d(t) = J_pi
-
-    Args:
-        p_t: target pixel.
-        depth: target depth, > 0.
-        t: target-to-source transform.
-        k: shared intrinsics.
-
-    Returns:
-        (d_depth, d_pose): shapes (2,) and (2, 6), pose columns ordered
-        (rotation 0..2, translation 3..5).
-
-    Raises:
-        BehindCameraError: transformed point has z <= 1e-6.
-    """
-    x = backproject(p_t, depth, k)
-    rx = t.r.m @ x
-    x_src = rx + t.t
-    z = x_src[2]
-    if z <= Z_EPSILON:
-        raise BehindCameraError(f"point z = {z:.3e} is behind the camera")
-    j_pi = np.array(
-        [
-            [k.fx / z, 0.0, -k.fx * x_src[0] / (z * z)],
-            [0.0, k.fy / z, -k.fy * x_src[1] / (z * z)],
-        ]
-    )
-    d_depth = j_pi @ (rx / depth)
-    d_pose = np.empty((2, 6))
-    d_pose[:, :3] = j_pi @ (-hat(rx))
-    d_pose[:, 3:] = j_pi
-    return d_depth, d_pose
-
-
-# Vectorized variants used by the warping module. Invalid entries are masked
-# rather than raised so whole images can be processed in one call.
-
 
 def _transform_grid(
     uv: np.ndarray, depth: np.ndarray, t: SE3Transform, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(R X, X' = R X + t, valid, z_safe) for X = backproject(uv, depth).
+    """(R X, X' = R X + t, valid, z_safe) for X = depth * K^-1 (u, v, 1).
 
     valid is z' > 1e-6; z_safe is z' with invalid entries replaced by 1.
     """
@@ -205,11 +101,13 @@ def _pose_rows(a: np.ndarray, rx: np.ndarray) -> np.ndarray:
 def reproject_grid(
     uv: np.ndarray, depth: np.ndarray, t: SE3Transform, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reproject many pixels at once.
+    """Map target pixels with known depth into the source view.
 
     Args:
         uv: (..., 2) pixel coordinates.
         depth: (...,) positive depths.
+        t: target-to-source transform.
+        k: shared intrinsics.
 
     Returns:
         (uv_src, z_src, valid): source coordinates (..., 2), source-frame
@@ -224,7 +122,13 @@ def reproject_grid(
 def reproject_jacobian_grid(
     uv: np.ndarray, depth: np.ndarray, t: SE3Transform, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized reproject_jacobian.
+    """Analytic derivatives of the reprojected pixels.
+
+    With X = depth * K^-1 (u, v, 1), X' = R X + t and J_pi = d(u, v)/d(X'):
+
+      d(uv_src)/d(depth) = J_pi @ (R X / depth)
+      d(uv_src)/d(delta_rot) = J_pi @ (-hat(R X))     (left perturbation)
+      d(uv_src)/d(t) = J_pi
 
     J_pi and the pose rows come from the helpers that warp_jacobians and
     loss_gradients chain through, so a check of this kernel checks theirs.

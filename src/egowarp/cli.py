@@ -83,6 +83,13 @@ def _baseline(text: str) -> tuple[float, ...]:
     return values
 
 
+def _perturb_rot(text: str) -> float:
+    deg = _number(float)(text)
+    if not abs(deg) < 180:
+        raise argparse.ArgumentTypeError(f"rotation must be below 180 degrees, got {text!r}")
+    return deg
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="egowarp",
@@ -119,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="recover the pose of a rendered pair")
     p.add_argument("--pair", required=True, help="directory written by synth")
     p.add_argument("--mode", choices=MODES, default="pose_only")
-    p.add_argument("--perturb-rot", type=_number(float), default=1.0, metavar="DEG")
+    p.add_argument("--perturb-rot", type=_perturb_rot, default=1.0, metavar="DEG")
     p.add_argument("--perturb-trans", type=_number(float), default=0.02, metavar="FRAC")
     p.add_argument("--levels", type=_number(int, 0), default=3)
     p.add_argument("--max-iters", type=_number(int, 0), default=100)
@@ -213,14 +220,14 @@ def _cmd_align(args: argparse.Namespace) -> int:
         print(f"error: cannot read pair inputs: {exc}", file=sys.stderr)
         return 4
 
-    gt6 = Pose6DoF(log_so3(gt.r), gt.t)
-    init = perturb_pose(gt6, args.perturb_rot, args.perturb_trans, args.seed)
     opts = AlignOptions(
         mode=args.mode,
         max_iters=args.max_iters,
         pyramid_levels=args.levels,
     )
-    try:
+    try:  # log_so3 raises on a ground-truth or perturbed rotation of pi
+        gt6 = Pose6DoF(log_so3(gt.r), gt.t)
+        init = perturb_pose(gt6, args.perturb_rot, args.perturb_trans, args.seed)
         report = align_pose(target, source, depth, k, init, opts)
         if not np.isfinite(report.final_loss):  # every level was skipped
             raise ValueError("no pyramid level has a valid pixel")

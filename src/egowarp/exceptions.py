@@ -10,10 +10,6 @@ class AmbiguousLogError(ValueError):
     """Rotation angle within 1e-6 of pi; the log map has two preimages."""
 
 
-class BehindCameraError(ValueError):
-    """Projected point has z <= 1e-6 in the camera frame."""
-
-
 class DegenerateInputError(ValueError):
     """Input is structurally valid but has no usable content (e.g. |V| = 0)."""
 

@@ -77,7 +77,7 @@ def read_pfm(path: str | Path) -> np.ndarray:
         w, h, scale = int(tokens[1]), int(tokens[2]), float(tokens[3])
     except ValueError as exc:
         raise ValueError(f"{path}: bad PFM header") from exc
-    if w < 1 or h < 1 or scale == 0:
+    if w < 1 or h < 1 or scale == 0 or not np.isfinite(scale):
         raise ValueError(f"{path}: bad PFM header values")
     expected = w * h * 4
     pixels = raw[pos : pos + expected]
@@ -111,6 +111,8 @@ def read_image(path: str | Path) -> ImageBuffer:
         w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise ValueError(f"{path}: bad PGM/PPM header") from exc
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: bad PGM/PPM header values")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     channels = 1 if tokens[0] == b"P5" else 3

@@ -259,7 +259,7 @@ def inverse_warp(
 ) -> tuple[ImageBuffer, ValidityMask]:
     """Reconstruct the target view by sampling the source at reprojections.
 
-    recon(p_t) = sample_grid(source, reproject(p_t, depth(p_t), pose, k)).
+    recon(p_t) = sample_grid(source, reproject_grid(p_t, depth(p_t), pose, k)[0]).
 
     Args:
         source: source view image.

@@ -1,9 +1,11 @@
-"""Pinhole projection tests.
+"""Pinhole reprojection tests.
 
-The scalar path is checked against hand-expanded formulas; the vectorized
-grid path is checked against a python loop over the scalar path (two
-implementations of the same contract). Jacobians are compared with central
-finite differences computed in-test.
+The package reprojects in one place, the grid code in egowarp.camera. It is
+checked here against hand-written per-point formulas kept in this file as
+the oracle (_backproject, _project, _reproject, _reproject_jacobian): hand
+cases, a homogeneous-matrix oracle, python loops over the oracle, and
+central finite differences computed in-test. Single points go through the
+grid functions as a (2,) pixel with a 0-d depth.
 """
 
 from __future__ import annotations
@@ -12,19 +14,15 @@ import numpy as np
 import pytest
 
 from egowarp import (
-    BehindCameraError,
     CameraIntrinsics,
-    Pixel,
     Rotation,
     SE3Transform,
-    backproject,
     exp_so3,
-    project,
-    reproject,
+    hat,
     reproject_grid,
-    reproject_jacobian,
     reproject_jacobian_grid,
 )
+from egowarp.camera import Z_EPSILON, _transform_grid
 
 K = CameraIntrinsics(fx=100.0, fy=120.0, cx=31.5, cy=23.5)
 
@@ -35,96 +33,135 @@ def _rand_pose(rng, rot_scale=0.3, trans_scale=0.5) -> SE3Transform:
     return SE3Transform(exp_so3(w), rng.normal(size=3) * trans_scale)
 
 
+# Oracle: the per-point pinhole formulas, written out by hand.
+
+
+def _backproject(p, depth: float) -> np.ndarray:
+    """D * K^-1 * (u, v, 1)."""
+    return depth * np.array([(p[0] - K.cx) / K.fx, (p[1] - K.cy) / K.fy, 1.0])
+
+
+def _project(point: np.ndarray) -> np.ndarray:
+    z = point[2]
+    assert z > Z_EPSILON
+    return np.array([K.fx * point[0] / z + K.cx, K.fy * point[1] / z + K.cy])
+
+
+def _reproject(p, depth: float, t: SE3Transform) -> np.ndarray:
+    return _project(t.apply(_backproject(p, depth)))
+
+
+def _reproject_jacobian(p, depth: float, t: SE3Transform):
+    """(d(p_s)/d(depth), d(p_s)/d(pose)), shapes (2,) and (2, 6).
+
+    With X = backproject(p, depth), X' = R X + t and J_pi = d(p_s)/d(X'):
+    d/d(depth) = J_pi R X / depth, d/d(delta_rot) = J_pi (-hat(R X)),
+    d/dt = J_pi.
+    """
+    rx = t.r.m @ _backproject(p, depth)
+    x_src = rx + t.t
+    z = x_src[2]
+    assert z > Z_EPSILON
+    j_pi = np.array(
+        [
+            [K.fx / z, 0.0, -K.fx * x_src[0] / (z * z)],
+            [0.0, K.fy / z, -K.fy * x_src[1] / (z * z)],
+        ]
+    )
+    return j_pi @ (rx / depth), np.hstack([j_pi @ (-hat(rx)), j_pi])
+
+
+# Views of the grid code on single points.
+
+
+def _grid_backproject(p, depth) -> np.ndarray:
+    """The grid code's backprojection: its transformed points at identity."""
+    return _transform_grid(np.asarray(p), depth, SE3Transform.identity(), K)[1]
+
+
+def _grid_project(point) -> np.ndarray:
+    """Project X' through reproject_grid: X' is the principal ray's point at
+    depth 1, (0, 0, 1), moved by the translation X' - (0, 0, 1)."""
+    t = SE3Transform.from_translation(np.asarray(point) - [0.0, 0.0, 1.0])
+    uv, _, valid = reproject_grid(np.array([K.cx, K.cy]), 1.0, t, K)
+    assert valid
+    return uv
+
+
+def _grid_reproject(p, depth, t: SE3Transform) -> np.ndarray:
+    return reproject_grid(np.asarray(p, dtype=float), depth, t, K)[0]
+
+
 class TestBackproject:
     def test_hand_case(self):
-        p = backproject(Pixel(41.5, 47.5), 2.0, K)
+        p = _grid_backproject((41.5, 47.5), 2.0)
         # ((41.5-31.5)/100, (47.5-23.5)/120, 1) * 2
         np.testing.assert_allclose(p, [0.2, 0.4, 2.0], atol=1e-15)
 
     def test_principal_point_is_optical_axis(self):
-        p = backproject(Pixel(31.5, 23.5), 5.0, K)
+        p = _grid_backproject((31.5, 23.5), 5.0)
         np.testing.assert_array_equal(p, [0.0, 0.0, 5.0])
 
     def test_depth_is_z(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             d = rng.uniform(0.1, 50.0)
-            p = backproject(Pixel(rng.uniform(0, 64), rng.uniform(0, 48)), d, K)
+            p = _grid_backproject((rng.uniform(0, 64), rng.uniform(0, 48)), d)
             assert p[2] == d
-
-    def test_rejects_nonpositive_depth(self):
-        with pytest.raises(ValueError):
-            backproject(Pixel(1.0, 1.0), 0.0, K)
 
 
 class TestProject:
     def test_hand_case(self):
-        p = project(np.array([0.2, 0.4, 2.0]), K)
+        u, v = _grid_project([0.2, 0.4, 2.0])
         # (100*0.1 + 31.5, 120*0.2 + 23.5)
-        assert p.u == pytest.approx(41.5, abs=1e-13)
-        assert p.v == pytest.approx(47.5, abs=1e-13)
-
-    def test_behind_camera_raises(self):
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.0, 0.0, -1.0]), K)
-
-    def test_at_epsilon_plane_raises(self):
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.0, 0.0, 1e-7]), K)
+        assert u == pytest.approx(41.5, abs=1e-13)
+        assert v == pytest.approx(47.5, abs=1e-13)
 
     def test_round_trip_with_backproject(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            pix = Pixel(rng.uniform(-10, 80), rng.uniform(-10, 60))
+            pix = (rng.uniform(-10, 80), rng.uniform(-10, 60))
             d = rng.uniform(0.01, 100.0)
-            back = project(backproject(pix, d, K), K)
-            np.testing.assert_allclose([back.u, back.v], [pix.u, pix.v], atol=1e-9)
+            back = _grid_project(_grid_backproject(pix, d))
+            np.testing.assert_allclose(back, pix, atol=1e-9)
 
     def test_scale_invariance(self):
         # Projection depends only on the ray, not the distance along it.
         rng = np.random.default_rng(2)
         for _ in range(50):
             x = np.array([rng.normal(), rng.normal(), rng.uniform(0.5, 5.0)])
-            a, b = project(x, K), project(x * 7.3, K)
-            np.testing.assert_allclose([a.u, a.v], [b.u, b.v], atol=1e-11)
+            np.testing.assert_allclose(_grid_project(x), _grid_project(x * 7.3), atol=1e-11)
 
 
 class TestReproject:
     def test_identity_pose_fixed_point(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            pix = Pixel(rng.uniform(0, 64), rng.uniform(0, 48))
-            out = reproject(pix, rng.uniform(0.5, 10.0), SE3Transform.identity(), K)
-            np.testing.assert_allclose([out.u, out.v], [pix.u, pix.v], atol=1e-10)
+            pix = (rng.uniform(0, 64), rng.uniform(0, 48))
+            out = _grid_reproject(pix, rng.uniform(0.5, 10.0), SE3Transform.identity())
+            np.testing.assert_allclose(out, pix, atol=1e-10)
 
     def test_matches_homogeneous_matrix_oracle(self):
         rng = np.random.default_rng(4)
         k_mat = np.array([[K.fx, 0, K.cx], [0, K.fy, K.cy], [0, 0, 1.0]])
         for _ in range(100):
             t = _rand_pose(rng)
-            pix = Pixel(rng.uniform(5, 60), rng.uniform(5, 44))
+            pix = (rng.uniform(5, 60), rng.uniform(5, 44))
             d = rng.uniform(2.0, 10.0)
-            x = backproject(pix, d, K)
+            x = _backproject(pix, d)
             x_src = t.matrix() @ np.append(x, 1.0)
             if x_src[2] < 0.5:
                 continue
             uvw = k_mat @ x_src[:3]
-            out = reproject(pix, d, t, K)
-            np.testing.assert_allclose(
-                [out.u, out.v], [uvw[0] / uvw[2], uvw[1] / uvw[2]], atol=1e-10
-            )
+            out = _grid_reproject(pix, d, t)
+            np.testing.assert_allclose(out, [uvw[0] / uvw[2], uvw[1] / uvw[2]], atol=1e-10)
 
     def test_pure_x_translation_shifts_u_only(self):
         t = SE3Transform.from_translation(np.array([0.5, 0.0, 0.0]))
-        out = reproject(Pixel(31.5, 23.5), 5.0, t, K)
+        u, v = _grid_reproject((31.5, 23.5), 5.0, t)
         # u shift = fx * tx / z = 100 * 0.5 / 5 = 10
-        assert out.u == pytest.approx(41.5, abs=1e-12)
-        assert out.v == pytest.approx(23.5, abs=1e-12)
-
-    def test_behind_camera_raises(self):
-        t = SE3Transform.from_translation(np.array([0.0, 0.0, -10.0]))
-        with pytest.raises(BehindCameraError):
-            reproject(Pixel(31.5, 23.5), 5.0, t, K)
+        assert u == pytest.approx(41.5, abs=1e-12)
+        assert v == pytest.approx(23.5, abs=1e-12)
 
 
 class TestReprojectGrid:
@@ -140,9 +177,8 @@ class TestReprojectGrid:
             assert valid.all()
             for i in range(h):
                 for j in range(w):
-                    pix = reproject(Pixel(uv[i, j, 0], uv[i, j, 1]), depth[i, j], t, K)
                     np.testing.assert_allclose(
-                        uv_src[i, j], [pix.u, pix.v], atol=1e-12
+                        uv_src[i, j], _reproject(uv[i, j], depth[i, j], t), atol=1e-12
                     )
 
     def test_flags_behind_camera_instead_of_raising(self):
@@ -163,28 +199,69 @@ class TestReprojectGrid:
         np.testing.assert_allclose(z, 7.0, atol=1e-12)
 
 
+class TestSinglePoint:
+    """A (2,) pixel with a 0-d depth, the form a per-point caller uses."""
+
+    def test_shapes(self):
+        t = _rand_pose(np.random.default_rng(9), rot_scale=0.2, trans_scale=0.3)
+        uv = np.array([20.0, 30.0])
+        uv_src, z, valid = reproject_grid(uv, 4.0, t, K)
+        assert uv_src.shape == (2,) and z.shape == () and valid.shape == ()
+        assert valid.dtype == bool
+        d_depth, d_pose, valid = reproject_jacobian_grid(uv, 4.0, t, K)
+        assert d_depth.shape == (2,) and d_pose.shape == (2, 6) and valid.shape == ()
+
+    def test_values_match_oracle(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            t = _rand_pose(rng, rot_scale=0.2, trans_scale=0.3)
+            pix = np.array([rng.uniform(5, 60), rng.uniform(5, 44)])
+            d = rng.uniform(3.0, 8.0)
+            uv_src, z, valid = reproject_grid(pix, d, t, K)
+            assert valid
+            np.testing.assert_allclose(uv_src, _reproject(pix, d, t), atol=1e-12)
+            np.testing.assert_allclose(z, t.apply(_backproject(pix, d))[2], atol=1e-12)
+            d_depth, d_pose, valid = reproject_jacobian_grid(pix, d, t, K)
+            dd, dp = _reproject_jacobian(pix, d, t)
+            assert valid
+            np.testing.assert_allclose(d_depth, dd, atol=1e-12)
+            np.testing.assert_allclose(d_pose, dp, atol=1e-12)
+
+    def test_epsilon_plane_point_is_invalid(self):
+        # The principal ray's point at depth 1 moved to z' = 1e-7 lies behind
+        # the Z_EPSILON plane: flagged invalid, pixel and Jacobian rows zero.
+        pix = np.array([K.cx, K.cy])
+        t = SE3Transform.from_translation(np.array([0.0, 0.0, 1e-7 - 1.0]))
+        uv_src, z, valid = reproject_grid(pix, 1.0, t, K)
+        assert not valid and 0.0 < z <= Z_EPSILON
+        np.testing.assert_array_equal(uv_src, [0.0, 0.0])
+        d_depth, d_pose, valid = reproject_jacobian_grid(pix, 1.0, t, K)
+        assert not valid
+        np.testing.assert_array_equal(d_depth, np.zeros(2))
+        np.testing.assert_array_equal(d_pose, np.zeros((2, 6)))
+
+
 class TestReprojectJacobian:
     def test_depth_jacobian_matches_fd(self):
         rng = np.random.default_rng(6)
         h = 1e-6
         for _ in range(50):
             t = _rand_pose(rng, rot_scale=0.2, trans_scale=0.3)
-            pix = Pixel(rng.uniform(5, 60), rng.uniform(5, 44))
+            pix = np.array([rng.uniform(5, 60), rng.uniform(5, 44)])
             d = rng.uniform(3.0, 8.0)
-            d_depth, _ = reproject_jacobian(pix, d, t, K)
-            hi = reproject(pix, d + h, t, K)
-            lo = reproject(pix, d - h, t, K)
-            fd = np.array([(hi.u - lo.u), (hi.v - lo.v)]) / (2 * h)
-            np.testing.assert_allclose(d_depth, fd, atol=1e-5)
+            d_depth, _, _ = reproject_jacobian_grid(pix, d, t, K)
+            hi = _grid_reproject(pix, d + h, t)
+            lo = _grid_reproject(pix, d - h, t)
+            np.testing.assert_allclose(d_depth, (hi - lo) / (2 * h), atol=1e-5)
 
     def test_pose_jacobian_matches_fd(self):
         rng = np.random.default_rng(7)
         h = 1e-6
         for _ in range(30):
             t = _rand_pose(rng, rot_scale=0.2, trans_scale=0.3)
-            pix = Pixel(rng.uniform(5, 60), rng.uniform(5, 44))
+            pix = np.array([rng.uniform(5, 60), rng.uniform(5, 44)])
             d = rng.uniform(3.0, 8.0)
-            _, d_pose = reproject_jacobian(pix, d, t, K)
+            _, d_pose, _ = reproject_jacobian_grid(pix, d, t, K)
             for col in range(6):
                 delta = np.zeros(6)
                 delta[col] = h
@@ -194,11 +271,10 @@ class TestReprojectJacobian:
                 t_lo = SE3Transform(
                     Rotation(exp_so3(-delta[:3]).m @ t.r.m), t.t - delta[3:]
                 )
-                hi = reproject(pix, d, t_hi, K)
-                lo = reproject(pix, d, t_lo, K)
-                fd = np.array([hi.u - lo.u, hi.v - lo.v]) / (2 * h)
+                hi = _grid_reproject(pix, d, t_hi)
+                lo = _grid_reproject(pix, d, t_lo)
                 np.testing.assert_allclose(
-                    d_pose[:, col], fd, atol=1e-4,
+                    d_pose[:, col], (hi - lo) / (2 * h), atol=1e-4,
                     err_msg=f"pose column {col}",
                 )
 
@@ -206,7 +282,8 @@ class TestReprojectJacobian:
         # d(p_s)/dt = J_pi: for identity pose at the principal point,
         # J_pi = [[fx/z, 0, 0], [0, fy/z, 0]] up to the -x/z^2 column.
         d = 5.0
-        _, d_pose = reproject_jacobian(Pixel(31.5, 23.5), d, SE3Transform.identity(), K)
+        pix = np.array([31.5, 23.5])
+        _, d_pose, _ = reproject_jacobian_grid(pix, d, SE3Transform.identity(), K)
         np.testing.assert_allclose(
             d_pose[:, 3:], [[20.0, 0.0, 0.0], [0.0, 24.0, 0.0]], atol=1e-12
         )
@@ -222,9 +299,7 @@ class TestReprojectJacobian:
         assert valid.all()
         for i in range(h):
             for j in range(w):
-                dd, dp = reproject_jacobian(
-                    Pixel(uv[i, j, 0], uv[i, j, 1]), depth[i, j], t, K
-                )
+                dd, dp = _reproject_jacobian(uv[i, j], depth[i, j], t)
                 np.testing.assert_allclose(d_depth_g[i, j], dd, atol=1e-12)
                 np.testing.assert_allclose(d_pose_g[i, j], dp, atol=1e-12)
 

@@ -26,8 +26,10 @@ import pytest
 from egowarp import (
     DegenerateInputError,
     DepthMap,
+    Rotation,
     SE3Transform,
     write_depth,
+    write_pose,
     write_timestamps,
     write_trajectory,
 )
@@ -165,6 +167,19 @@ class TestAlign:
         pair = tmp_path / "pair"
         assert _synth(pair, baseline="50,0,0,0,0,0") == 0
         capsys.readouterr()
+        assert main(["align", "--pair", str(pair)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot align pair: ")
+        assert captured.err.count("\n") == 1
+
+    def test_ground_truth_rotation_of_pi_returns_5(self, tmp_path, capsys):
+        # diag(-1, -1, 1) is a half turn about z: log_so3 has two answers.
+        pair = tmp_path / "pair"
+        assert _synth(pair) == 0
+        capsys.readouterr()
+        half_turn = Rotation(np.diag([-1.0, -1.0, 1.0]))
+        write_pose(pair / "gt_pose.txt", SE3Transform(half_turn, np.array([0.35, 0.25, 0.2])))
         assert main(["align", "--pair", str(pair)]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -392,6 +407,7 @@ class TestBadFlags:
             ["synth", "--baseline", "nan,0,0,0,0,0", "--out", "x"],
             ["synth", "--baseline", "0,0,0,inf,0,0", "--out", "x"],
             ["synth", "--baseline", "0,0,0,4,0,0", "--out", "x"],
+            ["align", "--pair", "x", "--perturb-rot", "180"],
         ],
     )
     def test_returns_2(self, argv, capsys):

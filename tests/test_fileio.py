@@ -100,6 +100,14 @@ class TestPfm:
         with pytest.raises(ValueError, match="truncated"):
             read_pfm(path)
 
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf"])
+    def test_non_finite_scale_rejected(self, tmp_path, scale):
+        # A NaN scale is neither < 0 nor > 0; it must not pick an endianness.
+        path = tmp_path / "s.pfm"
+        path.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + struct.pack("<2f", 1.5, 2.5))
+        with pytest.raises(ValueError, match="bad PFM header values"):
+            read_pfm(path)
+
     def test_non_2d_writer_input_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"\(h, w\)"):
             write_pfm(tmp_path / "d.pfm", np.zeros((2, 2, 1)))
@@ -172,6 +180,15 @@ class TestImages:
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(ValueError, match="maxval 255"):
+            read_image(path)
+
+    @pytest.mark.parametrize(
+        "header", [b"P5\n-1 -1\n255\n\x00", b"P5\n0 3\n255\n"], ids=["negative", "zero"]
+    )
+    def test_nonpositive_size_rejected(self, tmp_path, header):
+        path = tmp_path / "z.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="bad PGM/PPM header values"):
             read_image(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
