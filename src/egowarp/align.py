@@ -12,16 +12,24 @@ reweighted by 1 / max(|r|, floor) (iteratively reweighted least squares),
 so the pose block solves the 6x6 Gauss-Newton normal equations, the pair
 block one 12x12 system holding both photometric terms and the bf term's 12
 residuals, and the depth block takes the per-pixel diagonal Newton step.
-The gradient and the curvature come from the one loss_gradients call per
-block. Every step starts at length 1 under Armijo backtracking (factor 0.5,
+The gradient and the block's curvature come from the one loss_gradients
+call per block. Every step starts at length 1 under Armijo backtracking (factor 0.5,
 c = 1e-4), so accepted steps never increase the loss. A level whose
 starting loss is not finite (no valid pixel) is skipped, so loss histories
 stay finite; the next level then starts from the caller's depth, not an
 upsampled estimate.
+
+A loss evaluation is one inverse_warp per direction; what cannot change
+within a level is hoisted out of it. The all-ones mask is built once per
+level (its explainability term is the constant 0) and smoothness once per
+depth map: once per level for a fixed depth, and in pose_and_depth mode once
+per depth step, carried in the state beside its depth. The warp's pixel rays
+come from egowarp.warp's cache, keyed on (h, w, intrinsics).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +39,6 @@ from .exceptions import DegenerateInputError
 from .losses import (
     LossWeights,
     WeightMask,
-    explainability_reg,
     loss_gradients,
     photometric_l1,
     smoothness,
@@ -82,10 +89,12 @@ class AlignOptions:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.pyramid_levels < 1:
-            raise ValueError("pyramid_levels must be >= 1")
+        for name in ("max_iters", "pyramid_levels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,24 +159,30 @@ def perturb_pose(
     return Pose6DoF(log_so3(rotated.r), rotated.t + offset)
 
 
-def _pair_total(
+def _level_loss(
     target: ImageBuffer,
     source: ImageBuffer,
-    depth: DepthMap,
-    pose: SE3Transform,
     k: CameraIntrinsics,
+    ones: WeightMask,
     weights: LossWeights,
-) -> float:
-    """Single-pair total with an all-ones mask; +inf when nothing is valid."""
-    try:
+):
+    """One level's single-pair total as loss(pose, depth, smo); +inf when
+    nothing is valid.
+
+    smo must be smoothness(depth, target); callers compute it once per depth
+    map. The mask is the level's all-ones mask, so its explainability term
+    is the constant 0.
+    """
+
+    def loss(pose: SE3Transform, depth: DepthMap, smo: float) -> float:
         recon, valid = inverse_warp(source, depth, pose, k)
-        mask = WeightMask.ones(target.height, target.width)
-        photo = photometric_l1(target, recon, mask, valid)
-    except DegenerateInputError:
-        return float("inf")
-    return total_loss(
-        photo, smoothness(depth, target), explainability_reg(mask), 0.0, weights
-    )
+        try:
+            photo = photometric_l1(target, recon, ones, valid)
+        except DegenerateInputError:
+            return float("inf")
+        return total_loss(photo, smo, 0.0, 0.0, weights)
+
+    return loss
 
 
 def _floored(depth: np.ndarray) -> DepthMap:
@@ -282,38 +297,39 @@ def align_pose(
     refine_depth = opts.mode == "pose_and_depth"
     w = opts.weights
 
-    def level(li: int, x: tuple[SE3Transform, DepthMap | None], ran: bool):
+    def level(li: int, x: tuple[SE3Transform, DepthMap | None, float | None], ran: bool):
         t_l, s_l, k_l = imgs_t[li], imgs_s[li], ks[li]
-        pose, d_l = x
+        pose, d_l, _ = x
         if refine_depth and ran:  # hand the coarser level's estimate up
             d_l = _floored(upsample2x(d_l.data, t_l.height, t_l.width))
         else:  # the caller's own depth, also after a skipped level
             d_l = depths[li]
         ones = WeightMask.ones(t_l.height, t_l.width)
-
-        def grads(x):
-            return loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w, curvature=True)
+        loss_l = _level_loss(t_l, s_l, k_l, ones, w)
 
         def loss_fn(x):
-            return _pair_total(t_l, s_l, x[1], x[0], k_l, w)
+            return loss_l(*x)
 
         def pose_newton(x):
-            g = grads(x)
+            g = loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w, curvature="pose")
             return g.d_pose, _gauss_newton(g.d_pose, g.h_pose)
 
         def depth_newton(x):
-            g = grads(x)
+            g = loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w, curvature="depth")
             return g.d_depth, _diagonal_newton(g.d_depth, g.h_depth)
 
-        blocks = [(pose_newton, loss_fn,
-                   lambda x, delta: (retract_pose(x[0], delta), x[1]))]
-        if refine_depth:  # projected above DEPTH_FLOOR
-            blocks.append((depth_newton, loss_fn,
-                           lambda x, delta: (x[0], _floored(x[1].data + delta))))
-        return (pose, d_l), loss_fn, blocks
+        def retract_depth(x, delta):  # projected above DEPTH_FLOOR
+            d = _floored(x[1].data + delta)
+            return x[0], d, smoothness(d, t_l)
 
-    (pose, depth_est), loss, iters, converged, history = _coarse_to_fine(
-        levels, (init.to_transform(), None), level, opts
+        blocks = [(pose_newton, loss_fn,
+                   lambda x, delta: (retract_pose(x[0], delta), *x[1:]))]
+        if refine_depth:
+            blocks.append((depth_newton, loss_fn, retract_depth))
+        return (pose, d_l, smoothness(d_l, t_l)), loss_fn, blocks
+
+    (pose, depth_est, _), loss, iters, converged, history = _coarse_to_fine(
+        levels, (init.to_transform(), None, None), level, opts
     )
     return AlignReport(
         converged=converged,
@@ -353,19 +369,21 @@ def align_pose_pair(
 
     def level(li: int, poses: tuple[SE3Transform, SE3Transform], _ran: bool):
         t_l, s_l, k_l = imgs_t[li], imgs_s[li], ks[li]
-        ones_t = WeightMask.ones(t_l.height, t_l.width)
-        ones_s = WeightMask.ones(s_l.height, s_l.width)
+        ones = WeightMask.ones(t_l.height, t_l.width)
+        loss_f = _level_loss(t_l, s_l, k_l, ones, w)
+        loss_b = _level_loss(s_l, t_l, k_l, ones, w)
+        smo_f, smo_b = smoothness(depths_t[li], t_l), smoothness(depths_s[li], s_l)
 
         def loss_fn(poses):  # inf when either direction has no valid pixel
             fwd, bwd = poses
-            l_f = _pair_total(t_l, s_l, depths_t[li], fwd, k_l, w)
-            l_b = _pair_total(s_l, t_l, depths_s[li], bwd, k_l, w)
+            l_f = loss_f(fwd, depths_t[li], smo_f)
+            l_b = loss_b(bwd, depths_s[li], smo_b)
             return l_f + l_b + w.lambda_bf * bf_consistency_loss([(fwd, bwd)])
 
         def newton(poses):
             fwd, bwd = poses
-            g_f = loss_gradients(t_l, s_l, depths_t[li], fwd, k_l, ones_t, w, curvature=True)
-            g_b = loss_gradients(s_l, t_l, depths_s[li], bwd, k_l, ones_s, w, curvature=True)
+            g_f = loss_gradients(t_l, s_l, depths_t[li], fwd, k_l, ones, w, curvature="pose")
+            g_b = loss_gradients(s_l, t_l, depths_s[li], bwd, k_l, ones, w, curvature="pose")
             e, jac = bf_residual_jacobian(fwd, bwd)
             grad = np.concatenate([g_f.d_pose, g_b.d_pose]) + w.lambda_bf * (jac.T @ np.sign(e))
             curv = w.lambda_bf * (jac.T / np.maximum(np.abs(e), BF_IRLS_FLOOR)) @ jac

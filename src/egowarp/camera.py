@@ -7,10 +7,12 @@ its pixel and Jacobian rows are zero-filled, so whole images go through in
 one call. Every function takes any leading shape: an (h, w, 2) grid with
 (h, w) depths, or one (2,) pixel with a 0-d depth.
 
-This is the package's one reprojection. _transform_grid backprojects and
-moves the points, _project_grid projects them, and _projection_vjp holds the
-one projection Jacobian J_pi = d(u, v)/d(X'). reproject_grid,
-reproject_jacobian_grid, the warp and loss_gradients are built from them.
+This is the package's one reprojection. _rays gives the rays K^-1 (u, v, 1),
+_transform_grid scales them by depth and moves the points, _project_grid
+projects them, and _projection_vjp holds the one projection Jacobian
+J_pi = d(u, v)/d(X'). reproject_grid, reproject_jacobian_grid, the warp
+(whose pixel-grid rays egowarp.warp caches) and loss_gradients are built
+from them.
 
 The pose Jacobian uses the same 6-parameter convention everywhere in this
 package: columns 0..2 are a left-multiplicative rotation perturbation
@@ -46,17 +48,28 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
 
 
+def _rays(uv: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """The rays K^-1 (u, v, 1) of (..., 2) pixels as their x and y parts."""
+    uv = np.asarray(uv, dtype=float)
+    return (uv[..., 0] - k.cx) / k.fx, (uv[..., 1] - k.cy) / k.fy
+
+
 def _transform_grid(
-    uv: np.ndarray, depth: np.ndarray, t: SE3Transform, k: CameraIntrinsics
+    rays: tuple[np.ndarray, np.ndarray], depth: np.ndarray, t: SE3Transform
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(R X, X' = R X + t, valid, z_safe) for X = depth * K^-1 (u, v, 1).
 
-    valid is z' > 1e-6; z_safe is z' with invalid entries replaced by 1.
+    rays holds the x and y parts of K^-1 (u, v, 1) (z is 1); each must
+    broadcast to depth's shape. valid is z' > 1e-6; z_safe is z' with
+    invalid entries replaced by 1.
     """
-    uv = np.asarray(uv, dtype=float)
     depth = np.asarray(depth, dtype=float)
-    ray = [(uv[..., 0] - k.cx) / k.fx, (uv[..., 1] - k.cy) / k.fy, np.ones_like(depth)]
-    rx = (depth[..., None] * np.stack(ray, axis=-1)) @ t.r.m.T
+    ray_x, ray_y = rays
+    # On a C-ordered copy of R^T the stacked matmul runs ~3x faster at
+    # 128 x 128 than on the transposed view, with identical results. X is
+    # left unnamed so that it is freed before x_src is allocated.
+    r_t = np.ascontiguousarray(t.r.m.T)
+    rx = np.stack([depth * ray_x, depth * ray_y, depth], axis=-1) @ r_t
     x_src = rx + t.t
     valid = x_src[..., 2] > Z_EPSILON
     return rx, x_src, valid, np.where(valid, x_src[..., 2], 1.0)
@@ -114,7 +127,7 @@ def reproject_grid(
         depth (...,), and a bool mask, False where z_src <= 1e-6 (those
         uv_src rows are zero-filled).
     """
-    transformed = _transform_grid(uv, depth, t, k)
+    transformed = _transform_grid(_rays(uv, k), depth, t)
     _, x_src, valid, _ = transformed
     return _project_grid(transformed, k), x_src[..., 2], valid
 
@@ -138,7 +151,7 @@ def reproject_jacobian_grid(
         Rows for invalid (behind-camera) pixels are zero.
     """
     depth = np.asarray(depth, dtype=float)
-    rx, x_src, valid, z_safe = _transform_grid(uv, depth, t, k)
+    rx, x_src, valid, z_safe = _transform_grid(_rays(uv, k), depth, t)
     j_pi = np.stack(
         [_projection_vjp(x_src, z_safe, k, 1.0, 0.0),
          _projection_vjp(x_src, z_safe, k, 0.0, 1.0)], axis=-2

@@ -13,10 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _projection_vjp
+from .camera import CameraIntrinsics, _pose_rows, _projection_vjp
 from .exceptions import DegenerateInputError
 from .se3 import SE3Transform
-from .warp import DepthMap, ImageBuffer, ValidityMask, _channel_jacobians, _warp_eval
+from .warp import DepthMap, ImageBuffer, ValidityMask, _channel_vjp, _warp_eval
 
 # Explainability masks are clamped here before the log; keeps the
 # regularizer finite when a mask collapses toward zero.
@@ -204,7 +204,7 @@ def loss_gradients(
     k: CameraIntrinsics,
     mask: WeightMask,
     weights: LossWeights,
-    curvature: bool = False,
+    curvature: str | None = None,
 ) -> LossGradients:
     """Gradients of photo + lambda_smo*smo + lambda_reg*reg for one pair.
 
@@ -219,18 +219,21 @@ def loss_gradients(
     read off as d_t = sum dL/dX', d_rot = sum R X x dL/dX' and
     d_depth = dL/dX' . R X / depth.
 
-    With curvature=True the photometric term's iteratively reweighted
-    least-squares (Gauss-Newton) curvature is returned too: each residual r
-    of the pixel-and-channel sum is replaced by r^2 / (2 max(|r|, 1e-3)),
-    so h_pose = sum m v / (n max(|r|, 1e-3)) J J^T over pixels and
-    channels, with J = d(recon)/d(pose), and h_depth is the same sum with
-    J = d(recon)/d(depth) per pixel (the depth Hessian is diagonal).
+    curvature="pose" or "depth" also returns that block's photometric
+    iteratively reweighted least-squares (Gauss-Newton) curvature: each
+    residual r of the pixel-and-channel sum is replaced by
+    r^2 / (2 max(|r|, 1e-3)), so h_pose = sum m v / (n max(|r|, 1e-3)) J J^T
+    over pixels and channels, with J = d(recon)/d(pose), and h_depth is the
+    same sum with J = d(recon)/d(depth) per pixel (the depth Hessian is
+    diagonal). Only the named block's Jacobian is built.
 
     Returns:
         LossGradients(d_depth (h, w), d_pose (6,), d_mask (h, w), h_pose,
         h_depth); the pose entries follow the left-perturbation rotation
-        convention, and h_pose and h_depth are None unless curvature is set.
+        convention, and h_pose / h_depth is None unless curvature names it.
     """
+    if curvature not in (None, "pose", "depth"):
+        raise ValueError(f"curvature must be None, 'pose' or 'depth', got {curvature!r}")
     _check_same_size(target, source, "target", "source")
     _check_same_size(target, depth, "target", "depth")
     _check_same_size(target, mask, "target", "mask")
@@ -263,11 +266,15 @@ def loss_gradients(
         mask.data > MASK_FLOOR, -1.0 / (n_pix * np.maximum(mask.data, MASK_FLOOR)), 0.0
     )
     d_mask = d_photo_mask + weights.lambda_reg * d_reg_mask
-    if not curvature:
-        return LossGradients(d_depth, d_photo_pose, d_mask)
+    grads = LossGradients(d_depth, d_photo_pose, d_mask)
+    if curvature is None:
+        return grads
     irls = pix_weight[..., None] / np.maximum(np.abs(diff), IRLS_FLOOR)  # (h, w, c)
-    j_depth, j_pose = _channel_jacobians(grad, transformed, depth.data, k)
-    jac = j_pose.reshape(-1, 6)
-    h_pose = jac.T @ (jac * irls.reshape(-1, 1))
-    h_depth = np.einsum("hwc,hwc->hw", irls, j_depth * j_depth)
-    return LossGradients(d_depth, d_photo_pose, d_mask, h_pose, h_depth)
+    if curvature == "pose":
+        # Unnamed, the (h, w, c, 3) chain rule result is freed before the
+        # product below is allocated, which keeps the peak memory down.
+        jac = _pose_rows(*_channel_vjp(grad, transformed, k)).reshape(-1, 6)
+        return grads._replace(h_pose=jac.T @ (jac * irls.reshape(-1, 1)))
+    a, rx = _channel_vjp(grad, transformed, k)
+    j_depth = np.sum(a * rx, axis=-1) / depth.data[..., None]
+    return grads._replace(h_depth=np.einsum("hwc,hwc->hw", irls, j_depth * j_depth))

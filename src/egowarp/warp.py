@@ -15,10 +15,17 @@ inverse_warp, warp_jacobians and loss_gradients share one reprojection.
 Derivatives leave it as the sampler gradient and the transformed points:
 warp_jacobians chains each channel through d(u, v)/d(X'), and
 loss_gradients contracts the channels first (reverse mode).
+
+The warp's rays K^-1 (u, v, 1) of the pixel grid depend only on the image
+size and the intrinsics, so they are built once and cached, read-only, on
+the key (h, w, k) (CameraIntrinsics is frozen and compares by value). K^-1
+is separable, so an entry is one row of x parts and one column of y parts,
+h + w floats; the cache holds at most _RAY_CACHE_SIZE entries.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +35,16 @@ from .camera import (
     _pose_rows,
     _project_grid,
     _projection_vjp,
+    _rays,
     _transform_grid,
 )
 from .se3 import SE3Transform
 
 # Tolerance for the in-bounds test; absorbs reprojection round-off at borders.
 BORDER_EPS = 1e-9
+# Entries of the pixel-ray cache: a pyramid's few sizes under one or two
+# intrinsics. An entry holds h + w floats.
+_RAY_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +144,17 @@ def pixel_grid(height: int, width: int) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
+@functools.lru_cache(maxsize=_RAY_CACHE_SIZE)
+def _pixel_rays(height: int, width: int, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """The rays K^-1 (u, v, 1) of pixel_grid(h, w) as read-only x parts,
+    (1, w), and y parts, (h, 1): x depends on u only and y on v only."""
+    ray_x = _rays(pixel_grid(1, width), k)[0]
+    ray_y = _rays(pixel_grid(height, 1), k)[1]
+    for part in (ray_x, ray_y):
+        part.flags.writeable = False
+    return ray_x, ray_y
+
+
 def _bilinear(data: np.ndarray, uv: np.ndarray, grad: bool) -> tuple:
     """(values, in-bounds mask, d/d(u, v) or None) from one corner gather.
 
@@ -224,7 +246,7 @@ def _warp_eval(
             f"source {source.height}x{source.width} and depth "
             f"{depth.height}x{depth.width} sizes differ"
         )
-    transformed = _transform_grid(pixel_grid(depth.height, depth.width), depth.data, pose, k)
+    transformed = _transform_grid(_pixel_rays(depth.height, depth.width, k), depth.data, pose)
     uv_src = _project_grid(transformed, k)
     in_front = transformed[2]
     if not jacobians:
@@ -237,20 +259,27 @@ def _warp_eval(
     return recon, valid, grad, transformed
 
 
-def _channel_jacobians(
-    grad: np.ndarray, transformed: tuple, depth: np.ndarray, k: CameraIntrinsics
+def _channel_vjp(
+    grad: np.ndarray, transformed: tuple, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unmasked (h, w, c) d(recon)/d(depth) and (h, w, c, 6) d(recon)/d(pose).
+    """(a, R X): (h, w, c, 3) a_c = g_c^T J_pi and (h, w, 1, 3) R X.
 
-    Each channel's sampler gradient g_c is chained through J_pi to
-    a_c = g_c^T J_pi, then d/d(depth) = a_c . R X / depth and the pose row is
+    Each channel's sampler gradient g_c is chained through J_pi; then
+    d(recon_c)/d(depth) = a_c . R X / depth and the pose row is
     (R X x a_c, a_c).
     """
     rx, x_src, _, z_safe = transformed
     a = _projection_vjp(
         x_src[..., None, :], z_safe[..., None], k, grad[..., 0, :], grad[..., 1, :]
     )
-    rx = rx[..., None, :]
+    return a, rx[..., None, :]
+
+
+def _channel_jacobians(
+    grad: np.ndarray, transformed: tuple, depth: np.ndarray, k: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unmasked (h, w, c) d(recon)/d(depth) and (h, w, c, 6) d(recon)/d(pose)."""
+    a, rx = _channel_vjp(grad, transformed, k)
     return np.sum(a * rx, axis=-1) / depth[..., None], _pose_rows(a, rx)
 
 

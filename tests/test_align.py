@@ -29,6 +29,8 @@ Quantitative thresholds were chosen with several times the measured margin:
   degrees and ~0.05 percent from the truth.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -39,19 +41,25 @@ from egowarp import (
     LossWeights,
     Pose6DoF,
     SE3Transform,
+    WeightMask,
     align_pose,
     align_pose_pair,
     bf_consistency_loss,
     compose,
     default_intrinsics,
     exp_so3,
+    explainability_reg,
     inverse,
+    inverse_warp,
     log_so3,
     make_scene,
     perturb_pose,
+    photometric_l1,
     render_pair,
     render_view,
     retract_pose,
+    smoothness,
+    total_loss,
 )
 
 GT_TRANS = np.array([0.35, 0.25, 0.2])
@@ -75,6 +83,15 @@ def slanted64():
         make_scene("slanted_plane"), SE3Transform.from_translation(GT_TRANS), k, 64, 64
     )
     return pair, k, Pose6DoF(np.zeros(3), GT_TRANS)
+
+
+@pytest.fixture(scope="module")
+def slanted32():
+    k = default_intrinsics(32, 32)
+    gt = SE3Transform.from_translation(GT_TRANS)
+    pair = render_pair(make_scene("slanted_plane"), gt, k, 32, 32)
+    _, depth_source, _ = render_view(make_scene("slanted_plane"), gt, k, 32, 32)
+    return pair, depth_source, k, Pose6DoF(np.zeros(3), GT_TRANS)
 
 
 class TestRetractPose:
@@ -131,6 +148,16 @@ class TestAlignOptions:
             AlignOptions(max_iters=0)
         with pytest.raises(ValueError, match="pyramid_levels"):
             AlignOptions(pyramid_levels=0)
+
+    @pytest.mark.parametrize("name", ["max_iters", "pyramid_levels"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, float("nan"), True, "3"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            AlignOptions(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        opts = AlignOptions(max_iters=np.int64(7), pyramid_levels=np.int32(2))
+        assert opts.max_iters == 7 and opts.pyramid_levels == 2
 
 
 class TestPoseRecovery:
@@ -332,28 +359,40 @@ class TestAlignPosePair:
 
 class TestEvaluationCounts:
     """One loss_gradients call per iteration in pose_only, two in
-    pose_and_depth and in the pair solve, and a non-increasing history."""
+    pose_and_depth and in the pair solve, and a non-increasing history.
+    Every loss evaluation warps through egowarp.align.inverse_warp once
+    per direction, the binding a profiler wraps to count them."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Heights of the images passed to each loss_gradients call."""
-        calls = []
-        inner = align_module.loss_gradients
+        """Image heights of the loss_gradients calls, the number of
+        egowarp.align.inverse_warp calls, and the inverse_warp calls made by
+        each loss evaluation inside align._backtrack."""
+        counts = SimpleNamespace(grads=[], warps=0, per_loss_eval=[])
+        inner_grads = align_module.loss_gradients
+        inner_warp = align_module.inverse_warp
+        inner_backtrack = align_module._backtrack
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].height)
-            return inner(*args, **kwargs)
+        def grads(*args, **kwargs):
+            counts.grads.append(args[0].height)
+            return inner_grads(*args, **kwargs)
 
-        monkeypatch.setattr(align_module, "loss_gradients", counting)
-        return calls
+        def warp(*args, **kwargs):
+            counts.warps += 1
+            return inner_warp(*args, **kwargs)
 
-    @pytest.fixture(scope="class")
-    def slanted32(self):
-        k = default_intrinsics(32, 32)
-        gt = SE3Transform.from_translation(GT_TRANS)
-        pair = render_pair(make_scene("slanted_plane"), gt, k, 32, 32)
-        _, depth_source, _ = render_view(make_scene("slanted_plane"), gt, k, 32, 32)
-        return pair, depth_source, k, Pose6DoF(np.zeros(3), GT_TRANS)
+        def backtrack(loss_fn, *args):
+            def counted_loss(x):
+                before = counts.warps
+                loss = loss_fn(x)
+                counts.per_loss_eval.append(counts.warps - before)
+                return loss
+            return inner_backtrack(counted_loss, *args)
+
+        monkeypatch.setattr(align_module, "loss_gradients", grads)
+        monkeypatch.setattr(align_module, "inverse_warp", warp)
+        monkeypatch.setattr(align_module, "_backtrack", backtrack)
+        return counts
 
     @pytest.mark.parametrize("mode, per_iter", [("pose_only", 1), ("pose_and_depth", 2)])
     def test_align_pose(self, counted, slanted32, mode, per_iter):
@@ -363,9 +402,12 @@ class TestEvaluationCounts:
             AlignOptions(mode=mode, max_iters=40),
         )
         assert report.iters > 0
-        assert len(counted) == per_iter * report.iters
-        assert set(counted) == {32, 16, 8}
+        assert len(counted.grads) == per_iter * report.iters
+        assert set(counted.grads) == {32, 16, 8}
         assert _monotone(report.loss_history)
+        # One warp per line-search evaluation, plus each level's starting loss.
+        assert counted.per_loss_eval and set(counted.per_loss_eval) == {1}
+        assert counted.warps == len(counted.per_loss_eval) + 3
 
     def test_align_pose_pair(self, counted, slanted32):
         pair, depth_source, k, gt6 = slanted32
@@ -377,5 +419,77 @@ class TestEvaluationCounts:
             AlignOptions(max_iters=40, weights=LossWeights(lambda_bf=10.0)),
         )
         assert report.iters > 0
-        assert len(counted) == 2 * report.iters
+        assert len(counted.grads) == 2 * report.iters
         assert _monotone(report.loss_history)
+        assert counted.per_loss_eval and set(counted.per_loss_eval) == {2}
+        assert counted.warps == 2 * (len(counted.per_loss_eval) + 3)
+
+
+class TestLevelLoss:
+    """At one pyramid level a solve's final_loss is the loss stack's own
+    total at the last state the line search accepted, bit for bit:
+    photometric_l1 of the warp, smoothness of that state's depth and the
+    all-ones mask's explainability term. A smoothness kept from a depth the
+    solve has replaced, or a loss read from stale cached rays, shows here."""
+
+    @pytest.fixture
+    def accepted(self, monkeypatch):
+        """The (state, loss) results align._backtrack accepted, in order."""
+        results = []
+        inner = align_module._backtrack
+
+        def recording(*args):
+            res = inner(*args)
+            if res is not None:
+                results.append(res)
+            return res
+
+        monkeypatch.setattr(align_module, "_backtrack", recording)
+        return results
+
+    @staticmethod
+    def _total(target, source, depth, pose, k, weights):
+        ones = WeightMask.ones(target.height, target.width)
+        recon, valid = inverse_warp(source, depth, pose, k)
+        return total_loss(photometric_l1(target, recon, ones, valid), smoothness(depth, target),
+                          explainability_reg(ones), 0.0, weights)
+
+    def test_pose_only(self, accepted, slanted32):
+        pair, _, k, gt6 = slanted32
+        opts = AlignOptions(max_iters=10, pyramid_levels=1)
+        report = align_pose(pair.target, pair.source, pair.gt_depth, k,
+                            perturb_pose(gt6, 1.0, 0.02, seed=5), opts)
+        assert accepted
+        pose = accepted[-1][0][0]
+        want = self._total(pair.target, pair.source, pair.gt_depth, pose, k, opts.weights)
+        assert report.final_loss == want
+
+    def test_pose_and_depth(self, accepted, slanted32):
+        pair, _, k, gt6 = slanted32
+        rng = np.random.default_rng(8)
+        noisy = pair.gt_depth.data * np.clip(1.0 + 0.05 * rng.standard_normal((32, 32)), 0.5, 1.5)
+        opts = AlignOptions(mode="pose_and_depth", max_iters=10, pyramid_levels=1)
+        report = align_pose(pair.target, pair.source, DepthMap(noisy), k,
+                            perturb_pose(gt6, 1.0, 0.02, seed=5), opts)
+        assert not np.array_equal(report.depth.data, noisy)
+        pose = accepted[-1][0][0]
+        want = self._total(pair.target, pair.source, report.depth, pose, k, opts.weights)
+        assert report.final_loss == want
+
+    def test_pair(self, accepted, slanted32):
+        pair, depth_source, k, gt6 = slanted32
+        bwd = inverse(SE3Transform.from_translation(GT_TRANS))
+        opts = AlignOptions(max_iters=10, pyramid_levels=1,
+                            weights=LossWeights(lambda_bf=10.0))
+        report = align_pose_pair(
+            pair.target, pair.source, pair.gt_depth, depth_source, k,
+            perturb_pose(gt6, 1.0, 0.02, seed=1),
+            perturb_pose(Pose6DoF(log_so3(bwd.r), bwd.t), 1.0, 0.02, seed=2), opts,
+        )
+        assert accepted
+        fwd, bwd = accepted[-1][0]
+        w = opts.weights
+        want = (self._total(pair.target, pair.source, pair.gt_depth, fwd, k, w)
+                + self._total(pair.source, pair.target, depth_source, bwd, k, w)
+                + w.lambda_bf * bf_consistency_loss([(fwd, bwd)]))
+        assert report.final_loss == want

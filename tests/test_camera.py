@@ -5,7 +5,8 @@ checked here against hand-written per-point formulas kept in this file as
 the oracle (_backproject, _project, _reproject, _reproject_jacobian): hand
 cases, a homogeneous-matrix oracle, python loops over the oracle, and
 central finite differences computed in-test. Single points go through the
-grid functions as a (2,) pixel with a 0-d depth.
+grid functions as a (2,) pixel with a 0-d depth. The warp, which reads its
+pixel rays from a cache, is checked against the same oracle.
 """
 
 from __future__ import annotations
@@ -13,16 +14,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import egowarp.warp as warp_module
 from egowarp import (
     CameraIntrinsics,
+    DepthMap,
+    ImageBuffer,
     Rotation,
     SE3Transform,
     exp_so3,
     hat,
+    inverse_warp,
     reproject_grid,
     reproject_jacobian_grid,
 )
-from egowarp.camera import Z_EPSILON, _transform_grid
+from egowarp.camera import Z_EPSILON, _rays, _transform_grid
 
 K = CameraIntrinsics(fx=100.0, fy=120.0, cx=31.5, cy=23.5)
 
@@ -36,19 +41,19 @@ def _rand_pose(rng, rot_scale=0.3, trans_scale=0.5) -> SE3Transform:
 # Oracle: the per-point pinhole formulas, written out by hand.
 
 
-def _backproject(p, depth: float) -> np.ndarray:
+def _backproject(p, depth: float, k: CameraIntrinsics = K) -> np.ndarray:
     """D * K^-1 * (u, v, 1)."""
-    return depth * np.array([(p[0] - K.cx) / K.fx, (p[1] - K.cy) / K.fy, 1.0])
+    return depth * np.array([(p[0] - k.cx) / k.fx, (p[1] - k.cy) / k.fy, 1.0])
 
 
-def _project(point: np.ndarray) -> np.ndarray:
+def _project(point: np.ndarray, k: CameraIntrinsics = K) -> np.ndarray:
     z = point[2]
     assert z > Z_EPSILON
-    return np.array([K.fx * point[0] / z + K.cx, K.fy * point[1] / z + K.cy])
+    return np.array([k.fx * point[0] / z + k.cx, k.fy * point[1] / z + k.cy])
 
 
-def _reproject(p, depth: float, t: SE3Transform) -> np.ndarray:
-    return _project(t.apply(_backproject(p, depth)))
+def _reproject(p, depth: float, t: SE3Transform, k: CameraIntrinsics = K) -> np.ndarray:
+    return _project(t.apply(_backproject(p, depth, k)), k)
 
 
 def _reproject_jacobian(p, depth: float, t: SE3Transform):
@@ -76,7 +81,7 @@ def _reproject_jacobian(p, depth: float, t: SE3Transform):
 
 def _grid_backproject(p, depth) -> np.ndarray:
     """The grid code's backprojection: its transformed points at identity."""
-    return _transform_grid(np.asarray(p), depth, SE3Transform.identity(), K)[1]
+    return _transform_grid(_rays(np.asarray(p), K), depth, SE3Transform.identity())[1]
 
 
 def _grid_project(point) -> np.ndarray:
@@ -302,6 +307,38 @@ class TestReprojectJacobian:
                 dd, dp = _reproject_jacobian(uv[i, j], depth[i, j], t)
                 np.testing.assert_allclose(d_depth_g[i, j], dd, atol=1e-12)
                 np.testing.assert_allclose(d_pose_g[i, j], dp, atol=1e-12)
+
+
+class TestWarpRayCache:
+    """The warp reads its rays K^-1 (u, v, 1) from a cache keyed on (h, w, k).
+    A source image ramping linearly in u and in v makes the reconstruction
+    read out the reprojected coordinates (bilinear sampling reproduces a
+    linear ramp), which are checked against the per-point oracle."""
+
+    def test_same_size_grids_under_two_intrinsics(self):
+        h, w = 12, 16
+        v, u = np.mgrid[0:h, 0:w].astype(float)
+        source = ImageBuffer(np.stack([u / (w - 1), v / (h - 1), np.full((h, w), 0.5)], axis=-1))
+        depth = 4.0 + 0.1 * u + 0.05 * v
+        t = SE3Transform(exp_so3(np.array([0.01, -0.02, 0.005])), np.array([0.3, 0.2, 0.1]))
+        for k in (CameraIntrinsics(14.0, 15.0, 7.5, 5.5), CameraIntrinsics(11.0, 12.0, 8.0, 6.0)):
+            recon, valid = inverse_warp(source, DepthMap(depth), t, k)
+            want = np.array([[_reproject((j, i), depth[i, j], t, k) for j in range(w)]
+                             for i in range(h)])
+            in_bounds = ((want[..., 0] >= 0) & (want[..., 0] <= w - 1)
+                         & (want[..., 1] >= 0) & (want[..., 1] <= h - 1))
+            assert np.array_equal(valid.data, in_bounds)
+            assert valid.count > h * w // 2
+            got = recon.data[..., :2] * [w - 1, h - 1]
+            np.testing.assert_allclose(got[valid.data], want[valid.data], atol=1e-9)
+
+    def test_cached_rays_are_read_only(self):
+        ray_x, ray_y = rays = warp_module._pixel_rays(3, 4, K)
+        assert rays is warp_module._pixel_rays(3, 4, K)
+        assert ray_x.shape == (1, 4) and ray_y.shape == (3, 1)
+        for part in rays:
+            with pytest.raises(ValueError):
+                part[0, 0] = 1.0
 
 
 class TestIntrinsicsValidation:
