@@ -13,30 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import WeightMask
-from .warp import _resample
+from .warp import _PixelArray, _resample
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureMap:
+class FeatureMap(_PixelArray):
     """Dense feature grid, shape (h, w, f), finite values."""
 
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 3 or min(data.shape) < 1:
-            raise ValueError(f"feature map must be (h, w, f), got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("feature values must be finite")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+    _AXES = "hwf"
 
     @property
     def features(self) -> int:
@@ -44,20 +28,10 @@ class FeatureMap:
 
 
 @dataclass(frozen=True, eq=False)
-class AttentionMap:
+class AttentionMap(_PixelArray):
     """Per-position gate activations in [0, 1], shape (h, w)."""
 
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2:
-            raise ValueError(f"attention map must be (h, w), got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("attention values must be finite")
-        if data.min() < 0.0 or data.max() > 1.0:
-            raise ValueError("attention values must lie in [0, 1]")
-        object.__setattr__(self, "data", data)
+    _RANGE = (0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +94,14 @@ def _check_gate_inputs(
         raise ValueError("g feature count does not match w_g")
 
 
-def _preactivation(
+def _gate(
     x: FeatureMap, g: FeatureMap, params: AttentionGateParams
-) -> np.ndarray:
-    return x.data @ params.w_x + g.data @ params.w_g + params.b_xg
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(preactivation, hidden, alpha) of the gate at every position."""
+    pre = x.data @ params.w_x + g.data @ params.w_g + params.b_xg
+    hidden = np.maximum(pre, 0.0)
+    alpha = 1.0 / (1.0 + np.exp(-(hidden @ params.psi + params.b_psi)))
+    return pre, hidden, alpha
 
 
 def ag_forward(
@@ -136,9 +114,7 @@ def ag_forward(
         give q = 0 everywhere, hence alpha = 0.5 exactly.
     """
     _check_gate_inputs(x, g, params)
-    hidden = np.maximum(_preactivation(x, g, params), 0.0)
-    q = hidden @ params.psi + params.b_psi
-    alpha = 1.0 / (1.0 + np.exp(-q))
+    alpha = _gate(x, g, params)[2]
     return AttentionMap(alpha), FeatureMap(alpha[:, :, None] * x.data)
 
 
@@ -165,10 +141,7 @@ def ag_backward(
         x.features,
     ):
         raise ValueError("upstream gradient must be shaped like x")
-    pre = _preactivation(x, g, params)
-    hidden = np.maximum(pre, 0.0)
-    q = hidden @ params.psi + params.b_psi
-    alpha = 1.0 / (1.0 + np.exp(-q))
+    pre, hidden, alpha = _gate(x, g, params)
 
     s = np.sum(upstream.data * x.data, axis=2)  # dL/d(alpha)
     c = s * alpha * (1.0 - alpha)  # dL/d(q)

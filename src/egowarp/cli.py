@@ -18,6 +18,7 @@ identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .metrics import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_MIN_DEPTH,
     DEFAULT_SNIPPET_LEN,
+    DepthMetrics,
     Trajectory,
     ate_snippet,
     depth_metrics,
@@ -42,7 +44,7 @@ from .warp import ImageBuffer
 
 GRADCHECK_TOL = 1e-4
 
-_DEPTH_FIELDS = ("abs_rel", "sq_rel", "rmse", "rmse_log", "d1", "d2", "d3")
+_DEPTH_FIELDS = tuple(f.name for f in dataclasses.fields(DepthMetrics))
 
 
 def _number(kind, low=None, closed=False):
@@ -103,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_number(int, 0, closed=True), default=42)
     p.add_argument(
         "--corruption",
-        type=float,
+        type=_number(float),
         default=0.0,
         help="scale of deliberate gradient corruption (self-test)",
     )

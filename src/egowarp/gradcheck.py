@@ -343,7 +343,7 @@ def grad_check(
         component: one of COMPONENTS.
         seed: master seed; trial i uses default_rng([seed, i]).
         trials: number of independent configurations.
-        corruption: self-test knob, see module docstring. Zero in normal use.
+        corruption: finite self-test knob, see module docstring. Zero in normal use.
 
     Returns:
         GradCheckReport with the worst relative error observed and where.
@@ -352,6 +352,8 @@ def grad_check(
         raise ValueError(f"component must be one of {COMPONENTS}, got {component!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not np.isfinite(corruption):
+        raise ValueError("corruption must be finite")
     checker = _CHECKERS[component]
     found = [
         _worst(checker(np.random.default_rng([seed, i])), corruption) for i in range(trials)

@@ -16,7 +16,8 @@ import numpy as np
 from .camera import CameraIntrinsics, _pose_rows, _projection_vjp
 from .exceptions import DegenerateInputError
 from .se3 import SE3Transform
-from .warp import DepthMap, ImageBuffer, ValidityMask, _channel_vjp, _warp_eval
+from .warp import DepthMap, ImageBuffer, ValidityMask, _PixelArray
+from .warp import _channel_vjp, _check_same_size, _warp_eval
 
 # Explainability masks are clamped here before the log; keeps the
 # regularizer finite when a mask collapses toward zero.
@@ -42,32 +43,14 @@ class LossWeights:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightMask:
+class WeightMask(_PixelArray):
     """Continuous per-pixel weight in [0, 1], shape (h, w)."""
 
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2:
-            raise ValueError(f"weight mask must be (h, w), got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("weight mask must be finite")
-        if data.min() < 0.0 or data.max() > 1.0:
-            raise ValueError("weight mask values must lie in [0, 1]")
-        object.__setattr__(self, "data", data)
+    _RANGE = (0.0, 1.0)
 
     @classmethod
     def ones(cls, height: int, width: int) -> "WeightMask":
         return cls(np.ones((height, width)))
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
 
 class LossGradients(NamedTuple):
@@ -79,13 +62,6 @@ class LossGradients(NamedTuple):
     d_mask: np.ndarray  # (h, w)
     h_pose: np.ndarray | None = None  # (6, 6)
     h_depth: np.ndarray | None = None  # (h, w), the Hessian's diagonal
-
-
-def _check_same_size(a, b, name_a: str, name_b: str) -> None:
-    if (a.height, a.width) != (b.height, b.width):
-        raise ValueError(
-            f"{name_a} {a.height}x{a.width} and {name_b} {b.height}x{b.width} differ"
-        )
 
 
 def photometric_l1(
@@ -103,8 +79,7 @@ def photometric_l1(
     _check_same_size(target, mask, "target", "mask")
     if target.channels != recon.channels:
         raise ValueError("target and recon channel counts differ")
-    if valid.data.shape != (target.height, target.width):
-        raise ValueError("validity mask size differs from target")
+    _check_same_size(target, valid, "target", "valid")
     n_valid = valid.count
     if n_valid == 0:
         raise DegenerateInputError("photometric loss undefined: no valid pixels")

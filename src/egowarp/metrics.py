@@ -8,7 +8,7 @@ each snippet's first frame, with a least-squares scale fit per snippet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,15 +38,7 @@ class DepthMetrics:
     d3: float
 
     def __post_init__(self) -> None:
-        vals = (
-            self.abs_rel,
-            self.sq_rel,
-            self.rmse,
-            self.rmse_log,
-            self.d1,
-            self.d2,
-            self.d3,
-        )
+        vals = [getattr(self, f.name) for f in fields(self)]
         if not all(np.isfinite(v) for v in vals):
             raise ValueError("metrics must be finite")
         if any(v < 0 for v in vals):
@@ -138,20 +130,14 @@ def depth_metrics(
 
 
 def median_scale_align(pred: DepthMap, gt: DepthMap) -> DepthMap:
-    """Scale pred by median(gt) / median(pred) over the valid overlap.
+    """Scale pred by median(gt) / median(pred) over all pixels.
 
-    Valid pixels are positive and finite in both maps (all of them for
-    well-formed DepthMaps; kept defensive for ingested data).
+    Every DepthMap pixel is positive and finite, so both medians are too.
     """
     if pred.data.shape != gt.data.shape:
         raise ValueError("pred and gt shapes differ")
-    sel = (pred.data > 0) & (gt.data > 0)
-    if not np.any(sel):
-        raise DegenerateInputError("no valid overlap between pred and gt")
-    med_pred = float(np.median(pred.data[sel]))
-    med_gt = float(np.median(gt.data[sel]))
-    if med_pred == 0.0:
-        raise DegenerateInputError("median of predicted depth is zero")
+    med_pred = float(np.median(pred.data))
+    med_gt = float(np.median(gt.data))
     return DepthMap(pred.data * (med_gt / med_pred))
 
 

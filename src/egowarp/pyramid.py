@@ -40,34 +40,29 @@ def downscale_intrinsics(k: CameraIntrinsics) -> CameraIntrinsics:
     )
 
 
-def image_pyramid(img: ImageBuffer, levels: int) -> list[ImageBuffer]:
-    """Fine-to-coarse list of `levels` images (index 0 = full resolution)."""
+def _pyramid(first, levels: int, down) -> list:
+    """Fine-to-coarse list [first, down(first), ...] of `levels` entries."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    out = [img]
+    out = [first]
     for _ in range(levels - 1):
-        out.append(ImageBuffer(np.clip(downsample2x(out[-1].data), 0.0, 1.0)))
+        out.append(down(out[-1]))
     return out
+
+
+def image_pyramid(img: ImageBuffer, levels: int) -> list[ImageBuffer]:
+    """Fine-to-coarse list of `levels` images (index 0 = full resolution)."""
+    return _pyramid(img, levels, lambda im: ImageBuffer(np.clip(downsample2x(im.data), 0, 1)))
 
 
 def depth_pyramid(depth: DepthMap, levels: int) -> list[DepthMap]:
     """Fine-to-coarse list of `levels` depth maps."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    out = [depth]
-    for _ in range(levels - 1):
-        out.append(DepthMap(downsample2x(out[-1].data)))
-    return out
+    return _pyramid(depth, levels, lambda d: DepthMap(downsample2x(d.data)))
 
 
 def intrinsics_pyramid(k: CameraIntrinsics, levels: int) -> list[CameraIntrinsics]:
     """Fine-to-coarse list of `levels` intrinsics, matching image_pyramid."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    out = [k]
-    for _ in range(levels - 1):
-        out.append(downscale_intrinsics(out[-1]))
-    return out
+    return _pyramid(k, levels, downscale_intrinsics)
 
 
 def upsample2x(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

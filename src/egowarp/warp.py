@@ -21,12 +21,18 @@ size and the intrinsics, so they are built once and cached, read-only, on
 the key (h, w, k) (CameraIntrinsics is frozen and compares by value). K^-1
 is separable, so an entry is one row of x parts and one column of y parts,
 h + w floats; the cache holds at most _RAY_CACHE_SIZE entries.
+
+The six per-pixel types (ImageBuffer, DepthMap and ValidityMask here,
+WeightMask in losses, FeatureMap and AttentionMap in attention) share one
+checked base, _PixelArray; each states only its own rules. float64 and
+bool data are stored without a copy.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,32 +54,35 @@ _RAY_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
-class ImageBuffer:
-    """Dense image, shape (h, w, c), c in {1, 3}, values in [0, 1]."""
+class _PixelArray:
+    """Checked per-pixel array, the base of the six public per-pixel types.
+
+    `data` is stored as a _DTYPE array, not copied when it already is one,
+    with the axes _AXES, at least one pixel, finite values and, when _RANGE
+    is set, values in that closed range. A subclass's __post_init__ adds its
+    own rules. Every rejection is a ValueError that names the type.
+    """
 
     data: np.ndarray
 
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 3 or data.shape[2] not in (1, 3):
-            raise ValueError(
-                f"image data must be (h, w, c) with c in {{1, 3}}, got {data.shape}"
-            )
-        if data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError("image must have at least one pixel")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("image values must be finite")
-        if data.min() < 0.0 or data.max() > 1.0:
-            raise ValueError("image values must lie in [0, 1]")
-        object.__setattr__(self, "data", data)
+    _AXES: ClassVar[str] = "hw"
+    _DTYPE: ClassVar[type] = float
+    _RANGE: ClassVar[tuple[float, float] | None] = None
 
-    @classmethod
-    def grayscale(cls, plane: np.ndarray) -> "ImageBuffer":
-        """Wrap an (h, w) array as a single-channel image."""
-        plane = np.asarray(plane, dtype=float)
-        if plane.ndim != 2:
-            raise ValueError(f"expected (h, w) array, got {plane.shape}")
-        return cls(plane[:, :, None])
+    def __post_init__(self) -> None:
+        data = np.asarray(self.data, dtype=self._DTYPE)
+        name = type(self).__name__
+        if data.ndim != len(self._AXES) or data.size == 0:
+            axes = ", ".join(self._AXES)
+            raise ValueError(f"{name} must be a non-empty ({axes}) array, got {data.shape}")
+        if self._DTYPE is float:  # bool data is finite and in [0, 1] anyway
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"{name} values must be finite")
+            if self._RANGE is not None:
+                low, high = self._RANGE
+                if data.min() < low or data.max() > high:
+                    raise ValueError(f"{name} values must lie in [{low}, {high}]")
+        object.__setattr__(self, "data", data)
 
     @property
     def height(self) -> int:
@@ -82,6 +91,24 @@ class ImageBuffer:
     @property
     def width(self) -> int:
         return self.data.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class ImageBuffer(_PixelArray):
+    """Dense image, shape (h, w, c), c in {1, 3}, values in [0, 1]."""
+
+    _AXES = "hwc"
+    _RANGE = (0.0, 1.0)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.channels not in (1, 3):
+            raise ValueError(f"ImageBuffer must have 1 or 3 channels, got {self.channels}")
+
+    @classmethod
+    def grayscale(cls, plane: np.ndarray) -> "ImageBuffer":
+        """Wrap an (h, w) array as a single-channel image."""
+        return cls(np.asarray(plane)[..., None])
 
     @property
     def channels(self) -> int:
@@ -89,45 +116,26 @@ class ImageBuffer:
 
 
 @dataclass(frozen=True, eq=False)
-class DepthMap:
+class DepthMap(_PixelArray):
     """Per-pixel positive depth, shape (h, w)."""
 
-    data: np.ndarray
-
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2:
-            raise ValueError(f"depth data must be (h, w), got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("depth values must be finite")
-        if data.min() <= 0.0:
-            raise ValueError("depth values must be > 0")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+        super().__post_init__()
+        if self.data.min() <= 0.0:
+            raise ValueError("DepthMap values must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
-class ValidityMask:
-    """Boolean per-pixel validity, shape (h, w)."""
+class ValidityMask(_PixelArray):
+    """Boolean per-pixel validity, shape (h, w); 0/1 entries become bool."""
 
-    data: np.ndarray
+    _DTYPE = bool
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data)
-        if data.ndim != 2:
-            raise ValueError(f"mask data must be (h, w), got {data.shape}")
-        if data.dtype != np.bool_:
-            if not np.all((data == 0) | (data == 1)):
-                raise ValueError("validity mask entries must be 0/1")
-            data = data.astype(bool)
-        object.__setattr__(self, "data", data)
+        if data.dtype != np.bool_ and not np.all((data == 0) | (data == 1)):
+            raise ValueError("ValidityMask entries must be 0/1")
+        super().__post_init__()
 
     @classmethod
     def all_valid(cls, height: int, width: int) -> "ValidityMask":
@@ -136,6 +144,13 @@ class ValidityMask:
     @property
     def count(self) -> int:
         return int(self.data.sum())
+
+
+def _check_same_size(a: _PixelArray, b: _PixelArray, name_a: str, name_b: str) -> None:
+    if (a.height, a.width) != (b.height, b.width):
+        raise ValueError(
+            f"{name_a} {a.height}x{a.width} and {name_b} {b.height}x{b.width} sizes differ"
+        )
 
 
 def pixel_grid(height: int, width: int) -> np.ndarray:
@@ -241,11 +256,7 @@ def _warp_eval(
     _transform_grid result they were projected from; both are None unless
     asked for.
     """
-    if (source.height, source.width) != (depth.height, depth.width):
-        raise ValueError(
-            f"source {source.height}x{source.width} and depth "
-            f"{depth.height}x{depth.width} sizes differ"
-        )
+    _check_same_size(source, depth, "source", "depth")
     transformed = _transform_grid(_pixel_rays(depth.height, depth.width, k), depth.data, pose)
     uv_src = _project_grid(transformed, k)
     in_front = transformed[2]

@@ -45,9 +45,18 @@ class TestSelfTest:
         assert broken.max_rel_err > 10 * clean.max_rel_err
 
     @pytest.mark.parametrize("component", COMPONENTS)
-    def test_nan_corruption_is_detected(self, component):
+    def test_nan_corruption_is_detected(self, component, monkeypatch):
         # A NaN gradient must not vanish in the running max of errors.
-        broken = grad_check(component, seed=42, trials=3, corruption=float("nan"))
+        inner = gradcheck._CHECKERS[component]
+
+        def nan_analytic(rng):
+            return [
+                (name, np.full(np.shape(analytic), np.nan), fd, include)
+                for name, analytic, fd, include in inner(rng)
+            ]
+
+        monkeypatch.setitem(gradcheck._CHECKERS, component, nan_analytic)
+        broken = grad_check(component, seed=42, trials=3)
         assert broken.max_rel_err == float("inf")
 
 
@@ -98,3 +107,8 @@ class TestValidation:
     def test_bad_trial_count_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             grad_check("warp", trials=0)
+
+    @pytest.mark.parametrize("corruption", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_corruption_rejected(self, corruption):
+        with pytest.raises(ValueError, match="corruption"):
+            grad_check("warp", trials=1, corruption=corruption)

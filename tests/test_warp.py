@@ -9,15 +9,20 @@ fx * tx / z computable on paper.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from egowarp import (
+    AttentionMap,
     CameraIntrinsics,
     DepthMap,
+    FeatureMap,
     ImageBuffer,
     SE3Transform,
     ValidityMask,
+    WeightMask,
     inverse_warp,
     pixel_grid,
     reproject_grid,
@@ -59,6 +64,61 @@ class TestBufferValidation:
     def test_validity_count(self):
         m = ValidityMask(np.array([[True, False], [True, True]]))
         assert m.count == 3
+
+
+# The six per-pixel types: a valid shape (all-ones data is valid for each)
+# and a finite value each one rejects (None: every finite value is allowed).
+PIXEL_TYPES = [
+    (ImageBuffer, (2, 3, 1), 1.5),
+    (DepthMap, (2, 3), 0.0),
+    (ValidityMask, (2, 3), 2.0),
+    (WeightMask, (2, 3), -0.1),
+    (FeatureMap, (2, 3, 4), None),
+    (AttentionMap, (2, 3), 1.5),
+]
+PIXEL_IDS = [cls.__name__ for cls, _, _ in PIXEL_TYPES]
+
+
+def _rejected_arrays():
+    for cls, shape, bad in PIXEL_TYPES:
+        cases = {
+            "rank": np.ones(shape[:-1]),
+            "rank+1": np.ones(shape + (1,)),
+            "zero-size": np.ones((0,) + shape[1:]),
+        }
+        for case, value in (("nan", np.nan), ("inf", np.inf), ("range", bad)):
+            if value is not None:
+                cases[case] = np.ones(shape)
+                cases[case][1, 2] = value
+        for case, data in cases.items():
+            yield pytest.param(cls, data, id=f"{cls.__name__}-{case}")
+    yield pytest.param(ImageBuffer, np.ones((2, 3, 2)), id="ImageBuffer-channels")
+
+
+class TestPixelArrays:
+    @pytest.mark.parametrize("cls, data", _rejected_arrays())
+    def test_rejection_names_the_type(self, cls, data):
+        with pytest.raises(ValueError, match=cls.__name__):
+            cls(data)
+
+    @pytest.mark.parametrize("cls, shape, bad", PIXEL_TYPES, ids=PIXEL_IDS)
+    def test_stored_without_copy(self, cls, shape, bad):
+        a = np.ones(shape, dtype=bool if cls is ValidityMask else float)
+        assert cls(a).data is a
+
+    @pytest.mark.parametrize("cls, shape, bad", PIXEL_TYPES, ids=PIXEL_IDS)
+    def test_frozen_with_identity_equality(self, cls, shape, bad):
+        a = np.ones(shape)
+        m = cls(a)
+        assert (m.height, m.width) == shape[:2]
+        assert m == m and m != cls(a)
+        with pytest.raises(FrozenInstanceError):
+            m.data = a
+
+    def test_converted_to_float64_or_bool(self):
+        assert ImageBuffer.grayscale([[0, 1]]).data.dtype == np.float64
+        assert DepthMap([[1, 2]]).data.dtype == np.float64
+        assert ValidityMask(np.array([[1, 0]], dtype=np.uint8)).data.dtype == np.bool_
 
 
 class TestPixelGrid:
