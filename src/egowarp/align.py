@@ -24,7 +24,7 @@ within a level is hoisted out of it. The all-ones mask is built once per
 level (its explainability term is the constant 0) and smoothness once per
 depth map: once per level for a fixed depth, and in pose_and_depth mode once
 per depth step, carried in the state beside its depth. The warp's pixel rays
-come from egowarp.warp's cache, keyed on (h, w, intrinsics).
+are separable, w + h floats, so each warp builds its own.
 """
 
 from __future__ import annotations

@@ -3,16 +3,17 @@
 Pixel convention: p = (u, v) with u = column, v = row, origin at the center
 of the top-left pixel. The camera looks down +z; a point reprojects only
 where its camera-frame z' > Z_EPSILON. Elsewhere it is flagged invalid and
-its pixel and Jacobian rows are zero-filled, so whole images go through in
-one call. Every function takes any leading shape: an (h, w, 2) grid with
+the public functions zero-fill its pixel and Jacobian rows, so whole images
+go through in one call. They take any leading shape: an (h, w, 2) grid with
 (h, w) depths, or one (2,) pixel with a 0-d depth.
 
-This is the package's one reprojection. _rays gives the rays K^-1 (u, v, 1),
-_transform_grid scales them by depth and moves the points, _project_grid
-projects them, and _projection_vjp holds the one projection Jacobian
-J_pi = d(u, v)/d(X'). reproject_grid, reproject_jacobian_grid, the warp
-(whose pixel-grid rays egowarp.warp caches) and loss_gradients are built
-from them.
+This is the package's one reprojection. Inside the package a pixel is the
+pair of broadcastable arrays (u, v), never a stacked (..., 2) array: _rays
+gives the rays K^-1 (u, v, 1), _transform_grid scales them by depth and
+moves the points, _project_grid projects them back to a (u, v) pair, and
+_projection_vjp holds the one projection Jacobian J_pi = d(u, v)/d(X').
+reproject_grid, reproject_jacobian_grid, the warp (which passes a row of u
+and a column of v, w + h floats) and loss_gradients are built from them.
 
 The pose Jacobian uses the same 6-parameter convention everywhere in this
 package: columns 0..2 are a left-multiplicative rotation perturbation
@@ -48,10 +49,14 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
 
 
-def _rays(uv: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """The rays K^-1 (u, v, 1) of (..., 2) pixels as their x and y parts."""
-    uv = np.asarray(uv, dtype=float)
-    return (uv[..., 0] - k.cx) / k.fx, (uv[..., 1] - k.cy) / k.fy
+def _rays(u, v, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y parts of the rays K^-1 (u, v, 1) of pixels (u, v).
+
+    u and v are floats or float arrays that broadcast against each other; x
+    depends on u only and y on v only, so each part keeps its argument's
+    shape. Nothing is filled: validity is decided after the transform.
+    """
+    return (u - k.cx) / k.fx, (v - k.cy) / k.fy
 
 
 def _transform_grid(
@@ -75,12 +80,13 @@ def _transform_grid(
     return rx, x_src, valid, np.where(valid, x_src[..., 2], 1.0)
 
 
-def _project_grid(transformed: tuple, k: CameraIntrinsics) -> np.ndarray:
-    """(..., 2) pixels of a _transform_grid result, zero-filled where invalid."""
-    _, x_src, valid, z_safe = transformed
-    u = k.fx * x_src[..., 0] / z_safe + k.cx
-    v = k.fy * x_src[..., 1] / z_safe + k.cy
-    return np.where(valid[..., None], np.stack([u, v], axis=-1), 0.0)
+def _project_grid(transformed: tuple, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """The (u, v) pixels of a _transform_grid result, unfilled where invalid.
+
+    Invalid entries are X' projected at z_safe = 1: finite, but no pixel.
+    """
+    _, x_src, _, z_safe = transformed
+    return k.fx * x_src[..., 0] / z_safe + k.cx, k.fy * x_src[..., 1] / z_safe + k.cy
 
 
 def _projection_vjp(
@@ -127,9 +133,11 @@ def reproject_grid(
         depth (...,), and a bool mask, False where z_src <= 1e-6 (those
         uv_src rows are zero-filled).
     """
-    transformed = _transform_grid(_rays(uv, k), depth, t)
+    uv = np.asarray(uv, dtype=float)
+    transformed = _transform_grid(_rays(uv[..., 0], uv[..., 1], k), depth, t)
     _, x_src, valid, _ = transformed
-    return _project_grid(transformed, k), x_src[..., 2], valid
+    uv_src = np.stack(_project_grid(transformed, k), axis=-1)
+    return np.where(valid[..., None], uv_src, 0.0), x_src[..., 2], valid
 
 
 def reproject_jacobian_grid(
@@ -150,8 +158,8 @@ def reproject_jacobian_grid(
         (d_depth, d_pose, valid): shapes (..., 2), (..., 2, 6), (...,).
         Rows for invalid (behind-camera) pixels are zero.
     """
-    depth = np.asarray(depth, dtype=float)
-    rx, x_src, valid, z_safe = _transform_grid(_rays(uv, k), depth, t)
+    uv, depth = np.asarray(uv, dtype=float), np.asarray(depth, dtype=float)
+    rx, x_src, valid, z_safe = _transform_grid(_rays(uv[..., 0], uv[..., 1], k), depth, t)
     j_pi = np.stack(
         [_projection_vjp(x_src, z_safe, k, 1.0, 0.0),
          _projection_vjp(x_src, z_safe, k, 0.0, 1.0)], axis=-2

@@ -225,10 +225,12 @@ def write_depth(path: str | Path, depth: DepthMap) -> None:
 
 
 def read_depth(path: str | Path) -> DepthMap:
+    """Read a PFM as a DepthMap; a rejected value names the file."""
     data = read_pfm(path)
-    if data.min() <= 0:
-        raise ValueError(f"{path}: depth file contains non-positive values")
-    return DepthMap(data)
+    try:
+        return DepthMap(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_report(path: str | Path, entries: dict[str, object]) -> None:

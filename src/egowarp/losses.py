@@ -220,11 +220,14 @@ def loss_gradients(
     diff = target.data - recon
     pix_weight = mask.data * valid / n_valid  # (h, w)
 
-    # d|t - r|/d(r) = -sign(t - r), contracted over channels to dL/d(u, v)
-    # and chained back through the reprojection.
-    d_uv = -np.einsum("hwic,hwc->hwi", grad, np.sign(diff)) * pix_weight[..., None]
+    # d|t - r|/d(r) = -sign(t - r), contracted over channels to dL/du and
+    # dL/dv and chained back through the reprojection. The sign is deleted
+    # before the curvature block so that it does not raise the peak memory.
+    sign = np.sign(diff)
+    d_u, d_v = (-np.einsum("hwc,hwc->hw", g, sign) * pix_weight for g in grad)
+    del sign
     rx, x_src, _, z_safe = transformed
-    d_x = _projection_vjp(x_src, z_safe, k, d_uv[..., 0], d_uv[..., 1])  # dL/dX'
+    d_x = _projection_vjp(x_src, z_safe, k, d_u, d_v)  # dL/dX'
     # sum_p R X x dL/dX' = sum_i e_i x m[i] for m = sum_p R X dL/dX'^T.
     d_x_rows = d_x.reshape(-1, 3)
     m = rx.reshape(-1, 3).T @ d_x_rows

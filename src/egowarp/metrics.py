@@ -18,7 +18,7 @@ from .exceptions import (
     DegenerateSnippetError,
 )
 from .se3 import SE3Transform, compose, inverse
-from .warp import DepthMap
+from .warp import DepthMap, _check_same_size
 
 DEFAULT_MIN_DEPTH = 1e-3
 DEFAULT_MAX_DEPTH = 80.0
@@ -105,10 +105,7 @@ def depth_metrics(
     Raises:
         DegenerateInputError: no gt pixel inside the caps.
     """
-    if pred.data.shape != gt.data.shape:
-        raise ValueError(
-            f"pred {pred.data.shape} and gt {gt.data.shape} shapes differ"
-        )
+    _check_same_size(pred, gt, "pred", "gt")
     if not (0 < min_depth < max_depth):
         raise ValueError("caps must satisfy 0 < min_depth < max_depth")
     sel = (gt.data >= min_depth) & (gt.data <= max_depth)
@@ -134,8 +131,7 @@ def median_scale_align(pred: DepthMap, gt: DepthMap) -> DepthMap:
 
     Every DepthMap pixel is positive and finite, so both medians are too.
     """
-    if pred.data.shape != gt.data.shape:
-        raise ValueError("pred and gt shapes differ")
+    _check_same_size(pred, gt, "pred", "gt")
     med_pred = float(np.median(pred.data))
     med_gt = float(np.median(gt.data))
     return DepthMap(pred.data * (med_gt / med_pred))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics
 from .se3 import SE3Transform
-from .warp import DepthMap, ImageBuffer, ValidityMask
+from .warp import DepthMap, ImageBuffer, ValidityMask, _check_same_size
 
 # Depth recorded for rays that miss every plane; matches the evaluation cap.
 SKY_DEPTH = 80.0
@@ -246,12 +246,12 @@ def psnr(a: ImageBuffer, b: ImageBuffer, valid: ValidityMask | None = None) -> f
 
     Returns inf for identical inputs.
     """
-    if a.data.shape != b.data.shape:
-        raise ValueError("image shapes differ")
+    _check_same_size(a, b, "a", "b")
+    if a.channels != b.channels:
+        raise ValueError("image channel counts differ")
     diff = a.data - b.data
     if valid is not None:
-        if valid.data.shape != a.data.shape[:2]:
-            raise ValueError("validity mask size differs from images")
+        _check_same_size(a, valid, "images", "valid")
         if valid.count == 0:
             raise ValueError("no valid pixels")
         diff = diff[valid.data]

@@ -16,11 +16,13 @@ Derivatives leave it as the sampler gradient and the transformed points:
 warp_jacobians chains each channel through d(u, v)/d(X'), and
 loss_gradients contracts the channels first (reverse mode).
 
-The warp's rays K^-1 (u, v, 1) of the pixel grid depend only on the image
-size and the intrinsics, so they are built once and cached, read-only, on
-the key (h, w, k) (CameraIntrinsics is frozen and compares by value). K^-1
-is separable, so an entry is one row of x parts and one column of y parts,
-h + w floats; the cache holds at most _RAY_CACHE_SIZE entries.
+Points travel from the rays through the gather to the chain rule as a pair
+of broadcastable arrays (u, v), and the gather returns d/du and d/dv apart,
+all unfilled where invalid: the warp masks once, with in-front and
+in-bounds together. The stacked (..., 2) form and the zero fills belong to
+the public samplers, sample_grid and sample_grad_grid, alone. The warp's
+rays K^-1 (u, v, 1) are separable: a row of x parts from the columns u and
+a column of y parts from the rows v, w + h floats per call.
 
 The six per-pixel types (ImageBuffer, DepthMap and ValidityMask here,
 WeightMask in losses, FeatureMap and AttentionMap in attention) share one
@@ -30,7 +32,6 @@ bool data are stored without a copy.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -48,9 +49,6 @@ from .se3 import SE3Transform
 
 # Tolerance for the in-bounds test; absorbs reprojection round-off at borders.
 BORDER_EPS = 1e-9
-# Entries of the pixel-ray cache: a pyramid's few sizes under one or two
-# intrinsics. An entry holds h + w floats.
-_RAY_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,29 +157,17 @@ def pixel_grid(height: int, width: int) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-@functools.lru_cache(maxsize=_RAY_CACHE_SIZE)
-def _pixel_rays(height: int, width: int, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """The rays K^-1 (u, v, 1) of pixel_grid(h, w) as read-only x parts,
-    (1, w), and y parts, (h, 1): x depends on u only and y on v only."""
-    ray_x = _rays(pixel_grid(1, width), k)[0]
-    ray_y = _rays(pixel_grid(height, 1), k)[1]
-    for part in (ray_x, ray_y):
-        part.flags.writeable = False
-    return ray_x, ray_y
+def _bilinear(data: np.ndarray, u: np.ndarray, v: np.ndarray, grad: bool) -> tuple:
+    """(values, in-bounds mask, (d_u, d_v) or None) from one corner gather.
 
-
-def _bilinear(data: np.ndarray, uv: np.ndarray, grad: bool) -> tuple:
-    """(values, in-bounds mask, d/d(u, v) or None) from one corner gather.
-
-    Corner (u0, v0) of the zero-padded (h + 1) x (w + 1) grid is at flat
-    index v0 * (w + 1) + u0.
+    u and v are float arrays that broadcast to the points' shape; values,
+    d_u and d_v have that shape plus the channel axis and are unfilled where
+    the mask is False. Corner (u0, v0) of the zero-padded (h + 1) x (w + 1)
+    grid is at flat index v0 * (w + 1) + u0.
     """
-    uv = np.asarray(uv, dtype=float)
     h, w, c = data.shape
-    u = uv[..., 0]
-    v = uv[..., 1]
-    valid = (u >= -BORDER_EPS) & (u <= w - 1 + BORDER_EPS)
-    valid &= (v >= -BORDER_EPS) & (v <= h - 1 + BORDER_EPS)
+    valid = ((u >= -BORDER_EPS) & (u <= w - 1 + BORDER_EPS)
+             & (v >= -BORDER_EPS) & (v <= h - 1 + BORDER_EPS))
     u, v = np.clip(u, 0.0, float(w - 1)), np.clip(v, 0.0, float(h - 1))
     u0, v0 = np.floor(u), np.floor(v)
     fu, fv = (u - u0)[..., None], (v - v0)[..., None]
@@ -195,13 +181,11 @@ def _bilinear(data: np.ndarray, uv: np.ndarray, grad: bool) -> tuple:
     )
     vals = (i00 * (1.0 - fu) * (1.0 - fv) + i10 * fu * (1.0 - fv)
             + i01 * (1.0 - fu) * fv + i11 * fu * fv)
-    vals = np.where(valid[..., None], vals, 0.0)
     if not grad:
         return vals, valid, None
     d_u = (i10 - i00) * (1.0 - fv) + (i11 - i01) * fv
     d_v = (i01 - i00) * (1.0 - fu) + (i11 - i10) * fu
-    d_uv = np.stack([d_u, d_v], axis=-2)
-    return vals, valid, np.where(valid[..., None, None], d_uv, 0.0)
+    return vals, valid, (d_u, d_v)
 
 
 def sample_grid(img: ImageBuffer, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +199,9 @@ def sample_grid(img: ImageBuffer, uv: np.ndarray) -> tuple[np.ndarray, np.ndarra
         (values, valid): (..., c) interpolated values (0 where invalid) and
         the bool in-bounds mask.
     """
-    return _bilinear(img.data, uv, grad=False)[:2]
+    uv = np.asarray(uv, dtype=float)
+    vals, valid, _ = _bilinear(img.data, uv[..., 0], uv[..., 1], grad=False)
+    return np.where(valid[..., None], vals, 0.0), valid
 
 
 def sample_grad_grid(img: ImageBuffer, uv: np.ndarray) -> np.ndarray:
@@ -225,24 +211,25 @@ def sample_grad_grid(img: ImageBuffer, uv: np.ndarray) -> np.ndarray:
         (..., 2, c) array; row 0 is d/du, row 1 is d/dv. Out-of-bounds points
         get zeros (callers mask them anyway).
     """
-    return _bilinear(img.data, uv, grad=True)[2]
+    uv = np.asarray(uv, dtype=float)
+    _, valid, d_uv = _bilinear(img.data, uv[..., 0], uv[..., 1], grad=True)
+    return np.where(valid[..., None, None], np.stack(d_uv, axis=-2), 0.0)
 
 
 def _resample(arr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Read an (h, w) or (h, w, c) array on the grid of columns u by rows v.
 
     Coordinates are clipped to the array's extent first, so a resize reads
-    the border sample where its map points past it and never zero-fills.
-    Returns a (len(v), len(u)) or (len(v), len(u), c) array.
+    the border sample where its map points past it and every point is in
+    bounds. Returns a (len(v), len(u)) or (len(v), len(u), c) array.
     """
     if len(u) < 1 or len(v) < 1:
         raise ValueError("output size must be positive")
     arr = np.asarray(arr, dtype=float)
     h, w = arr.shape[:2]
     u, v = np.clip(u, 0.0, w - 1.0), np.clip(v, 0.0, h - 1.0)
-    uv = np.stack(np.meshgrid(u, v), axis=-1)
-    vals = _bilinear(arr.reshape(h, w, -1), uv, grad=False)[0]
-    return vals.reshape(uv.shape[:2] + arr.shape[2:])
+    vals = _bilinear(arr.reshape(h, w, -1), u[None, :], v[:, None], grad=False)[0]
+    return vals.reshape((len(v), len(u)) + arr.shape[2:])
 
 
 def _warp_eval(
@@ -251,43 +238,43 @@ def _warp_eval(
 ) -> tuple:
     """(recon, valid, grad, transformed) from one reprojection and one gather.
 
-    grad is the (h, w, 2, c) sampler gradient d(sample)/d(u, v) at the
-    reprojected points (zero out of bounds) and transformed the
+    grad is the pair (d_u, d_v) of (h, w, c) sampler gradients at the
+    reprojected points, unfilled where valid is False, and transformed the
     _transform_grid result they were projected from; both are None unless
-    asked for.
+    asked for. valid = in front & in bounds is the warp's one mask.
     """
     _check_same_size(source, depth, "source", "depth")
-    transformed = _transform_grid(_pixel_rays(depth.height, depth.width, k), depth.data, pose)
-    uv_src = _project_grid(transformed, k)
+    rays = _rays(np.arange(depth.width, dtype=float),
+                 np.arange(depth.height, dtype=float)[:, None], k)
+    transformed = _transform_grid(rays, depth.data, pose)
+    u_src, v_src = _project_grid(transformed, k)
     in_front = transformed[2]
     if not jacobians:
         # Dropped before the gather so that its buffers can reuse this
         # memory; kept alive, it made 256x256 RGB inverse_warp ~10 % slower.
         transformed = None
-    vals, in_bounds, grad = _bilinear(source.data, uv_src, jacobians)
+    vals, in_bounds, grad = _bilinear(source.data, u_src, v_src, jacobians)
     valid = in_front & in_bounds
     recon = np.clip(np.where(valid[..., None], vals, 0.0), 0.0, 1.0)
     return recon, valid, grad, transformed
 
 
 def _channel_vjp(
-    grad: np.ndarray, transformed: tuple, k: CameraIntrinsics
+    grad: tuple, transformed: tuple, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
     """(a, R X): (h, w, c, 3) a_c = g_c^T J_pi and (h, w, 1, 3) R X.
 
-    Each channel's sampler gradient g_c is chained through J_pi; then
-    d(recon_c)/d(depth) = a_c . R X / depth and the pose row is
+    Each channel's sampler gradient g_c = (d_u, d_v)_c is chained through
+    J_pi; then d(recon_c)/d(depth) = a_c . R X / depth and the pose row is
     (R X x a_c, a_c).
     """
     rx, x_src, _, z_safe = transformed
-    a = _projection_vjp(
-        x_src[..., None, :], z_safe[..., None], k, grad[..., 0, :], grad[..., 1, :]
-    )
+    a = _projection_vjp(x_src[..., None, :], z_safe[..., None], k, *grad)
     return a, rx[..., None, :]
 
 
 def _channel_jacobians(
-    grad: np.ndarray, transformed: tuple, depth: np.ndarray, k: CameraIntrinsics
+    grad: tuple, transformed: tuple, depth: np.ndarray, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unmasked (h, w, c) d(recon)/d(depth) and (h, w, c, 6) d(recon)/d(pose)."""
     a, rx = _channel_vjp(grad, transformed, k)

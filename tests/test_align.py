@@ -430,7 +430,7 @@ class TestLevelLoss:
     total at the last state the line search accepted, bit for bit:
     photometric_l1 of the warp, smoothness of that state's depth and the
     all-ones mask's explainability term. A smoothness kept from a depth the
-    solve has replaced, or a loss read from stale cached rays, shows here."""
+    solve has replaced shows here."""
 
     @pytest.fixture
     def accepted(self, monkeypatch):

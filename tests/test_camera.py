@@ -5,8 +5,9 @@ checked here against hand-written per-point formulas kept in this file as
 the oracle (_backproject, _project, _reproject, _reproject_jacobian): hand
 cases, a homogeneous-matrix oracle, python loops over the oracle, and
 central finite differences computed in-test. Single points go through the
-grid functions as a (2,) pixel with a 0-d depth. The warp, which reads its
-pixel rays from a cache, is checked against the same oracle.
+grid functions as a (2,) pixel with a 0-d depth. The warp, which builds
+its pixel rays from a row of u and a column of v, is checked against the
+same oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import egowarp.warp as warp_module
 from egowarp import (
     CameraIntrinsics,
     DepthMap,
@@ -81,7 +81,7 @@ def _reproject_jacobian(p, depth: float, t: SE3Transform):
 
 def _grid_backproject(p, depth) -> np.ndarray:
     """The grid code's backprojection: its transformed points at identity."""
-    return _transform_grid(_rays(np.asarray(p), K), depth, SE3Transform.identity())[1]
+    return _transform_grid(_rays(p[0], p[1], K), depth, SE3Transform.identity())[1]
 
 
 def _grid_project(point) -> np.ndarray:
@@ -309,11 +309,12 @@ class TestReprojectJacobian:
                 np.testing.assert_allclose(d_pose_g[i, j], dp, atol=1e-12)
 
 
-class TestWarpRayCache:
-    """The warp reads its rays K^-1 (u, v, 1) from a cache keyed on (h, w, k).
-    A source image ramping linearly in u and in v makes the reconstruction
-    read out the reprojected coordinates (bilinear sampling reproduces a
-    linear ramp), which are checked against the per-point oracle."""
+class TestWarpRays:
+    """The warp builds its rays K^-1 (u, v, 1) from a row of u and a column
+    of v under the intrinsics it is given. A source image ramping linearly
+    in u and in v makes the reconstruction read out the reprojected
+    coordinates (bilinear sampling reproduces a linear ramp), which are
+    checked against the per-point oracle."""
 
     def test_same_size_grids_under_two_intrinsics(self):
         h, w = 12, 16
@@ -331,14 +332,6 @@ class TestWarpRayCache:
             assert valid.count > h * w // 2
             got = recon.data[..., :2] * [w - 1, h - 1]
             np.testing.assert_allclose(got[valid.data], want[valid.data], atol=1e-9)
-
-    def test_cached_rays_are_read_only(self):
-        ray_x, ray_y = rays = warp_module._pixel_rays(3, 4, K)
-        assert rays is warp_module._pixel_rays(3, 4, K)
-        assert ray_x.shape == (1, 4) and ray_y.shape == (3, 1)
-        for part in rays:
-            with pytest.raises(ValueError):
-                part[0, 0] = 1.0
 
 
 class TestIntrinsicsValidation:

@@ -1,0 +1,41 @@
+"""numpy is the package's only runtime dependency.
+
+Every module under src/egowarp is parsed, not imported, and each import
+statement must name the standard library, numpy or the package itself.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "egowarp"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "egowarp"}
+
+
+def _imported_roots(path: Path) -> list[str]:
+    """Top-level names of the modules path imports; relative imports count
+    as the package."""
+    roots = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            roots += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            roots.append("egowarp" if node.level else node.module.split(".")[0])
+    return roots
+
+
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def test_package_modules_found():
+    assert {"__init__.py", "warp.py", "camera.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_or_package(path):
+    foreign = sorted(set(_imported_roots(path)) - ALLOWED)
+    assert not foreign, f"{path.name} imports {foreign}"

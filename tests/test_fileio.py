@@ -124,8 +124,18 @@ class TestDepthFiles:
     def test_non_positive_depth_rejected(self, tmp_path):
         path = tmp_path / "bad.pfm"
         write_pfm(path, np.array([[1.0, 0.0]]))
-        with pytest.raises(ValueError, match="non-positive"):
+        with pytest.raises(ValueError, match="must be > 0") as info:
             read_depth(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_depth_rejected_with_the_path(self, tmp_path, bad):
+        # A directory of depth files must say which one is bad.
+        path = tmp_path / "bad.pfm"
+        write_pfm(path, np.array([[1.0, bad]]))
+        with pytest.raises(ValueError, match="must be finite") as info:
+            read_depth(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestImages:

@@ -352,9 +352,10 @@ class TestCurvature:
 
 def _behind_camera_setup():
     """RGB pair whose near top-right patch (depth 0.6) ends up behind a
-    camera that moves 1.0 forward: those 20 pixels reproject to the
-    zero-filled (0, 0), which lies in bounds, so only the in-front test
-    keeps them out of the loss."""
+    camera that moves 1.0 forward: reproject_grid zero-fills those 20
+    pixels to (0, 0), and the warp, which projects them unfilled, lands
+    them at u 9.3-11.7, v 1.1-2.9. Both lie in bounds, so only the
+    in-front test keeps them out of the loss."""
     rng = np.random.default_rng(22)
     h, w = 10, 14
     k = CameraIntrinsics(fx=12.0, fy=12.0, cx=6.5, cy=4.5)

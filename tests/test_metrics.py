@@ -141,7 +141,7 @@ class TestDepthMetrics:
             depth_metrics(gt, gt, max_depth=80.0)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shapes differ"):
+        with pytest.raises(ValueError, match="pred 2x2 and gt 2x3 sizes differ"):
             depth_metrics(_constant_depth(5.0, (2, 2)), _constant_depth(5.0, (2, 3)))
 
     def test_bad_caps_rejected(self):
@@ -169,7 +169,7 @@ class TestMedianScaleAlign:
         assert m.abs_rel == 0.0 and m.d1 == 1.0
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shapes differ"):
+        with pytest.raises(ValueError, match="pred 2x2 and gt 3x2 sizes differ"):
             median_scale_align(_constant_depth(1.0, (2, 2)), _constant_depth(1.0, (3, 2)))
 
 

@@ -186,5 +186,14 @@ class TestPsnr:
         assert psnr(a, b, mask) == float("inf")
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shapes differ"):
+        with pytest.raises(ValueError, match="a 2x2 and b 2x3 sizes differ"):
             psnr(ImageBuffer(np.zeros((2, 2, 1))), ImageBuffer(np.zeros((2, 3, 1))))
+
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="channel counts differ"):
+            psnr(ImageBuffer(np.zeros((2, 2, 1))), ImageBuffer(np.zeros((2, 2, 3))))
+
+    def test_mask_size_mismatch_rejected(self):
+        a = ImageBuffer(np.zeros((2, 2, 1)))
+        with pytest.raises(ValueError, match="images 2x2 and valid 2x3 sizes differ"):
+            psnr(a, a, ValidityMask(np.ones((2, 3), dtype=bool)))

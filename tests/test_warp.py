@@ -26,7 +26,9 @@ from egowarp import (
     inverse_warp,
     pixel_grid,
     reproject_grid,
+    resample_gating,
     retract_pose,
+    upsample2x,
     warp_jacobians,
 )
 from egowarp.warp import sample_grad_grid, sample_grid
@@ -36,6 +38,20 @@ RAMP22 = ImageBuffer.grayscale(np.array([[0.0, 1.0], [2.0, 3.0]]) / 3.0)
 
 def _gray(img: ImageBuffer) -> np.ndarray:
     return img.data[:, :, 0]
+
+
+def _rgb_ramp() -> ImageBuffer:
+    """RAMP22 in three channels, (u + 2 v) / 3 times slopes (1, -1, 0.5)
+    plus offsets (0, 1, 0)."""
+    plane = _gray(RAMP22)
+    return ImageBuffer(np.stack([plane, 1.0 - plane, plane * 0.5], axis=-1))
+
+
+# A (2, 3) batch of points on RAMP22: in bounds off the grid lines, or out of
+# bounds on one side, where the clipped gather would read nonzero values.
+BATCH = np.array([[[0.5, 0.5], [-0.5, 0.0], [0.3, 0.6]],
+                  [[0.0, 1.0001], [0.25, 0.75], [2.0, -1.0]]])
+BATCH_IN_BOUNDS = np.array([[True, False, True], [False, True, False]])
 
 
 class TestBufferValidation:
@@ -173,6 +189,15 @@ class TestBilinearSample:
         assert ok
         np.testing.assert_allclose(val, [0.5, 0.5, 0.25], atol=1e-15)
 
+    def test_batch_zero_fills_out_of_bounds(self):
+        vals, ok = sample_grid(_rgb_ramp(), BATCH)
+        assert vals.shape == (2, 3, 3)
+        np.testing.assert_array_equal(ok, BATCH_IN_BOUNDS)
+        np.testing.assert_array_equal(vals[~ok], 0.0)
+        ramp = (BATCH[ok, 0] + 2 * BATCH[ok, 1]) / 3.0
+        want = np.stack([ramp, 1.0 - ramp, 0.5 * ramp], axis=-1)
+        np.testing.assert_allclose(vals[ok], want, atol=1e-15)
+
 
 class TestBilinearSampleGrad:
     def test_hand_slopes(self):
@@ -203,6 +228,49 @@ class TestBilinearSampleGrad:
         img = ImageBuffer.grayscale(np.array([[0.0, 1.0, 5.0]]) / 5.0)
         g = sample_grad_grid(img, np.array([1.0, 0.0]))
         assert g[0, 0] * 5.0 == pytest.approx(4.0, abs=1e-13)
+
+    def test_batch_keeps_shape_and_zeroes_out_of_bounds(self):
+        g = sample_grad_grid(_rgb_ramp(), BATCH)
+        assert g.shape == (2, 3, 2, 3)
+        np.testing.assert_array_equal(g[~BATCH_IN_BOUNDS], 0.0)
+        # d/du and d/dv of (u + 2 v) / 3, per channel slope.
+        want = np.outer([1.0 / 3.0, 2.0 / 3.0], [1.0, -1.0, 0.5])
+        np.testing.assert_allclose(g[BATCH_IN_BOUNDS], np.broadcast_to(want, (3, 2, 3)),
+                                   atol=1e-14)
+
+
+def _four_corner_resample(arr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Loop oracle for a resize: each output (i, j) is the bilinear blend of
+    the four samples around (u[j], v[i]), clamped to arr's extent."""
+    h, w = arr.shape[:2]
+    out = np.empty((len(v), len(u)) + arr.shape[2:])
+    for i, y in enumerate(np.clip(v, 0, h - 1)):
+        for j, x in enumerate(np.clip(u, 0, w - 1)):
+            x0, y0 = min(int(x), w - 2), min(int(y), h - 2)
+            fx, fy = x - x0, y - y0
+            out[i, j] = ((1 - fx) * (1 - fy) * arr[y0, x0] + fx * (1 - fy) * arr[y0, x0 + 1]
+                         + (1 - fx) * fy * arr[y0 + 1, x0] + fx * fy * arr[y0 + 1, x0 + 1])
+    return out
+
+
+class TestResampleLoopOracle:
+    """Every resize reads the one gather on a row of u and a column of v."""
+
+    def test_upsample2x_odd_rgb(self):
+        arr = np.random.default_rng(11).uniform(size=(5, 7, 3))
+        # Output j reads input (j + 0.5) / 2 - 0.5, past both borders here.
+        u = (np.arange(15) + 0.5) / 2.0 - 0.5
+        v = (np.arange(11) + 0.5) / 2.0 - 0.5
+        np.testing.assert_allclose(upsample2x(arr, 11, 15), _four_corner_resample(arr, u, v),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("out_h, out_w", [(9, 7), (3, 2)])
+    def test_resample_gating(self, out_h, out_w):
+        g = np.random.default_rng(12).normal(size=(5, 4, 2))
+        u = np.arange(out_w) * (3 / (out_w - 1))
+        v = np.arange(out_h) * (4 / (out_h - 1))
+        np.testing.assert_allclose(resample_gating(FeatureMap(g), out_h, out_w).data,
+                                   _four_corner_resample(g, u, v), rtol=0, atol=1e-14)
 
 
 class TestInverseWarpIdentity:
