@@ -8,6 +8,8 @@ trajectory metrics, a synthetic plane-scene oracle, and a coarse-to-fine
 photometric pose aligner.
 """
 
+from types import ModuleType as _ModuleType
+
 from .align import (
     AlignOptions,
     AlignPairReport,
@@ -117,91 +119,10 @@ from .warp import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ag_backward",
-    "ag_forward",
-    "align_pose",
-    "align_pose_pair",
-    "AlignOptions",
-    "AlignPairReport",
-    "AlignReport",
-    "alpha_to_loss_mask",
-    "AmbiguousLogError",
-    "AssociationError",
-    "ate_snippet",
-    "AteResult",
-    "AttentionGateParams",
-    "AttentionMap",
-    "bf_consistency_grad",
-    "bf_consistency_loss",
-    "bf_residual_jacobian",
-    "CameraIntrinsics",
-    "COMPONENTS",
-    "compose",
-    "default_intrinsics",
-    "DegenerateInputError",
-    "DegenerateSnippetError",
-    "depth_metrics",
-    "depth_pyramid",
-    "DepthMap",
-    "DepthMetrics",
-    "downsample2x",
-    "downscale_intrinsics",
-    "exp_so3",
-    "explainability_reg",
-    "FeatureMap",
-    "grad_check",
-    "GradCheckReport",
-    "hat",
-    "image_pyramid",
-    "ImageBuffer",
-    "intrinsics_pyramid",
-    "inverse",
-    "inverse_warp",
-    "log_so3",
-    "loss_gradients",
-    "LossGradients",
-    "LossWeights",
-    "make_scene",
-    "median_scale_align",
-    "multiscale_smoothness",
-    "perturb_pose",
-    "photometric_l1",
-    "pixel_grid",
-    "PlaneSpec",
-    "Pose6DoF",
-    "psnr",
-    "read_depth",
-    "read_image",
-    "read_intrinsics",
-    "read_pfm",
-    "read_pose",
-    "read_report",
-    "read_timestamps",
-    "read_trajectory",
-    "render_pair",
-    "render_view",
-    "RenderedPair",
-    "reproject_grid",
-    "reproject_jacobian_grid",
-    "resample_gating",
-    "retract_pose",
-    "Rotation",
-    "SceneSpec",
-    "SE3Transform",
-    "smoothness",
-    "total_loss",
-    "Trajectory",
-    "upsample2x",
-    "ValidityMask",
-    "warp_jacobians",
-    "WeightMask",
-    "write_depth",
-    "write_image",
-    "write_intrinsics",
-    "write_pfm",
-    "write_pose",
-    "write_report",
-    "write_timestamps",
-    "write_trajectory",
-]
+# The public API is the imports above: every public name bound here that is
+# not a submodule, in case-insensitive order.
+__all__ = sorted(
+    (name for name, obj in globals().items()
+     if not name.startswith("_") and not isinstance(obj, _ModuleType)),
+    key=str.lower,
+)

@@ -23,8 +23,7 @@ A loss evaluation is one inverse_warp per direction; what cannot change
 within a level is hoisted out of it. The all-ones mask is built once per
 level (its explainability term is the constant 0) and smoothness once per
 depth map: once per level for a fixed depth, and in pose_and_depth mode once
-per depth step, carried in the state beside its depth. The warp's pixel rays
-are separable, w + h floats, so each warp builds its own.
+per depth step, carried in the state beside its depth.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .warp import DepthMap, ImageBuffer, inverse_warp
 
 ARMIJO_C = 1e-4
 ARMIJO_FACTOR = 0.5
-TOL_GRAD = 1e-9
 # A line search gives up after _MAX_BACKTRACKS halvings of the Newton step
 # or once the move is shorter than TOL_STEP; the block then does not move.
 TOL_STEP = 1e-6
@@ -102,13 +100,14 @@ class AlignReport:
     """Outcome of align_pose.
 
     converged is True iff the finest level ran and its last iteration moved
-    no block: for each block, the gradient norm was below TOL_GRAD, or the
-    Armijo line search found no decrease within _MAX_BACKTRACKS halvings of
-    the full Newton step before the move fell below TOL_STEP. It says the
-    step's model is exhausted, not that the gradient vanished: at an L1
-    kink it never does, and in pose_and_depth mode the diagonal depth step
-    can stop short of the minimum. Hitting max_iters reports False.
-    Levels with a non-finite starting loss are skipped and add no iters.
+    no block: for each block, the Newton step was not a descent direction
+    (as at a zero gradient), or the Armijo line search found no decrease
+    within _MAX_BACKTRACKS halvings of the full Newton step before the move
+    fell below TOL_STEP. It says the step's model is exhausted, not that the
+    gradient vanished: at an L1 kink it never does, and in pose_and_depth
+    mode the diagonal depth step can stop short of the minimum. Hitting
+    max_iters reports False. Levels with a non-finite starting loss are
+    skipped and add no iters.
     loss_history holds the finest level's finite total losses: the initial
     value, then one entry per accepted step (non-increasing by construction).
     """
@@ -191,7 +190,8 @@ def _floored(depth: np.ndarray) -> DepthMap:
 
 
 def _backtrack(loss_fn, retract, x, loss0, grad, direction):
-    """One Armijo line search from the full step. Returns (x_new, loss_new) or None."""
+    """One Armijo line search from the full step. Returns (x_new, loss_new) or
+    None, at once and without a loss evaluation when direction does not descend."""
     slope = float(np.sum(grad * direction))
     if not slope < 0.0:
         return None
@@ -230,10 +230,7 @@ def _descend(x, loss0, blocks, opts, on_accept):
     for it in range(1, opts.max_iters + 1):
         moved = False
         for newton, loss_fn, retract in blocks:
-            g, direction = newton(x)
-            if float(np.linalg.norm(g)) < TOL_GRAD:
-                continue
-            res = _backtrack(loss_fn, retract, x, loss0, g, direction)
+            res = _backtrack(loss_fn, retract, x, loss0, *newton(x))
             if res is None:
                 continue
             x, loss0 = res

@@ -124,6 +124,14 @@ def read_image(path: str | Path) -> ImageBuffer:
     return ImageBuffer(data.astype(float) / 255.0)
 
 
+def _lines(path: str | Path):
+    """Yield (line number, line) for each non-blank line of a text file."""
+    text = Path(path).read_text(encoding="ascii")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            yield lineno, line
+
+
 def _pose_from_numbers(vals: list[float], where: str) -> SE3Transform:
     m = np.array(vals, dtype=float).reshape(3, 4)
     r = m[:, :3]
@@ -135,7 +143,10 @@ def _pose_from_numbers(vals: list[float], where: str) -> SE3Transform:
         r = u @ vt
         if np.linalg.det(r) < 0:
             raise ValueError(f"{where}: rotation block has negative determinant")
-    return SE3Transform(Rotation(r), m[:, 3])
+    try:  # a NaN passes the orthonormality test above
+        return SE3Transform(Rotation(r), m[:, 3])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def write_trajectory(path: str | Path, poses: list[SE3Transform]) -> None:
@@ -149,10 +160,7 @@ def write_trajectory(path: str | Path, poses: list[SE3Transform]) -> None:
 
 def read_trajectory(path: str | Path) -> list[SE3Transform]:
     poses = []
-    text = Path(path).read_text(encoding="ascii")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _lines(path):
         tokens = line.split()
         if len(tokens) != 12:
             raise ValueError(
@@ -188,14 +196,14 @@ def write_timestamps(path: str | Path, times: np.ndarray) -> None:
 
 def read_timestamps(path: str | Path) -> np.ndarray:
     out = []
-    text = Path(path).read_text(encoding="ascii")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _lines(path):
         try:
-            out.append(float(line.strip()))
+            t = float(line.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric timestamp") from exc
+        if not np.isfinite(t):
+            raise ValueError(f"{path}:{lineno}: timestamp must be finite, got {t}")
+        out.append(t)
     if not out:
         raise ValueError(f"{path}: no timestamps found")
     return np.array(out)
@@ -217,7 +225,10 @@ def read_intrinsics(path: str | Path) -> CameraIntrinsics:
         fx, fy, cx, cy = (float(t) for t in tokens)
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric intrinsics") from exc
-    return CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
+    try:
+        return CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_depth(path: str | Path, depth: DepthMap) -> None:
@@ -249,11 +260,7 @@ def write_report(path: str | Path, entries: dict[str, object]) -> None:
 
 def read_report(path: str | Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="ascii").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
+    for lineno, line in _lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, val = line.split("=", 1)

@@ -195,8 +195,10 @@ def _check_reproject(rng: np.random.Generator) -> list:
 
 def _stable_pixels(
     source: ImageBuffer, depth: DepthMap, pose: SE3Transform, k: CameraIntrinsics
-) -> np.ndarray:
-    """Pixels whose sample point is valid and far from grid lines/borders."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(stable, outside): pixels whose sample point is valid and far from
+    grid lines/borders, and pixels whose sample point lies more than
+    GRID_MARGIN outside the frame."""
     h, w = depth.data.shape
     uv = pixel_grid(h, w)
     uv_src, z, in_front = reproject_grid(uv, depth.data, pose, k)
@@ -207,9 +209,15 @@ def _stable_pixels(
         & (v > GRID_MARGIN)
         & (v < source.height - 1 - GRID_MARGIN)
     )
+    outside = (
+        (u < -GRID_MARGIN)
+        | (u > source.width - 1 + GRID_MARGIN)
+        | (v < -GRID_MARGIN)
+        | (v > source.height - 1 + GRID_MARGIN)
+    )
     frac = uv_src - np.floor(uv_src)
     off_grid = np.all(np.minimum(frac, 1.0 - frac) > GRID_MARGIN, axis=-1)
-    return in_front & (z > 0.5) & inside & off_grid
+    return in_front & (z > 0.5) & inside & off_grid, outside
 
 
 def _check_warp(rng: np.random.Generator) -> list:
@@ -218,7 +226,7 @@ def _check_warp(rng: np.random.Generator) -> list:
     source = _random_image(rng, h, w)
     depth = _random_depth(rng, h, w)
     pose = _random_small_pose(rng)
-    include = _stable_pixels(source, depth, pose, k)
+    include, _ = _stable_pixels(source, depth, pose, k)
 
     d_depth, d_pose = warp_jacobians(source, depth, pose, k)
     return _per_pixel(
@@ -242,20 +250,12 @@ def _check_losses(rng: np.random.Generator) -> list:
             lambda_bf=0.1,
         )
         recon, valid = inverse_warp(source, depth, pose, k)
-        stable = _stable_pixels(source, depth, pose, k)
         # pose FD sums every pixel, so the whole frame must be kink-free:
         # valid pixels stable and away from L1 zero crossings, invalid
         # pixels far outside the border.
-        uv_src, _, _ = reproject_grid(pixel_grid(h, w), depth.data, pose, k)
-        u, v = uv_src[..., 0], uv_src[..., 1]
-        deep_outside = (
-            (u < -GRID_MARGIN)
-            | (u > w - 1 + GRID_MARGIN)
-            | (v < -GRID_MARGIN)
-            | (v > h - 1 + GRID_MARGIN)
-        )
+        stable, outside = _stable_pixels(source, depth, pose, k)
         diff_ok = np.min(np.abs(target.data - recon.data), axis=2) > KINK_MARGIN
-        if not np.all(np.where(valid.data, stable & diff_ok, deep_outside)):
+        if not np.all(np.where(valid.data, stable & diff_ok, outside)):
             continue
         dx_ok = np.abs(np.diff(depth.data, axis=1)) > KINK_MARGIN
         dy_ok = np.abs(np.diff(depth.data, axis=0)) > KINK_MARGIN
@@ -263,15 +263,16 @@ def _check_losses(rng: np.random.Generator) -> list:
     else:
         raise RuntimeError("could not draw a kink-free loss configuration")
 
-    def scalar_loss(depth_arr: np.ndarray, pose_t: SE3Transform, mask_arr: np.ndarray) -> float:
-        d = DepthMap(depth_arr)
-        m = WeightMask(mask_arr)
-        recon_l, valid_l = inverse_warp(source, d, pose_t, k)
+    def total(recon_l, valid_l, smo: float, m: WeightMask) -> float:
         return (
             photometric_l1(target, recon_l, m, valid_l)
-            + weights.lambda_smo * smoothness(d, target)
+            + weights.lambda_smo * smo
             + weights.lambda_reg * explainability_reg(m)
         )
+
+    def warped_loss(depth_arr: np.ndarray, pose_t: SE3Transform) -> float:
+        d = DepthMap(depth_arr)
+        return total(*inverse_warp(source, d, pose_t, k), smoothness(d, target), mask)
 
     g = loss_gradients(target, source, depth, pose, k, mask, weights)
     # Per-pixel depth FD; a pixel also needs its smoothness edges sign-stable.
@@ -281,9 +282,11 @@ def _check_losses(rng: np.random.Generator) -> list:
     edge_ok[1:, :] &= dy_ok
     edge_ok[:-1, :] &= dy_ok
     depth_ok = edge_ok & (~valid.data | stable)
-    fd_depth = _fd(lambda d: scalar_loss(d, pose, mask.data), depth.data, depth_ok)
-    fd_pose = _fd_pose(lambda p: scalar_loss(depth.data, p, mask.data), pose)
-    fd_mask = _fd(lambda m: scalar_loss(depth.data, pose, m), mask.data)
+    fd_depth = _fd(lambda d: warped_loss(d, pose), depth.data, depth_ok)
+    fd_pose = _fd_pose(lambda p: warped_loss(depth.data, p), pose)
+    # Neither the warp nor smoothness depends on the mask; the sweep reuses them.
+    smo = smoothness(depth, target)
+    fd_mask = _fd(lambda m: total(recon, valid, smo, WeightMask(m)), mask.data)
     return [
         ("d_depth", g.d_depth, fd_depth, depth_ok),
         ("d_pose", g.d_pose, fd_pose, None),

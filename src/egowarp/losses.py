@@ -97,12 +97,15 @@ def explainability_reg(mask: WeightMask) -> float:
     return float(np.mean(-np.log(clamped)))
 
 
-def _forward_diff_weights(image: ImageBuffer) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-|grad I|) weights, image gradient magnitude averaged over channels."""
-    img = image.data
-    gx = np.mean(np.abs(img[:, 1:, :] - img[:, :-1, :]), axis=2)
-    gy = np.mean(np.abs(img[1:, :, :] - img[:-1, :, :]), axis=2)
-    return np.exp(-gx), np.exp(-gy)
+def _forward_diffs(depth: DepthMap, image: ImageBuffer):
+    """Yield (ahead, behind, dD, exp(-mean_c |dI|)) for each axis with a
+    forward difference, x first and then y, where dD = D[ahead] - D[behind];
+    an axis of length 1 has none and is skipped."""
+    d, img = depth.data, image.data
+    for axis, ahead, behind in ((1, np.s_[:, 1:], np.s_[:, :-1]), (0, np.s_[1:], np.s_[:-1])):
+        if d.shape[axis] > 1:
+            weight = np.exp(-np.mean(np.abs(img[ahead] - img[behind]), axis=2))
+            yield ahead, behind, d[ahead] - d[behind], weight
 
 
 def smoothness(depth: DepthMap, image: ImageBuffer) -> float:
@@ -114,13 +117,9 @@ def smoothness(depth: DepthMap, image: ImageBuffer) -> float:
     excluded. An axis without defined entries contributes 0.
     """
     _check_same_size(depth, image, "depth", "image")
-    wx, wy = _forward_diff_weights(image)
-    d = depth.data
     total = 0.0
-    if d.shape[1] > 1:
-        total += float(np.mean(np.abs(d[:, 1:] - d[:, :-1]) * wx))
-    if d.shape[0] > 1:
-        total += float(np.mean(np.abs(d[1:, :] - d[:-1, :]) * wy))
+    for *_, dd, weight in _forward_diffs(depth, image):
+        total += float(np.mean(np.abs(dd) * weight))
     return total
 
 
@@ -154,20 +153,11 @@ def total_loss(
 
 def _smoothness_grad_depth(depth: DepthMap, image: ImageBuffer) -> np.ndarray:
     """d(smoothness)/d(depth), scatter of the per-difference subgradients."""
-    wx, wy = _forward_diff_weights(image)
-    d = depth.data
-    grad = np.zeros_like(d)
-    h, w = d.shape
-    if w > 1:
-        n_x = h * (w - 1)
-        sx = np.sign(d[:, 1:] - d[:, :-1]) * wx / n_x
-        grad[:, 1:] += sx
-        grad[:, :-1] -= sx
-    if h > 1:
-        n_y = (h - 1) * w
-        sy = np.sign(d[1:, :] - d[:-1, :]) * wy / n_y
-        grad[1:, :] += sy
-        grad[:-1, :] -= sy
+    grad = np.zeros_like(depth.data)
+    for ahead, behind, dd, weight in _forward_diffs(depth, image):
+        s = np.sign(dd) * weight / dd.size
+        grad[ahead] += s
+        grad[behind] -= s
     return grad
 
 
@@ -212,6 +202,8 @@ def loss_gradients(
     _check_same_size(target, source, "target", "source")
     _check_same_size(target, depth, "target", "depth")
     _check_same_size(target, mask, "target", "mask")
+    if target.channels != source.channels:
+        raise ValueError("target and source channel counts differ")
     recon, valid, grad, transformed = _warp_eval(source, depth, pose, k, jacobians=True)
     n_valid = int(valid.sum())
     if n_valid == 0:

@@ -357,6 +357,20 @@ class TestAlignPosePair:
         assert _monotone(report.loss_history)
 
 
+class TestZeroGradient:
+    def test_block_costs_no_loss_evaluation(self):
+        def never(*_):
+            raise AssertionError("a zero gradient must not evaluate or retract")
+
+        zero = np.zeros(6)
+        for direction in (zero, np.ones(6), -np.ones(6)):
+            assert align_module._backtrack(never, never, "x", 1.0, zero, direction) is None
+        # A level whose only block has a zero gradient converges at once.
+        block = (lambda x: (zero, -np.ones(6)), never, never)
+        opts = AlignOptions(max_iters=5)
+        assert align_module._descend("x", 1.0, [block], opts, never) == ("x", 1.0, 1, True)
+
+
 class TestEvaluationCounts:
     """One loss_gradients call per iteration in pose_only, two in
     pose_and_depth and in the pair solve, and a non-increasing history.

@@ -153,6 +153,18 @@ class TestAlign:
         assert code == 4
         assert "cannot read pair inputs" in capsys.readouterr().err
 
+    def test_non_finite_pose_entry_returns_4_and_names_the_file(self, tmp_path, capsys):
+        pair = tmp_path / "pair"
+        assert _synth(pair) == 0
+        capsys.readouterr()
+        (pair / "gt_pose.txt").write_text("1 nan 0 0.35 0 1 0 0.25 0 0 1 0.2\n")
+        assert main(["align", "--pair", str(pair)]) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: cannot read pair inputs: {pair / 'gt_pose.txt'}:1: "
+            "rotation matrix must be finite\n"
+        )
+
     def test_pyramid_deeper_than_image_returns_5(self, tmp_path, capsys):
         pair = tmp_path / "pair"
         assert _synth(pair, size="32x32") == 0

@@ -254,6 +254,18 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="no poses"):
             read_trajectory(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("1 nan 0 0 0 1 0 0 0 0 1 0", "rotation matrix must be finite"),
+         ("1 0 0 inf 0 1 0 0 0 0 1 0", "translation must be finite")],
+    )
+    def test_non_finite_entry_names_line(self, tmp_path, line, message):
+        path = tmp_path / "t.txt"
+        path.write_text(f"1 0 0 0 0 1 0 0 0 0 1 0\n{line}\n")
+        with pytest.raises(ValueError, match=message) as info:
+            read_trajectory(path)
+        assert str(info.value).startswith(f"{path}:2: ")
+
     def test_multi_pose_file_rejected_as_single_pose(self, tmp_path):
         path = tmp_path / "t.txt"
         write_trajectory(path, _random_poses(np.random.default_rng(8), 2))
@@ -303,6 +315,14 @@ class TestTimestamps:
         with pytest.raises(ValueError, match=r"t\.txt:2"):
             read_timestamps(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_names_line(self, tmp_path, bad):
+        path = tmp_path / "t.txt"
+        path.write_text(f"0.0\n\n{bad}\n")
+        with pytest.raises(ValueError, match="must be finite") as info:
+            read_timestamps(path)
+        assert str(info.value).startswith(f"{path}:3: ")
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("")
@@ -317,6 +337,14 @@ class TestIntrinsics:
         assert path.read_text() == "128.0 128.0 63.5 47.5\n"
         k = read_intrinsics(path)
         assert (k.fx, k.fy, k.cx, k.cy) == (128.0, 128.0, 63.5, 47.5)
+
+    @pytest.mark.parametrize("line", ["nan 128 63.5 47.5\n", "128 128 inf 47.5\n"])
+    def test_non_finite_rejected_with_the_path(self, tmp_path, line):
+        path = tmp_path / "k.txt"
+        path.write_text(line)
+        with pytest.raises(ValueError, match="must be finite") as info:
+            read_intrinsics(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_wrong_count_rejected(self, tmp_path):
         path = tmp_path / "k.txt"
