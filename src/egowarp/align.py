@@ -28,13 +28,12 @@ per depth step, carried in the state beside its depth.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .exceptions import DegenerateInputError
+from .exceptions import DegenerateInputError, _check_count
 from .losses import (
     LossWeights,
     WeightMask,
@@ -88,11 +87,7 @@ class AlignOptions:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("max_iters", "pyramid_levels"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            _check_count(getattr(self, name), name, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,11 +303,11 @@ def align_pose(
             return loss_l(*x)
 
         def pose_newton(x):
-            g = loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w, curvature="pose")
+            g = loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w, curvature=True)
             return g.d_pose, _gauss_newton(g.d_pose, g.h_pose)
 
         def depth_newton(x):
-            g = loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w, curvature="depth")
+            g = loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w, curvature=True)
             return g.d_depth, _diagonal_newton(g.d_depth, g.h_depth)
 
         def retract_depth(x, delta):  # projected above DEPTH_FLOOR
@@ -332,7 +327,7 @@ def align_pose(
         converged=converged,
         iters=iters,
         final_loss=loss,
-        pose=Pose6DoF(log_so3(pose.r), pose.t),
+        pose=pose.to_pose(),
         loss_history=history,
         depth=depth_est if refine_depth else None,
     )
@@ -379,8 +374,8 @@ def align_pose_pair(
 
         def newton(poses):
             fwd, bwd = poses
-            g_f = loss_gradients(t_l, s_l, depths_t[li], fwd, k_l, ones, w, curvature="pose")
-            g_b = loss_gradients(s_l, t_l, depths_s[li], bwd, k_l, ones, w, curvature="pose")
+            g_f = loss_gradients(t_l, s_l, depths_t[li], fwd, k_l, ones, w, curvature=True)
+            g_b = loss_gradients(s_l, t_l, depths_s[li], bwd, k_l, ones, w, curvature=True)
             e, jac = bf_residual_jacobian(fwd, bwd)
             grad = np.concatenate([g_f.d_pose, g_b.d_pose]) + w.lambda_bf * (jac.T @ np.sign(e))
             curv = w.lambda_bf * (jac.T / np.maximum(np.abs(e), BF_IRLS_FLOOR)) @ jac
@@ -398,8 +393,8 @@ def align_pose_pair(
         converged=converged,
         iters=iters,
         final_loss=loss,
-        pose_forward=Pose6DoF(log_so3(fwd.r), fwd.t),
-        pose_backward=Pose6DoF(log_so3(bwd.r), bwd.t),
+        pose_forward=fwd.to_pose(),
+        pose_backward=bwd.to_pose(),
         bf_term=bf_consistency_loss([(fwd, bwd)]),
         loss_history=history,
     )

@@ -15,6 +15,9 @@ _projection_vjp holds the one projection Jacobian J_pi = d(u, v)/d(X').
 reproject_grid, reproject_jacobian_grid, the warp (which passes a row of u
 and a column of v, w + h floats) and loss_gradients are built from them.
 
+The package's only row formulas chain an upstream a = d(.)/d(X') on from
+there: _depth_rows, _pose_rows and their sum over all points, _pose_sum.
+
 The pose Jacobian uses the same 6-parameter convention everywhere in this
 package: columns 0..2 are a left-multiplicative rotation perturbation
 (R <- exp(delta^) @ R), columns 3..5 additive translation.
@@ -104,6 +107,11 @@ def _projection_vjp(
     return np.stack(np.broadcast_arrays(a_u, a_v, a_z), axis=-1)
 
 
+def _depth_rows(a: np.ndarray, rx: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """a @ dX'/d(depth) = a . R X / depth for (..., 3) a = dL/dX', shape (...)."""
+    return np.einsum("...j,...j->...", a, rx) / depth
+
+
 def _pose_rows(a: np.ndarray, rx: np.ndarray) -> np.ndarray:
     """a @ [-hat(R X) | I] for (..., 3) a = dL/dX': (R X x a, a), (..., 6).
 
@@ -115,6 +123,14 @@ def _pose_rows(a: np.ndarray, rx: np.ndarray) -> np.ndarray:
     rows[..., 2] = rx[..., 0] * a[..., 1] - rx[..., 1] * a[..., 0]
     rows[..., 3:] = a
     return rows
+
+
+def _pose_sum(a: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """sum_p _pose_rows(a, rx), (6,), with sum_p R X x a = sum_i e_i x m[i]
+    for the 3x3 m = sum_p R X a^T: the rows themselves are never built."""
+    a = a.reshape(-1, 3)
+    m = rx.reshape(-1, 3).T @ a
+    return np.concatenate([np.cross(np.eye(3), m).sum(axis=0), a.sum(axis=0)])
 
 
 def reproject_grid(
@@ -151,7 +167,7 @@ def reproject_jacobian_grid(
       d(uv_src)/d(delta_rot) = J_pi @ (-hat(R X))     (left perturbation)
       d(uv_src)/d(t) = J_pi
 
-    J_pi and the pose rows come from the helpers that warp_jacobians and
+    J_pi and its depth and pose rows come from the helpers warp_jacobians and
     loss_gradients chain through, so a check of this kernel checks theirs.
 
     Returns:
@@ -164,7 +180,7 @@ def reproject_jacobian_grid(
         [_projection_vjp(x_src, z_safe, k, 1.0, 0.0),
          _projection_vjp(x_src, z_safe, k, 0.0, 1.0)], axis=-2
     )
-    d_depth = np.einsum("...ij,...j->...i", j_pi, rx / depth[..., None])
+    d_depth = _depth_rows(j_pi, rx[..., None, :], depth[..., None])
     d_pose = _pose_rows(j_pi, rx[..., None, :])
     d_depth = np.where(valid[..., None], d_depth, 0.0)
     d_pose = np.where(valid[..., None, None], d_pose, 0.0)

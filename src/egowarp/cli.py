@@ -103,12 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", choices=("all",) + COMPONENTS, default="all")
     p.add_argument("--trials", type=_number(int, 0), default=100)
     p.add_argument("--seed", type=_number(int, 0, closed=True), default=42)
-    p.add_argument(
-        "--corruption",
-        type=_number(float),
-        default=0.0,
-        help="scale of deliberate gradient corruption (self-test)",
-    )
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("synth", help="render a synthetic two-view pair")
@@ -167,9 +161,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     names = COMPONENTS if args.component == "all" else (args.component,)
     failed = False
     for name in names:
-        rep = grad_check(
-            name, seed=args.seed, trials=args.trials, corruption=args.corruption
-        )
+        rep = grad_check(name, seed=args.seed, trials=args.trials)
         ok = rep.max_rel_err < GRADCHECK_TOL
         failed |= not ok
         print(
@@ -228,7 +220,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
         pyramid_levels=args.levels,
     )
     try:  # log_so3 raises on a ground-truth or perturbed rotation of pi
-        gt6 = Pose6DoF(log_so3(gt.r), gt.t)
+        gt6 = gt.to_pose()
         init = perturb_pose(gt6, args.perturb_rot, args.perturb_trans, args.seed)
         report = align_pose(target, source, depth, k, init, opts)
         if not np.isfinite(report.final_loss):  # every level was skipped

@@ -188,7 +188,10 @@ def read_pose(path: str | Path) -> SE3Transform:
 
 
 def write_timestamps(path: str | Path, times: np.ndarray) -> None:
+    """One time per line; a non-finite one raises before the file is made."""
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"{path}: timestamps must be finite")
     Path(path).write_text(
         "\n".join(_fmt(t) for t in times) + "\n", encoding="ascii"
     )
@@ -232,7 +235,12 @@ def read_intrinsics(path: str | Path) -> CameraIntrinsics:
 
 
 def write_depth(path: str | Path, depth: DepthMap) -> None:
-    write_pfm(path, depth.data)
+    """Write a float32 PFM; a depth that float32 makes inf or 0 raises first."""
+    with np.errstate(over="ignore"):
+        data = depth.data.astype(np.float32)
+    if not np.all((data > 0.0) & np.isfinite(data)):
+        raise ValueError(f"{path}: depth values must be finite and > 0 as float32")
+    write_pfm(path, data)
 
 
 def read_depth(path: str | Path) -> DepthMap:

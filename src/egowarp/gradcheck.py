@@ -9,11 +9,12 @@ smoothness sign flips, and ReLU preactivations near zero.
 
 Components (one random configuration per trial):
   reproject  reproject_jacobian_grid, built from the projection Jacobian
-             and pose rows that warp_jacobians and loss_gradients chain
-             through, against reproject_grid on an 8x8 grid of random
-             pixels and depths.
-  warp       warp_jacobians against inverse_warp on a random 8x8 image,
-             depth and small pose, at pixels whose sample point is stable.
+             and depth and pose rows that warp_jacobians and
+             loss_gradients chain through, against reproject_grid on an
+             8x8 grid of random pixels and depths.
+  warp       warp_jacobians, whose rows the solver's IRLS curvature is
+             built from, against inverse_warp on a random 8x8 image, depth
+             and small pose, at pixels whose sample point is stable.
   losses     loss_gradients (depth, pose, mask) against the scalar
              photometric + smoothness + explainability total, on a frame
              drawn free of kinks.
@@ -21,10 +22,6 @@ Components (one random configuration per trial):
              scalar <upstream, gated> of ag_forward.
 Per-pixel maps depend on depth(p) alone, so one whole-map depth step gives
 their diagonal; pose columns step along the six retract_pose directions.
-
-The `corruption` knob is the checker's self-test: it shifts every analytic
-entry by corruption * (1 + |entry|), which guarantees a reported error of at
-least ~corruption / (1 + corruption) whatever the gradient's scale.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ import numpy as np
 from .attention import AttentionGateParams, FeatureMap, ag_backward, ag_forward
 from .camera import CameraIntrinsics, reproject_grid, reproject_jacobian_grid
 from .align import retract_pose
+from .exceptions import _check_count
 from .losses import (
     LossWeights,
     WeightMask,
@@ -93,17 +91,13 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(err), np.inf, err)
 
 
-def _worst(terms, corruption: float) -> tuple[float, str]:
+def _worst(terms) -> tuple[float, str]:
     """(largest error, its entry) over (name, analytic, fd, include) terms.
 
-    Analytic entries are corrupted first (see the module docstring).
     include (None for all) masks the leading axes; excluded entries read 0.
     """
     found = []
     for name, analytic, fd, include in terms:
-        analytic = np.asarray(analytic, dtype=float)
-        if corruption != 0.0:
-            analytic = analytic + corruption * (1.0 + np.abs(analytic))
         err = _rel_err(analytic, fd)
         if include is not None:
             err[~include] = 0.0
@@ -337,30 +331,23 @@ _CHECKERS = {
 }
 
 
-def grad_check(
-    component: str, seed: int = 42, trials: int = 100, corruption: float = 0.0
-) -> GradCheckReport:
+def grad_check(component: str, seed: int = 42, trials: int = 100) -> GradCheckReport:
     """Run seeded finite-difference trials for one component.
 
     Args:
         component: one of COMPONENTS.
-        seed: master seed; trial i uses default_rng([seed, i]).
-        trials: number of independent configurations.
-        corruption: finite self-test knob, see module docstring. Zero in normal use.
+        seed: master seed, an integer >= 0; trial i uses default_rng([seed, i]).
+        trials: number of independent configurations, an integer >= 1.
 
     Returns:
         GradCheckReport with the worst relative error observed and where.
     """
     if component not in _CHECKERS:
         raise ValueError(f"component must be one of {COMPONENTS}, got {component!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not np.isfinite(corruption):
-        raise ValueError("corruption must be finite")
+    _check_count(seed, "seed", 0)
+    _check_count(trials, "trials", 1)
     checker = _CHECKERS[component]
-    found = [
-        _worst(checker(np.random.default_rng([seed, i])), corruption) for i in range(trials)
-    ]
+    found = [_worst(checker(np.random.default_rng([seed, i]))) for i in range(trials)]
     trial = max(range(trials), key=lambda i: found[i][0])
     err, entry = found[trial]
     return GradCheckReport(component, trials, err, trial, entry)

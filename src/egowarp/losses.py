@@ -13,11 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _pose_rows, _projection_vjp
+from .camera import CameraIntrinsics, _depth_rows, _pose_sum, _projection_vjp
 from .exceptions import DegenerateInputError
 from .se3 import SE3Transform
 from .warp import DepthMap, ImageBuffer, ValidityMask, _PixelArray
-from .warp import _channel_vjp, _check_same_size, _warp_eval
+from .warp import _channel_rows, _check_same_size, _warp_eval
 
 # Explainability masks are clamped here before the log; keeps the
 # regularizer finite when a mask collapses toward zero.
@@ -169,7 +169,7 @@ def loss_gradients(
     k: CameraIntrinsics,
     mask: WeightMask,
     weights: LossWeights,
-    curvature: str | None = None,
+    curvature: bool = False,
 ) -> LossGradients:
     """Gradients of photo + lambda_smo*smo + lambda_reg*reg for one pair.
 
@@ -181,24 +181,24 @@ def loss_gradients(
     The photometric gradient runs in reverse mode over one point transform:
     the sign- and mask-weighted sampler gradient is contracted over
     channels to dL/d(u, v), chained through d(u, v)/d(X') to dL/dX', and
-    read off as d_t = sum dL/dX', d_rot = sum R X x dL/dX' and
-    d_depth = dL/dX' . R X / depth.
+    read off by camera's row helpers as d_pose (the sum of the pose rows)
+    and d_depth (the depth rows).
 
-    curvature="pose" or "depth" also returns that block's photometric
-    iteratively reweighted least-squares (Gauss-Newton) curvature: each
-    residual r of the pixel-and-channel sum is replaced by
-    r^2 / (2 max(|r|, 1e-3)), so h_pose = sum m v / (n max(|r|, 1e-3)) J J^T
-    over pixels and channels, with J = d(recon)/d(pose), and h_depth is the
-    same sum with J = d(recon)/d(depth) per pixel (the depth Hessian is
-    diagonal). Only the named block's Jacobian is built.
+    curvature=True also returns the photometric term's iteratively
+    reweighted least-squares (Gauss-Newton) curvature: each residual r of
+    the pixel-and-channel sum is replaced by r^2 / (2 max(|r|, 1e-3)), so
+    h_pose = sum m v / (n max(|r|, 1e-3)) J J^T over pixels and channels,
+    with J = d(recon)/d(pose), and h_depth is the same sum with
+    J = d(recon)/d(depth) per pixel (the depth Hessian is diagonal). Both
+    come from the rows that warp_jacobians returns.
 
     Returns:
         LossGradients(d_depth (h, w), d_pose (6,), d_mask (h, w), h_pose,
         h_depth); the pose entries follow the left-perturbation rotation
-        convention, and h_pose / h_depth is None unless curvature names it.
+        convention, and h_pose and h_depth are None unless curvature is True.
     """
-    if curvature not in (None, "pose", "depth"):
-        raise ValueError(f"curvature must be None, 'pose' or 'depth', got {curvature!r}")
+    if not isinstance(curvature, bool):
+        raise ValueError(f"curvature must be True or False, got {curvature!r}")
     _check_same_size(target, source, "target", "source")
     _check_same_size(target, depth, "target", "depth")
     _check_same_size(target, mask, "target", "mask")
@@ -220,11 +220,8 @@ def loss_gradients(
     del sign
     rx, x_src, _, z_safe = transformed
     d_x = _projection_vjp(x_src, z_safe, k, d_u, d_v)  # dL/dX'
-    # sum_p R X x dL/dX' = sum_i e_i x m[i] for m = sum_p R X dL/dX'^T.
-    d_x_rows = d_x.reshape(-1, 3)
-    m = rx.reshape(-1, 3).T @ d_x_rows
-    d_photo_pose = np.concatenate([np.cross(np.eye(3), m).sum(axis=0), d_x_rows.sum(axis=0)])
-    d_photo_depth = np.einsum("hwj,hwj->hw", d_x, rx) / depth.data
+    d_photo_pose = _pose_sum(d_x, rx)
+    d_photo_depth = _depth_rows(d_x, rx, depth.data)
     d_photo_mask = np.sum(np.abs(diff), axis=2) * valid / n_valid
 
     d_depth = d_photo_depth + weights.lambda_smo * _smoothness_grad_depth(
@@ -237,14 +234,12 @@ def loss_gradients(
     )
     d_mask = d_photo_mask + weights.lambda_reg * d_reg_mask
     grads = LossGradients(d_depth, d_photo_pose, d_mask)
-    if curvature is None:
+    if not curvature:
         return grads
     irls = pix_weight[..., None] / np.maximum(np.abs(diff), IRLS_FLOOR)  # (h, w, c)
-    if curvature == "pose":
-        # Unnamed, the (h, w, c, 3) chain rule result is freed before the
-        # product below is allocated, which keeps the peak memory down.
-        jac = _pose_rows(*_channel_vjp(grad, transformed, k)).reshape(-1, 6)
-        return grads._replace(h_pose=jac.T @ (jac * irls.reshape(-1, 1)))
-    a, rx = _channel_vjp(grad, transformed, k)
-    j_depth = np.sum(a * rx, axis=-1) / depth.data[..., None]
-    return grads._replace(h_depth=np.einsum("hwc,hwc->hw", irls, j_depth * j_depth))
+    j_depth, j_pose = _channel_rows(grad, transformed, depth.data, k)
+    j_pose = j_pose.reshape(-1, 6)
+    return grads._replace(
+        h_pose=j_pose.T @ (j_pose * irls.reshape(-1, 1)),
+        h_depth=np.einsum("hwc,hwc->hw", irls, j_depth * j_depth),
+    )

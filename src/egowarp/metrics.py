@@ -16,6 +16,7 @@ from .exceptions import (
     AssociationError,
     DegenerateInputError,
     DegenerateSnippetError,
+    _check_count,
 )
 from .se3 import SE3Transform, compose, inverse
 from .warp import DepthMap, _check_same_size
@@ -188,8 +189,7 @@ def ate_snippet(
         DegenerateSnippetError: a window has zero predicted motion.
         ValueError: fewer associated frames than snippet_len.
     """
-    if snippet_len < 2:
-        raise ValueError("snippet length must be >= 2")
+    _check_count(snippet_len, "snippet_len", 2)
     matches = _associate(pred, gt)
     if len(matches) < snippet_len:
         raise ValueError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .camera import CameraIntrinsics
+from .exceptions import _check_count
 from .warp import DepthMap, ImageBuffer, _resample
 
 
@@ -42,8 +43,7 @@ def downscale_intrinsics(k: CameraIntrinsics) -> CameraIntrinsics:
 
 def _pyramid(first, levels: int, down) -> list:
     """Fine-to-coarse list [first, down(first), ...] of `levels` entries."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    _check_count(levels, "levels", 1)
     out = [first]
     for _ in range(levels - 1):
         out.append(down(out[-1]))

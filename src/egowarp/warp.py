@@ -13,8 +13,9 @@ bottom row and right column, so a corner past the edge reads 0 (where its
 weight is 0 anyway). Values and (u, v) derivatives share those corners, and
 inverse_warp, warp_jacobians and loss_gradients share one reprojection.
 Derivatives leave it as the sampler gradient and the transformed points:
-warp_jacobians chains each channel through d(u, v)/d(X'), and
-loss_gradients contracts the channels first (reverse mode).
+_channel_rows chains each channel through them into the rows that
+warp_jacobians masks and the solver's IRLS curvature is built from, and
+loss_gradients' gradient contracts the channels first (reverse mode).
 
 Points travel from the rays through the gather to the chain rule as a pair
 of broadcastable arrays (u, v), and the gather returns d/du and d/dv apart,
@@ -39,6 +40,7 @@ import numpy as np
 
 from .camera import (
     CameraIntrinsics,
+    _depth_rows,
     _pose_rows,
     _project_grid,
     _projection_vjp,
@@ -259,26 +261,18 @@ def _warp_eval(
     return recon, valid, grad, transformed
 
 
-def _channel_vjp(
-    grad: tuple, transformed: tuple, k: CameraIntrinsics
+def _channel_rows(
+    grad: tuple, transformed: tuple, depth: np.ndarray, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(a, R X): (h, w, c, 3) a_c = g_c^T J_pi and (h, w, 1, 3) R X.
+    """Unmasked (h, w, c) d(recon)/d(depth) and (h, w, c, 6) d(recon)/d(pose).
 
     Each channel's sampler gradient g_c = (d_u, d_v)_c is chained through
-    J_pi; then d(recon_c)/d(depth) = a_c . R X / depth and the pose row is
-    (R X x a_c, a_c).
+    J_pi to a_c = g_c^T J_pi, whose depth and pose rows camera builds.
     """
     rx, x_src, _, z_safe = transformed
     a = _projection_vjp(x_src[..., None, :], z_safe[..., None], k, *grad)
-    return a, rx[..., None, :]
-
-
-def _channel_jacobians(
-    grad: tuple, transformed: tuple, depth: np.ndarray, k: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unmasked (h, w, c) d(recon)/d(depth) and (h, w, c, 6) d(recon)/d(pose)."""
-    a, rx = _channel_vjp(grad, transformed, k)
-    return np.sum(a * rx, axis=-1) / depth[..., None], _pose_rows(a, rx)
+    rx = rx[..., None, :]
+    return _depth_rows(a, rx, depth[..., None]), _pose_rows(a, rx)
 
 
 def inverse_warp(
@@ -319,7 +313,7 @@ def warp_jacobians(
         those pixels.
     """
     _, valid, grad, transformed = _warp_eval(source, depth, pose, k, jacobians=True)
-    d_depth, d_pose = _channel_jacobians(grad, transformed, depth.data, k)
+    d_depth, d_pose = _channel_rows(grad, transformed, depth.data, k)
     return (
         np.where(valid[..., None], d_depth, 0.0),
         np.where(valid[..., None, None], d_pose, 0.0),

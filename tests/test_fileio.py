@@ -137,6 +137,16 @@ class TestDepthFiles:
             read_depth(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("value", [1e300, 1e-50])
+    def test_depth_lost_at_float32_rejected_before_writing(self, tmp_path, value):
+        # float32 turns 1e300 into inf and 1e-50 into 0; read_depth rejects both.
+        path = tmp_path / "depth.pfm"
+        depth = DepthMap(np.array([[1.0, value]]))
+        with pytest.raises(ValueError, match="as float32") as info:
+            write_depth(path, depth)
+        assert str(info.value).startswith(f"{path}: ")
+        assert not path.exists()
+
 
 class TestImages:
     def test_pgm_hand_assembled_bytes(self, tmp_path):
@@ -328,6 +338,14 @@ class TestTimestamps:
         path.write_text("")
         with pytest.raises(ValueError, match="no timestamps"):
             read_timestamps(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="must be finite") as info:
+            write_timestamps(path, np.array([0.0, bad]))
+        assert str(info.value).startswith(f"{path}: ")
+        assert not path.exists()
 
 
 class TestIntrinsics:

@@ -3,10 +3,10 @@
 The checker is itself test infrastructure, so these tests focus on two
 things: the analytic gradients pass at the advertised tolerance, and the
 checker actually detects broken gradients. The second half is the
-self-test: corrupting every analytic entry by c * (1 + |entry|) guarantees
-a reported relative error of at least c / (1 + c) under the checker's
-unit-floored error measure, so corruption = 1e-2 must push the report
-well above the 1e-4 pass threshold.
+self-test: corrupting every analytic entry by c * (1 + |entry|), through a
+wrapped checker, guarantees a reported relative error of at least
+c / (1 + c) under the checker's unit-floored error measure, so c = 1e-2
+must push the report well above the 1e-4 pass threshold.
 """
 
 import numpy as np
@@ -34,11 +34,26 @@ class TestAnalyticGradients:
         assert a.max_rel_err != c.max_rel_err
 
 
+def _corrupted(checker, c: float):
+    """checker with every analytic entry shifted by c * (1 + |entry|)."""
+
+    def wrapped(rng):
+        return [
+            (name, np.asarray(analytic) + c * (1.0 + np.abs(analytic)), fd, include)
+            for name, analytic, fd, include in checker(rng)
+        ]
+
+    return wrapped
+
+
 class TestSelfTest:
     @pytest.mark.parametrize("component", COMPONENTS)
-    def test_corruption_is_detected(self, component):
+    def test_corruption_is_detected(self, component, monkeypatch):
         clean = grad_check(component, seed=42, trials=3)
-        broken = grad_check(component, seed=42, trials=3, corruption=1e-2)
+        monkeypatch.setitem(
+            gradcheck._CHECKERS, component, _corrupted(gradcheck._CHECKERS[component], 1e-2)
+        )
+        broken = grad_check(component, seed=42, trials=3)
         assert clean.max_rel_err < PASS_TOL
         # c / (1 + c) for c = 1e-2 is ~9.9e-3.
         assert broken.max_rel_err > 1e-3
@@ -108,7 +123,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="trials"):
             grad_check("warp", trials=0)
 
-    @pytest.mark.parametrize("corruption", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_corruption_rejected(self, corruption):
-        with pytest.raises(ValueError, match="corruption"):
-            grad_check("warp", trials=1, corruption=corruption)
+    @pytest.mark.parametrize("trials", [2.5, True, 2.0])
+    def test_non_integral_trial_count_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            grad_check("warp", trials=trials)
+
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            grad_check("warp", seed=seed, trials=1)
+
+    def test_numpy_integer_counts_accepted(self):
+        report = grad_check("reproject", seed=np.int64(7), trials=np.int32(2))
+        assert report.trials == 2

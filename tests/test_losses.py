@@ -335,27 +335,23 @@ class TestCurvature:
                 wgt = mask.data[i, j] / (n * max(abs(r), 1e-3))
                 h_pose += wgt * np.outer(d_pose[i, j, c], d_pose[i, j, c])
                 h_depth[i, j] += wgt * d_depth[i, j, c] ** 2
-        pose_only = loss_gradients(target, source, depth, pose, k, mask, LossWeights(),
-                                   curvature="pose")
-        assert pose_only.h_depth is None
-        assert np.max(np.abs(pose_only.h_pose - h_pose)) <= 1e-12 * np.max(np.abs(h_pose))
-        depth_only = loss_gradients(target, source, depth, pose, k, mask, LossWeights(),
-                                    curvature="depth")
-        assert depth_only.h_pose is None
-        assert np.max(np.abs(depth_only.h_depth - h_depth)) <= 1e-12 * np.max(np.abs(h_depth))
-        assert np.all(depth_only.h_depth[~valid.data] == 0.0)
+        got = loss_gradients(target, source, depth, pose, k, mask, LossWeights(),
+                             curvature=True)
+        assert np.max(np.abs(got.h_pose - h_pose)) <= 1e-12 * np.max(np.abs(h_pose))
+        assert np.max(np.abs(got.h_depth - h_depth)) <= 1e-12 * np.max(np.abs(h_depth))
+        assert np.all(got.h_depth[~valid.data] == 0.0)
 
     def test_gradients_do_not_depend_on_the_request(self):
         target, source, depth, pose, k, mask, _ = _curvature_setup()
-        plain = loss_gradients(target, source, depth, pose, k, mask, LossWeights())
+        plain = loss_gradients(target, source, depth, pose, k, mask, LossWeights(),
+                               curvature=False)
         assert plain.h_pose is None and plain.h_depth is None
-        for block in ("pose", "depth"):
-            full = loss_gradients(target, source, depth, pose, k, mask, LossWeights(),
-                                  curvature=block)
-            for name in ("d_depth", "d_pose", "d_mask"):
-                assert np.array_equal(getattr(plain, name), getattr(full, name)), (block, name)
+        full = loss_gradients(target, source, depth, pose, k, mask, LossWeights(),
+                              curvature=True)
+        for name in ("d_depth", "d_pose", "d_mask"):
+            assert np.array_equal(getattr(plain, name), getattr(full, name)), name
 
-    @pytest.mark.parametrize("bad", [True, False, "both", "Pose"])
+    @pytest.mark.parametrize("bad", ["pose", "depth", None, 1, "both", "Pose"])
     def test_unknown_block_rejected(self, bad):
         target, source, depth, pose, k, mask, _ = _curvature_setup()
         with pytest.raises(ValueError, match="curvature"):
@@ -453,7 +449,7 @@ def _patch_everywhere(monkeypatch, fn, replacement) -> None:
 
 
 class TestOneTransform:
-    @pytest.mark.parametrize("curvature", [None, "pose", "depth"])
+    @pytest.mark.parametrize("curvature", [False, True])
     def test_loss_gradients_transforms_points_once(self, monkeypatch, curvature):
         target, source, depth, pose, k, mask, _ = _curvature_setup()
         calls = {"_transform_grid": 0, "reproject_jacobian_grid": 0}

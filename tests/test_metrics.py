@@ -246,3 +246,9 @@ class TestAteSnippet:
             ate_snippet(traj, traj, snippet_len=1)
         with pytest.raises(ValueError, match="snippet length"):
             ate_snippet(traj, traj, snippet_len=5)
+
+    @pytest.mark.parametrize("snippet_len", [2.5, True, 3.0])
+    def test_non_integral_snippet_length_rejected(self, snippet_len):
+        traj = _random_trajectory(np.random.default_rng(18), 4)
+        with pytest.raises(ValueError, match="snippet_len must be an integer"):
+            ate_snippet(traj, traj, snippet_len=snippet_len)

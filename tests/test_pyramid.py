@@ -101,6 +101,11 @@ class TestPyramids:
         with pytest.raises(ValueError, match="levels must be >= 1"):
             depth_pyramid(DepthMap(np.ones((4, 4))), levels)
 
+    @pytest.mark.parametrize("levels", [2.5, True])
+    def test_non_integral_level_count_rejected(self, levels):
+        with pytest.raises(ValueError, match="levels must be an integer"):
+            image_pyramid(ImageBuffer.grayscale(np.ones((4, 4))), levels)
+
 
 class TestUpsample2x:
     def test_half_pixel_hand_case(self):
