@@ -17,7 +17,6 @@ from .align import (
     align_pose,
     align_pose_pair,
     perturb_pose,
-    retract_pose,
 )
 from .attention import (
     AttentionGateParams,
@@ -97,6 +96,7 @@ from .se3 import (
     hat,
     inverse,
     log_so3,
+    retract_pose,
 )
 from .synthetic import (
     PlaneSpec,

@@ -12,9 +12,12 @@ reweighted by 1 / max(|r|, floor) (iteratively reweighted least squares),
 so the pose block solves the 6x6 Gauss-Newton normal equations, the pair
 block one 12x12 system holding both photometric terms and the bf term's 12
 residuals, and the depth block takes the per-pixel diagonal Newton step.
-The gradient and the block's curvature come from the one loss_gradients
-call per block. Every step starts at length 1 under Armijo backtracking (factor 0.5,
-c = 1e-4), so accepted steps never increase the loss. A level whose
+Each warp direction's gradient and every block's curvature come from
+one loss_gradients call, made once per state a block steps from: a block
+that does not move hands it to the next block, and a level stopped by
+max_iters never evaluates its last state. Every step starts at length 1
+under Armijo backtracking (factor 0.5, c = 1e-4), so accepted steps never
+increase the loss. A level whose
 starting loss is not finite (no valid pixel) is skipped, so loss histories
 stay finite; the next level then starts from the caller's depth, not an
 upsampled estimate.
@@ -45,12 +48,11 @@ from .losses import (
 from .pyramid import depth_pyramid, image_pyramid, intrinsics_pyramid, upsample2x
 from .se3 import (
     Pose6DoF,
-    Rotation,
     SE3Transform,
     bf_consistency_loss,
     bf_residual_jacobian,
-    exp_so3,
     log_so3,
+    retract_pose,
 )
 from .warp import DepthMap, ImageBuffer, inverse_warp
 
@@ -128,13 +130,6 @@ class AlignPairReport:
     loss_history: tuple[float, ...]
 
 
-def retract_pose(pose: SE3Transform, delta: np.ndarray) -> SE3Transform:
-    """Apply a 6-vector step: left-multiplicative rotation, additive translation."""
-    return SE3Transform(
-        Rotation(exp_so3(delta[:3]).m @ pose.r.m), pose.t + delta[3:]
-    )
-
-
 def perturb_pose(
     pose: Pose6DoF, rot_deg: float, trans_frac: float, seed: int
 ) -> Pose6DoF:
@@ -153,20 +148,18 @@ def perturb_pose(
     return Pose6DoF(log_so3(rotated.r), rotated.t + offset)
 
 
-def _level_loss(
-    target: ImageBuffer,
-    source: ImageBuffer,
-    k: CameraIntrinsics,
-    ones: WeightMask,
-    weights: LossWeights,
+def _direction(
+    target: ImageBuffer, source: ImageBuffer, k: CameraIntrinsics, weights: LossWeights
 ):
-    """One level's single-pair total as loss(pose, depth, smo); +inf when
-    nothing is valid.
+    """One warp direction at one level: (loss(pose, depth, smo), grads(pose, depth)).
 
-    smo must be smoothness(depth, target); callers compute it once per depth
-    map. The mask is the level's all-ones mask, so its explainability term
-    is the constant 0.
+    loss is the single-pair total, +inf when nothing is valid; smo must be
+    smoothness(depth, target), which callers compute once per depth map.
+    grads is the direction's one loss_gradients call, with curvature. Both
+    use the level's all-ones mask, whose explainability term is the
+    constant 0.
     """
+    ones = WeightMask.ones(target.height, target.width)
 
     def loss(pose: SE3Transform, depth: DepthMap, smo: float) -> float:
         recon, valid = inverse_warp(source, depth, pose, k)
@@ -176,7 +169,10 @@ def _level_loss(
             return float("inf")
         return total_loss(photo, smo, 0.0, 0.0, weights)
 
-    return loss
+    def grads(pose: SE3Transform, depth: DepthMap):
+        return loss_gradients(target, source, depth, pose, k, ones, weights, curvature=True)
+
+    return loss, grads
 
 
 def _floored(depth: np.ndarray) -> DepthMap:
@@ -203,58 +199,62 @@ def _backtrack(loss_fn, retract, x, loss0, grad, direction):
     return None
 
 
-def _gauss_newton(grad: np.ndarray, curvature: np.ndarray) -> np.ndarray:
-    """The step -H^+ g; the pseudo-inverse keeps a rank-deficient H usable."""
-    return -np.linalg.lstsq(curvature, grad, rcond=None)[0]
+def _gauss_newton(grad: np.ndarray, curvature: np.ndarray):
+    """(g, -H^+ g); the pseudo-inverse keeps a rank-deficient H usable."""
+    return grad, -np.linalg.lstsq(curvature, grad, rcond=None)[0]
 
 
-def _diagonal_newton(grad: np.ndarray, curvature: np.ndarray) -> np.ndarray:
-    """The per-pixel step -g / (h + mu), Levenberg-Marquardt damped by
+def _diagonal_newton(grad: np.ndarray, curvature: np.ndarray):
+    """(g, -g / (h + mu)) per pixel, Levenberg-Marquardt damped by
     mu = DEPTH_DAMPING * mean(h); pixels whose h + mu is 0 do not move."""
     denom = curvature + DEPTH_DAMPING * curvature.mean()
-    return np.divide(-grad, denom, out=np.zeros_like(grad), where=denom > 0)
+    return grad, np.divide(-grad, denom, out=np.zeros_like(grad), where=denom > 0)
 
 
-def _descend(x, loss0, blocks, opts, on_accept):
-    """One pyramid level from state x; returns (x, loss, iters, converged).
+def _descend(x, loss0, level, opts):
+    """One pyramid level from state x; returns (x, history, iters, converged).
 
-    A block is (newton(x), loss(x), retract(x, delta)); newton gives the
-    block's gradient and Newton step at x. The level converges when an
-    iteration moves no block; on_accept sees every accepted loss.
+    level is (loss(x), evaluate(x), blocks) and a block is (newton(ev),
+    retract(x, delta)): newton gives the block's gradient and Newton step
+    from evaluate's result. evaluate runs once per state a block steps
+    from, so a block that does not move hands its evaluation to the next,
+    and a level stopped by max_iters never evaluates its last state.
+    history is loss0, then every accepted loss. The level converges when
+    an iteration moves no block.
     """
+    loss_fn, evaluate, blocks = level
+    history, ev = [loss0], None
     for it in range(1, opts.max_iters + 1):
         moved = False
-        for newton, loss_fn, retract in blocks:
-            res = _backtrack(loss_fn, retract, x, loss0, *newton(x))
-            if res is None:
-                continue
-            x, loss0 = res
-            moved = True
-            on_accept(loss0)
+        for newton, retract in blocks:
+            if ev is None:
+                ev = evaluate(x)
+            res = _backtrack(loss_fn, retract, x, history[-1], *newton(ev))
+            if res is not None:
+                x, ev, moved = res[0], None, True
+                history.append(res[1])
         if not moved:
-            return x, loss0, it, True
-    return x, loss0, opts.max_iters, False
+            return x, history, it, True
+    return x, history, opts.max_iters, False
 
 
 def _coarse_to_fine(levels, x, level, opts):
     """Levels coarsest to finest; returns (x, loss, iters, converged, history).
 
-    level(li, x, ran) gives level li's starting state, loss function and
-    blocks; ran says whether level li + 1 ran (was not skipped).
-    converged and history describe the finest level.
+    level(li, x, ran) gives level li's starting state and its (loss,
+    evaluate, blocks); ran says whether level li + 1 ran (was not skipped).
+    loss, converged and history describe the finest level.
     """
-    iters, converged, history, loss0, ran = 0, False, [], float("inf"), False
+    iters, ran = 0, False
     for li in range(levels - 1, -1, -1):
-        x, loss_fn, blocks = level(li, x, ran)
-        loss0, converged = loss_fn(x), False
-        ran = bool(np.isfinite(loss0))
-        if not ran:
-            continue
-        on_accept = history.append if li == 0 else lambda _: None
-        on_accept(loss0)
-        x, loss0, n, converged = _descend(x, loss0, blocks, opts, on_accept)
-        iters += n
-    return x, loss0, iters, converged, tuple(history)
+        x, fns = level(li, x, ran)
+        loss = fns[0](x)
+        ran = bool(np.isfinite(loss))
+        history, converged = [], False
+        if ran:
+            x, history, n, converged = _descend(x, loss, fns, opts)
+            loss, iters = history[-1], iters + n
+    return x, loss, iters, converged, tuple(history)
 
 
 def align_pose(
@@ -287,38 +287,26 @@ def align_pose(
     depths = depth_pyramid(depth, levels)
     ks = intrinsics_pyramid(k, levels)
     refine_depth = opts.mode == "pose_and_depth"
-    w = opts.weights
 
     def level(li: int, x: tuple[SE3Transform, DepthMap | None, float | None], ran: bool):
-        t_l, s_l, k_l = imgs_t[li], imgs_s[li], ks[li]
+        t_l = imgs_t[li]
         pose, d_l, _ = x
         if refine_depth and ran:  # hand the coarser level's estimate up
             d_l = _floored(upsample2x(d_l.data, t_l.height, t_l.width))
         else:  # the caller's own depth, also after a skipped level
             d_l = depths[li]
-        ones = WeightMask.ones(t_l.height, t_l.width)
-        loss_l = _level_loss(t_l, s_l, k_l, ones, w)
-
-        def loss_fn(x):
-            return loss_l(*x)
-
-        def pose_newton(x):
-            g = loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w, curvature=True)
-            return g.d_pose, _gauss_newton(g.d_pose, g.h_pose)
-
-        def depth_newton(x):
-            g = loss_gradients(t_l, s_l, x[1], x[0], k_l, ones, w, curvature=True)
-            return g.d_depth, _diagonal_newton(g.d_depth, g.h_depth)
+        loss_l, grads_l = _direction(t_l, imgs_s[li], ks[li], opts.weights)
 
         def retract_depth(x, delta):  # projected above DEPTH_FLOOR
             d = _floored(x[1].data + delta)
             return x[0], d, smoothness(d, t_l)
 
-        blocks = [(pose_newton, loss_fn,
+        blocks = [(lambda g: _gauss_newton(g.d_pose, g.h_pose),
                    lambda x, delta: (retract_pose(x[0], delta), *x[1:]))]
         if refine_depth:
-            blocks.append((depth_newton, loss_fn, retract_depth))
-        return (pose, d_l, smoothness(d_l, t_l)), loss_fn, blocks
+            blocks.append((lambda g: _diagonal_newton(g.d_depth, g.h_depth), retract_depth))
+        return (pose, d_l, smoothness(d_l, t_l)), (
+            lambda x: loss_l(*x), lambda x: grads_l(*x[:2]), blocks)
 
     (pose, depth_est, _), loss, iters, converged, history = _coarse_to_fine(
         levels, (init.to_transform(), None, None), level, opts
@@ -360,31 +348,28 @@ def align_pose_pair(
     w = opts.weights
 
     def level(li: int, poses: tuple[SE3Transform, SE3Transform], _ran: bool):
-        t_l, s_l, k_l = imgs_t[li], imgs_s[li], ks[li]
-        ones = WeightMask.ones(t_l.height, t_l.width)
-        loss_f = _level_loss(t_l, s_l, k_l, ones, w)
-        loss_b = _level_loss(s_l, t_l, k_l, ones, w)
-        smo_f, smo_b = smoothness(depths_t[li], t_l), smoothness(depths_s[li], s_l)
+        t_l, s_l, d_t, d_s = imgs_t[li], imgs_s[li], depths_t[li], depths_s[li]
+        loss_f, grads_f = _direction(t_l, s_l, ks[li], w)
+        loss_b, grads_b = _direction(s_l, t_l, ks[li], w)
+        smo_f, smo_b = smoothness(d_t, t_l), smoothness(d_s, s_l)
 
         def loss_fn(poses):  # inf when either direction has no valid pixel
             fwd, bwd = poses
-            l_f = loss_f(fwd, depths_t[li], smo_f)
-            l_b = loss_b(bwd, depths_s[li], smo_b)
-            return l_f + l_b + w.lambda_bf * bf_consistency_loss([(fwd, bwd)])
+            return (loss_f(fwd, d_t, smo_f) + loss_b(bwd, d_s, smo_b)
+                    + w.lambda_bf * bf_consistency_loss([(fwd, bwd)]))
 
-        def newton(poses):
+        def evaluate(poses):  # the 12-vector gradient and its IRLS curvature
             fwd, bwd = poses
-            g_f = loss_gradients(t_l, s_l, depths_t[li], fwd, k_l, ones, w, curvature=True)
-            g_b = loss_gradients(s_l, t_l, depths_s[li], bwd, k_l, ones, w, curvature=True)
+            g_f, g_b = grads_f(fwd, d_t), grads_b(bwd, d_s)
             e, jac = bf_residual_jacobian(fwd, bwd)
             grad = np.concatenate([g_f.d_pose, g_b.d_pose]) + w.lambda_bf * (jac.T @ np.sign(e))
             curv = w.lambda_bf * (jac.T / np.maximum(np.abs(e), BF_IRLS_FLOOR)) @ jac
             curv[:6, :6] += g_f.h_pose
             curv[6:, 6:] += g_b.h_pose
-            return grad, _gauss_newton(grad, curv)
+            return grad, curv
 
-        return poses, loss_fn, [(newton, loss_fn, lambda p, delta: (
-            retract_pose(p[0], delta[:6]), retract_pose(p[1], delta[6:])))]
+        return poses, (loss_fn, evaluate, [(lambda ev: _gauss_newton(*ev), lambda p, delta: (
+            retract_pose(p[0], delta[:6]), retract_pose(p[1], delta[6:])))])
 
     (fwd, bwd), loss, iters, converged, history = _coarse_to_fine(
         levels, (init_forward.to_transform(), init_backward.to_transform()), level, opts

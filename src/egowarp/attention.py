@@ -100,7 +100,8 @@ def _gate(
     """(preactivation, hidden, alpha) of the gate at every position."""
     pre = x.data @ params.w_x + g.data @ params.w_g + params.b_xg
     hidden = np.maximum(pre, 0.0)
-    alpha = 1.0 / (1.0 + np.exp(-(hidden @ params.psi + params.b_psi)))
+    with np.errstate(over="ignore"):  # exp(-q) is inf once q < -709: alpha = 0, its limit
+        alpha = 1.0 / (1.0 + np.exp(-(hidden @ params.psi + params.b_psi)))
     return pre, hidden, alpha
 
 

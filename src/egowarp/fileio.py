@@ -150,7 +150,10 @@ def _pose_from_numbers(vals: list[float], where: str) -> SE3Transform:
 
 
 def write_trajectory(path: str | Path, poses: list[SE3Transform]) -> None:
-    """One camera-to-world pose per line, 12 reals, row-major 3x4."""
+    """One camera-to-world pose per line, 12 reals, row-major 3x4; no pose
+    raises before the file is made, as read_trajectory rejects that file."""
+    if len(poses) == 0:
+        raise ValueError(f"{path}: no poses to write")
     lines = []
     for p in poses:
         m = p.matrix()[:3, :]
@@ -188,8 +191,11 @@ def read_pose(path: str | Path) -> SE3Transform:
 
 
 def write_timestamps(path: str | Path, times: np.ndarray) -> None:
-    """One time per line; a non-finite one raises before the file is made."""
+    """One time per line; no time, a non-finite one or an array that is not
+    1-d raises before the file is made."""
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"{path}: timestamps must be non-empty and 1-d, got shape {times.shape}")
     if not np.all(np.isfinite(times)):
         raise ValueError(f"{path}: timestamps must be finite")
     Path(path).write_text(

@@ -32,7 +32,6 @@ import numpy as np
 
 from .attention import AttentionGateParams, FeatureMap, ag_backward, ag_forward
 from .camera import CameraIntrinsics, reproject_grid, reproject_jacobian_grid
-from .align import retract_pose
 from .exceptions import _check_count
 from .losses import (
     LossWeights,
@@ -42,7 +41,7 @@ from .losses import (
     photometric_l1,
     smoothness,
 )
-from .se3 import SE3Transform, exp_so3
+from .se3 import SE3Transform, exp_so3, retract_pose
 from .warp import (
     DepthMap,
     ImageBuffer,

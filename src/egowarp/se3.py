@@ -202,6 +202,12 @@ def inverse(a: SE3Transform) -> SE3Transform:
     return SE3Transform(Rotation(rt), -(rt @ a.t))
 
 
+def retract_pose(pose: SE3Transform, delta: np.ndarray) -> SE3Transform:
+    """Apply a 6-vector step: left-multiplicative rotation, additive
+    translation, the parameterization of bf_residual_jacobian's columns."""
+    return SE3Transform(Rotation(exp_so3(delta[:3]).m @ pose.r.m), pose.t + delta[3:])
+
+
 def bf_consistency_loss(pairs: list[tuple[SE3Transform, SE3Transform]]) -> float:
     """Backward-forward pose consistency penalty.
 

@@ -366,29 +366,32 @@ class TestZeroGradient:
         for direction in (zero, np.ones(6), -np.ones(6)):
             assert align_module._backtrack(never, never, "x", 1.0, zero, direction) is None
         # A level whose only block has a zero gradient converges at once.
-        block = (lambda x: (zero, -np.ones(6)), never, never)
+        level = (never, lambda x: "ev", [(lambda ev: (zero, -np.ones(6)), never)])
         opts = AlignOptions(max_iters=5)
-        assert align_module._descend("x", 1.0, [block], opts, never) == ("x", 1.0, 1, True)
+        assert align_module._descend("x", 1.0, level, opts) == ("x", [1.0], 1, True)
 
 
 class TestEvaluationCounts:
-    """One loss_gradients call per iteration in pose_only, two in
-    pose_and_depth and in the pair solve, and a non-increasing history.
-    Every loss evaluation warps through egowarp.align.inverse_warp once
-    per direction, the binding a profiler wraps to count them."""
+    """One loss_gradients call per iteration in pose_only, two (one per
+    direction) in the pair solve, no state evaluated twice in a row in any
+    mode, and a non-increasing history. Every loss evaluation warps through
+    egowarp.align.inverse_warp once per direction, the binding a profiler
+    wraps to count them."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Image heights of the loss_gradients calls, the number of
-        egowarp.align.inverse_warp calls, and the inverse_warp calls made by
-        each loss evaluation inside align._backtrack."""
-        counts = SimpleNamespace(grads=[], warps=0, per_loss_eval=[])
+        """Image heights and (depth, pose) arguments of the loss_gradients
+        calls, the number of egowarp.align.inverse_warp calls, and the
+        inverse_warp calls made by each loss evaluation inside
+        align._backtrack."""
+        counts = SimpleNamespace(grads=[], states=[], warps=0, per_loss_eval=[])
         inner_grads = align_module.loss_gradients
         inner_warp = align_module.inverse_warp
         inner_backtrack = align_module._backtrack
 
         def grads(*args, **kwargs):
             counts.grads.append(args[0].height)
+            counts.states.append(args[2:4])
             return inner_grads(*args, **kwargs)
 
         def warp(*args, **kwargs):
@@ -408,7 +411,7 @@ class TestEvaluationCounts:
         monkeypatch.setattr(align_module, "_backtrack", backtrack)
         return counts
 
-    @pytest.mark.parametrize("mode, per_iter", [("pose_only", 1), ("pose_and_depth", 2)])
+    @pytest.mark.parametrize("mode, per_iter", [("pose_only", 1)])
     def test_align_pose(self, counted, slanted32, mode, per_iter):
         pair, _, k, gt6 = slanted32
         report = align_pose(
@@ -437,6 +440,27 @@ class TestEvaluationCounts:
         assert _monotone(report.loss_history)
         assert counted.per_loss_eval and set(counted.per_loss_eval) == {2}
         assert counted.warps == 2 * (len(counted.per_loss_eval) + 3)
+
+    @pytest.mark.parametrize("mode", ["pose_only", "pose_and_depth", "pair"])
+    def test_no_state_is_evaluated_twice_in_a_row(self, counted, slanted32, mode):
+        """A block that does not move hands its evaluation to the next
+        block: consecutive loss_gradients calls never get the same depth
+        and pose objects."""
+        pair, depth_source, k, gt6 = slanted32
+        init = perturb_pose(gt6, 1.0, 0.02, seed=5)
+        if mode == "pair":
+            bwd = inverse(SE3Transform.from_translation(GT_TRANS))
+            align_pose_pair(pair.target, pair.source, pair.gt_depth, depth_source, k, init,
+                            perturb_pose(Pose6DoF(log_so3(bwd.r), bwd.t), 1.0, 0.02, seed=2),
+                            AlignOptions(max_iters=40, weights=LossWeights(lambda_bf=10.0)))
+        else:
+            align_pose(pair.target, pair.source, pair.gt_depth, k, init,
+                       AlignOptions(mode=mode, max_iters=40))
+        states = counted.states
+        assert len(states) > 1
+        repeats = [i for i, ((d0, p0), (d1, p1)) in enumerate(zip(states, states[1:]))
+                   if d0 is d1 and p0 is p1]
+        assert repeats == []
 
 
 class TestLevelLoss:

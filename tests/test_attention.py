@@ -12,9 +12,15 @@ Oracles:
 * ag_backward is checked against central finite differences of the scalar
   objective L = sum_i <upstream_i, gated_i>, with draws resampled until the
   preactivation clears the ReLU kink.
+* Saturation: with psi = -1000 the scalar case has q = -2000, where
+  exp(-q) overflows to inf, and alpha is its limit 0 exactly; with
+  psi = 1000, alpha is exactly 1. Neither warns, and the gradients are
+  finite.
 * resample_gating / alpha_to_loss_mask are align-corners bilinear: a 1x2 row
   [0, 1] widens to [0, 1/3, 2/3, 1], and a 1x1 signal broadcasts.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -34,11 +40,11 @@ from egowarp import (
 )
 
 
-def _scalar_params(w: float = 1.0, b_psi: float = 0.0) -> AttentionGateParams:
+def _scalar_params(w: float = 1.0, b_psi: float = 0.0, psi: float = 1.0) -> AttentionGateParams:
     return AttentionGateParams(
         w_x=np.array([[w]]),
         w_g=np.array([[w]]),
-        psi=np.array([1.0]),
+        psi=np.array([psi]),
         b_xg=np.array([0.0]),
         b_psi=b_psi,
     )
@@ -210,6 +216,22 @@ class TestAgBackward:
         g = FeatureMap(np.zeros((2, 2, 1)))
         with pytest.raises(ValueError, match="upstream"):
             ag_backward(x, g, _scalar_params(), FeatureMap(np.zeros((2, 2, 2))))
+
+
+class TestSaturation:
+    @pytest.mark.parametrize("psi, limit", [(-1000.0, 0.0), (1000.0, 1.0)])
+    def test_alpha_reaches_its_limit_without_warning(self, psi, limit):
+        x = g = FeatureMap(np.ones((2, 3, 1)))
+        params = _scalar_params(psi=psi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha, gated = ag_forward(x, g, params)
+            d_params, d_x, d_g = ag_backward(x, g, params, FeatureMap(np.ones((2, 3, 1))))
+        assert np.all(alpha.data == limit)
+        np.testing.assert_array_equal(gated.data, limit * x.data)
+        for grad in (d_params.w_x, d_params.w_g, d_params.psi, d_params.b_xg,
+                     d_params.b_psi, d_x.data, d_g.data):
+            assert np.all(np.isfinite(grad))
 
 
 class TestResampleGating:

@@ -39,3 +39,26 @@ def test_package_modules_found():
 def test_imports_only_stdlib_numpy_or_package(path):
     foreign = sorted(set(_imported_roots(path)) - ALLOWED)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Names of the package modules path imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("egowarp.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "egowarp":
+                    continue
+                module = module.removeprefix("egowarp").lstrip(".")
+            found |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return found
+
+
+def test_gradcheck_does_not_import_the_solver():
+    """gradcheck checks derivatives against finite differences; retract_pose
+    lives in se3, so nothing ties it to the aligner."""
+    assert "se3" in _package_imports(PACKAGE / "gradcheck.py")
+    assert "align" not in _package_imports(PACKAGE / "gradcheck.py")

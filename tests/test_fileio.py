@@ -276,6 +276,13 @@ class TestTrajectories:
             read_trajectory(path)
         assert str(info.value).startswith(f"{path}:2: ")
 
+    def test_empty_list_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="no poses") as info:
+            write_trajectory(path, [])
+        assert str(info.value).startswith(f"{path}: ")
+        assert not path.exists()
+
     def test_multi_pose_file_rejected_as_single_pose(self, tmp_path):
         path = tmp_path / "t.txt"
         write_trajectory(path, _random_poses(np.random.default_rng(8), 2))
@@ -347,6 +354,15 @@ class TestTimestamps:
         assert str(info.value).startswith(f"{path}: ")
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", [[], [[0.0, 1.0], [2.0, 3.0]], 5.0],
+                             ids=["empty", "2-d", "0-d"])
+    def test_not_a_non_empty_vector_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="non-empty and 1-d") as info:
+            write_timestamps(path, bad)
+        assert str(info.value).startswith(f"{path}: ")
+        assert not path.exists()
+
 
 class TestIntrinsics:
     def test_layout_and_round_trip(self, tmp_path):
@@ -394,3 +410,4 @@ class TestReports:
         path.write_text("a=1\nbroken\n")
         with pytest.raises(ValueError, match=r"r\.txt:2"):
             read_report(path)
+
