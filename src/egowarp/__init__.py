@@ -20,7 +20,6 @@ from .align import (
 )
 from .attention import (
     AttentionGateParams,
-    AttentionMap,
     FeatureMap,
     ag_backward,
     ag_forward,

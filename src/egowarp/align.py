@@ -135,6 +135,7 @@ def perturb_pose(
 ) -> Pose6DoF:
     """Perturb by rot_deg about a random axis and trans_frac of ||t|| along
     a random direction (absolute units if the translation is zero)."""
+    _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
 
     def unit() -> np.ndarray:
@@ -335,10 +336,13 @@ def align_pose_pair(
 
     Loss: photometric(target | source, forward) + photometric(source |
     target, backward) + lambda_smo * (both smoothness terms) + lambda_bf *
-    bf_consistency_loss([(forward, backward)]). Depths stay fixed.
+    bf_consistency_loss([(forward, backward)]). Depths stay fixed, so
+    opts.mode must be "pose_only".
     """
     if opts is None:
         opts = AlignOptions()
+    if opts.mode != "pose_only":
+        raise ValueError(f"align_pose_pair solves poses only, got mode {opts.mode!r}")
     levels = opts.pyramid_levels
     imgs_t = image_pyramid(target, levels)
     imgs_s = image_pyramid(source, levels)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import _check_count
 from .losses import WeightMask
 from .warp import _PixelArray, _resample
 
@@ -25,13 +26,6 @@ class FeatureMap(_PixelArray):
     @property
     def features(self) -> int:
         return self.data.shape[2]
-
-
-@dataclass(frozen=True, eq=False)
-class AttentionMap(_PixelArray):
-    """Per-position gate activations in [0, 1], shape (h, w)."""
-
-    _RANGE = (0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,16 +101,16 @@ def _gate(
 
 def ag_forward(
     x: FeatureMap, g: FeatureMap, params: AttentionGateParams
-) -> tuple[AttentionMap, FeatureMap]:
+) -> tuple[WeightMask, FeatureMap]:
     """Gate x by the attention computed from (x, g).
 
     Returns:
-        (alpha, gated): the attention map and alpha * x. All-zero parameters
-        give q = 0 everywhere, hence alpha = 0.5 exactly.
+        (alpha, gated): the attention coefficients and alpha * x. All-zero
+        parameters give q = 0 everywhere, hence alpha = 0.5 exactly.
     """
     _check_gate_inputs(x, g, params)
     alpha = _gate(x, g, params)[2]
-    return AttentionMap(alpha), FeatureMap(alpha[:, :, None] * x.data)
+    return WeightMask(alpha), FeatureMap(alpha[:, :, None] * x.data)
 
 
 def ag_backward(
@@ -168,6 +162,8 @@ def _align_corners(arr: np.ndarray, out_height: int, out_width: int) -> np.ndarr
     ratios and carry no intrinsics, so there is no pyramid half-pixel map
     to invert, as pyramid.upsample2x does.
     """
+    _check_count(out_height, "out_height", 1)
+    _check_count(out_width, "out_width", 1)
     h, w = arr.shape[:2]
     u = np.arange(out_width) * ((w - 1) / max(out_width - 1, 1))
     v = np.arange(out_height) * ((h - 1) / max(out_height - 1, 1))
@@ -183,9 +179,9 @@ def resample_gating(g: FeatureMap, out_height: int, out_width: int) -> FeatureMa
 
 
 def alpha_to_loss_mask(
-    alpha: AttentionMap, out_height: int, out_width: int
+    alpha: WeightMask, out_height: int, out_width: int
 ) -> WeightMask:
-    """Resample an attention map to image resolution for use as a loss mask.
+    """Resample attention coefficients to image resolution as a loss mask.
 
     Bilinear align-corners interpolation of values in [0, 1] stays in [0, 1];
     the clip only sweeps float dust.

@@ -62,30 +62,39 @@ def _header(raw: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, pos + 1
 
 
-def read_pfm(path: str | Path) -> np.ndarray:
-    """Read a grayscale PFM into an (h, w) float64 array."""
+def _read_binary(path: str | Path, pixel_bytes: dict[bytes, int], name: str, token_type):
+    """(magic, value, data) of a binary PFM or PGM/PPM file: the header is a
+    magic (a key of pixel_bytes), w, h and one token_type value; data is the
+    payload from one byte after it, an (h, w, pixel_bytes[magic]) uint8 array.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     tokens, pos = _header(raw, 4)
-    if tokens[:1] == [b"PF"]:
-        raise ValueError(f"{path}: color PFM is not supported")
-    if tokens and tokens[0] != b"Pf":
-        raise ValueError(f"{path}: not a PFM file (magic {tokens[0]!r})")
+    if not tokens or tokens[0] not in pixel_bytes:
+        raise ValueError(f"{path}: not a {name} file, or not a binary one")
     if len(tokens) < 4:
-        raise ValueError(f"{path}: truncated PFM header")
+        raise ValueError(f"{path}: truncated {name} header")
     try:
-        w, h, scale = int(tokens[1]), int(tokens[2]), float(tokens[3])
+        w, h, value = int(tokens[1]), int(tokens[2]), token_type(tokens[3])
     except ValueError as exc:
-        raise ValueError(f"{path}: bad PFM header") from exc
-    if w < 1 or h < 1 or scale == 0 or not np.isfinite(scale):
+        raise ValueError(f"{path}: bad {name} header") from exc
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: bad {name} header values")
+    size = w * h * pixel_bytes[tokens[0]]
+    payload = raw[pos : pos + size]
+    if len(payload) != size:
+        raise ValueError(f"{path}: {name} payload truncated")
+    return tokens[0], value, np.frombuffer(payload, dtype=np.uint8).reshape(h, w, -1)
+
+
+def read_pfm(path: str | Path) -> np.ndarray:
+    """Read a grayscale PFM into an (h, w) float64 array."""
+    magic, scale, data = _read_binary(path, {b"Pf": 4, b"PF": 12}, "PFM", float)
+    if magic == b"PF":
+        raise ValueError(f"{path}: color PFM is not supported")
+    if scale == 0 or not np.isfinite(scale):
         raise ValueError(f"{path}: bad PFM header values")
-    expected = w * h * 4
-    pixels = raw[pos : pos + expected]
-    if len(pixels) != expected:
-        raise ValueError(f"{path}: PFM payload truncated")
-    dtype = "<f4" if scale < 0 else ">f4"
-    data = np.frombuffer(pixels, dtype=dtype).reshape(h, w)
-    return data[::-1].astype(float)
+    return data.view("<f4" if scale < 0 else ">f4")[::-1, :, 0].astype(float)
 
 
 def write_image(path: str | Path, img: ImageBuffer) -> None:
@@ -102,25 +111,9 @@ def write_image(path: str | Path, img: ImageBuffer) -> None:
 
 def read_image(path: str | Path) -> ImageBuffer:
     """Read a binary PGM/PPM written by write_image (maxval 255)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    tokens, pos = _header(raw, 4)
-    if len(tokens) < 4 or tokens[0] not in (b"P5", b"P6"):
-        raise ValueError(f"{path}: not a binary PGM/PPM file")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad PGM/PPM header") from exc
-    if w < 1 or h < 1:
-        raise ValueError(f"{path}: bad PGM/PPM header values")
+    _, maxval, data = _read_binary(path, {b"P5": 1, b"P6": 3}, "PGM/PPM", int)
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
-    channels = 1 if tokens[0] == b"P5" else 3
-    expected = w * h * channels
-    pixels = raw[pos : pos + expected]
-    if len(pixels) != expected:
-        raise ValueError(f"{path}: image payload truncated")
-    data = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, channels)
     return ImageBuffer(data.astype(float) / 255.0)
 
 

@@ -44,7 +44,7 @@ class LossWeights:
 
 @dataclass(frozen=True, eq=False)
 class WeightMask(_PixelArray):
-    """Continuous per-pixel weight in [0, 1], shape (h, w)."""
+    """Per-pixel loss weight or attention coefficient in [0, 1], shape (h, w)."""
 
     _RANGE = (0.0, 1.0)
 

@@ -73,6 +73,8 @@ def upsample2x(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     extent. The factor is 2 whatever the sizes, so a trailing row or column
     that downsample2x cropped reads the input's last one.
     """
+    _check_count(out_h, "out_h", 1)
+    _check_count(out_w, "out_w", 1)
     u = (np.arange(out_w) + 0.5) / 2.0 - 0.5
     v = (np.arange(out_h) + 0.5) / 2.0 - 0.5
     return _resample(arr, u, v)

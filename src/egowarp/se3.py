@@ -139,6 +139,20 @@ class Pose6DoF:
         return SE3Transform(exp_so3(self.rot), self.trans.copy())
 
 
+def _rodrigues(rot: np.ndarray) -> np.ndarray:
+    """The matrix of exp_so3(rot), before Rotation checks it."""
+    rot = _check_vec3(rot, "rotation vector")
+    theta = np.linalg.norm(rot)
+    w = hat(rot)
+    if theta < SMALL_ANGLE:
+        a = 1.0 - theta * theta / 6.0
+        b = 0.5 - theta * theta / 24.0
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / (theta * theta)
+    return np.eye(3) + a * w + b * (w @ w)
+
+
 def exp_so3(rot: np.ndarray) -> Rotation:
     """Rodrigues exponential map from a rotation vector.
 
@@ -152,16 +166,7 @@ def exp_so3(rot: np.ndarray) -> Rotation:
     Returns:
         Rotation with angle norm(rot) about rot/norm(rot).
     """
-    rot = _check_vec3(rot, "rotation vector")
-    theta = np.linalg.norm(rot)
-    w = hat(rot)
-    if theta < SMALL_ANGLE:
-        a = 1.0 - theta * theta / 6.0
-        b = 0.5 - theta * theta / 24.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / (theta * theta)
-    return Rotation(np.eye(3) + a * w + b * (w @ w))
+    return Rotation(_rodrigues(rot))
 
 
 def log_so3(r: Rotation) -> np.ndarray:
@@ -205,7 +210,7 @@ def inverse(a: SE3Transform) -> SE3Transform:
 def retract_pose(pose: SE3Transform, delta: np.ndarray) -> SE3Transform:
     """Apply a 6-vector step: left-multiplicative rotation, additive
     translation, the parameterization of bf_residual_jacobian's columns."""
-    return SE3Transform(Rotation(exp_so3(delta[:3]).m @ pose.r.m), pose.t + delta[3:])
+    return SE3Transform(Rotation(_rodrigues(delta[:3]) @ pose.r.m), pose.t + delta[3:])
 
 
 def bf_consistency_loss(pairs: list[tuple[SE3Transform, SE3Transform]]) -> float:

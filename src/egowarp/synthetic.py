@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraIntrinsics
+from .exceptions import _check_count
 from .se3 import SE3Transform
 from .warp import DepthMap, ImageBuffer, ValidityMask, _check_same_size
 
@@ -45,8 +46,10 @@ class PlaneSpec:
             raise ValueError("plane normal must be nonzero")
         object.__setattr__(self, "normal", n / norm)
         object.__setattr__(self, "offset", float(self.offset))
-        if self.extent is not None and self.extent <= 0:
-            raise ValueError("plane extent must be positive")
+        if not np.isfinite(self.offset):
+            raise ValueError("plane offset must be finite")
+        if self.extent is not None and not (0 < self.extent < np.inf):
+            raise ValueError("plane extent must be positive and finite")
 
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic orthonormal in-plane axes (e1, e2)."""
@@ -127,9 +130,12 @@ def render_view(
         (image, depth, hit): grayscale intensities, camera-frame z of the
         nearest intersection (SKY_DEPTH where no plane is hit), and the hit
         mask. Sky pixels have intensity 0.
+
+    One pass over the planes casts each ray once: a nearer hit overwrites
+    both the depth and the texture of its pixel.
     """
-    if width < 1 or height < 1:
-        raise ValueError("view size must be positive")
+    _check_count(width, "width", 1)
+    _check_count(height, "height", 1)
     r = pose.r.m
     center = -(r.T @ pose.t)
     v, u = np.mgrid[0:height, 0:width].astype(float)
@@ -139,37 +145,26 @@ def render_view(
     dir_world = dir_cam @ r  # R^T applied to each ray
 
     # dir_cam z-component is 1, so the ray parameter equals camera-frame depth.
-    best_tau = np.full((height, width), np.inf)
-    best_plane = np.full((height, width), -1, dtype=int)
-    for idx, plane in enumerate(spec.planes):
+    depth = np.full((height, width), np.inf)
+    image = np.zeros((height, width))
+    for plane in spec.planes:
         denom = dir_world @ plane.normal
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = (plane.offset - center @ plane.normal) / denom
         ok = (np.abs(denom) > 1e-12) & (tau > 1e-6) & np.isfinite(tau)
-        if plane.extent is not None:
-            e1, e2 = plane.basis()
-            anchor = plane.offset * plane.normal
-            hit = center + tau[..., None] * dir_world
-            rel = hit - anchor
-            ok &= (np.abs(rel @ e1) <= plane.extent) & (
-                np.abs(rel @ e2) <= plane.extent
-            )
-        closer = ok & (tau < best_tau)
-        best_tau = np.where(closer, tau, best_tau)
-        best_plane = np.where(closer, idx, best_plane)
-
-    hit_any = best_plane >= 0
-    depth = np.where(hit_any, best_tau, SKY_DEPTH)
-    image = np.zeros((height, width))
-    for idx, plane in enumerate(spec.planes):
-        sel = best_plane == idx
-        if not np.any(sel):
-            continue
         e1, e2 = plane.basis()
-        anchor = plane.offset * plane.normal
-        hit = center + depth[..., None] * dir_world
-        rel = hit - anchor
-        image = np.where(sel, _texture(spec, rel @ e1, rel @ e2), image)
+        # Rays that miss the plane read it at tau = 0: no inf or NaN in the texture.
+        hit = center + np.where(ok, tau, 0.0)[..., None] * dir_world
+        rel = hit - plane.offset * plane.normal
+        s, t = rel @ e1, rel @ e2
+        if plane.extent is not None:
+            ok &= (np.abs(s) <= plane.extent) & (np.abs(t) <= plane.extent)
+        closer = ok & (tau < depth)
+        depth = np.where(closer, tau, depth)
+        image = np.where(closer, _texture(spec, s, t), image)
+
+    hit_any = np.isfinite(depth)
+    depth = np.where(hit_any, depth, SKY_DEPTH)
     return (
         ImageBuffer.grayscale(image),
         DepthMap(depth),
@@ -206,6 +201,7 @@ def make_scene(kind: str, seed: int = 42) -> SceneSpec:
     """
     if kind not in SCENE_KINDS:
         raise ValueError(f"unknown scene kind {kind!r}")
+    _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     terms = [(0.0, 0.0, 0.5, 0.0)]
     base_angles = np.array([10.0, 65.0, 120.0]) + rng.uniform(-15.0, 15.0, 3)

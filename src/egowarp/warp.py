@@ -25,10 +25,10 @@ the public samplers, sample_grid and sample_grad_grid, alone. The warp's
 rays K^-1 (u, v, 1) are separable: a row of x parts from the columns u and
 a column of y parts from the rows v, w + h floats per call.
 
-The six per-pixel types (ImageBuffer, DepthMap and ValidityMask here,
-WeightMask in losses, FeatureMap and AttentionMap in attention) share one
-checked base, _PixelArray; each states only its own rules. float64 and
-bool data are stored without a copy.
+The five per-pixel types (ImageBuffer, DepthMap and ValidityMask here,
+WeightMask in losses and FeatureMap in attention) share one checked base,
+_PixelArray; each states only its own rules. float64 and bool data are
+stored without a copy.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ BORDER_EPS = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class _PixelArray:
-    """Checked per-pixel array, the base of the six public per-pixel types.
+    """Checked per-pixel array, the base of the five public per-pixel types.
 
     `data` is stored as a _DTYPE array, not copied when it already is one,
     with the axes _AXES, at least one pixel, finite values and, when _RANGE
@@ -225,8 +225,6 @@ def _resample(arr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     the border sample where its map points past it and every point is in
     bounds. Returns a (len(v), len(u)) or (len(v), len(u), c) array.
     """
-    if len(u) < 1 or len(v) < 1:
-        raise ValueError("output size must be positive")
     arr = np.asarray(arr, dtype=float)
     h, w = arr.shape[:2]
     u, v = np.clip(u, 0.0, w - 1.0), np.clip(v, 0.0, h - 1.0)

@@ -30,7 +30,6 @@ import egowarp
 from egowarp import (
     AlignOptions,
     AttentionGateParams,
-    AttentionMap,
     DepthMap,
     FeatureMap,
     ImageBuffer,
@@ -243,7 +242,7 @@ def test_criterion_7_attention_algebra():
         target = ImageBuffer(rng.random((8, 8, 3)))
         recon = ImageBuffer(rng.random((8, 8, 3)))
         valid = ValidityMask(np.ones((8, 8), dtype=bool))
-        mask = alpha_to_loss_mask(AttentionMap(np.ones((8, 8))), 8, 8)
+        mask = alpha_to_loss_mask(WeightMask(np.ones((8, 8))), 8, 8)
         unmasked = photometric_l1(target, recon, WeightMask.ones(8, 8), valid)
         assert photometric_l1(target, recon, mask, valid) == unmasked
 

@@ -96,12 +96,18 @@ def slanted32():
 
 class TestRetractPose:
     def test_left_multiplicative_rotation(self):
+        # Bit for bit exp_so3(w).m @ R, on both sides of the small-angle branch.
         rng = np.random.default_rng(31)
-        pose = Pose6DoF(rng.uniform(-0.5, 0.5, 3), rng.normal(size=3)).to_transform()
-        delta = np.concatenate([rng.uniform(-0.3, 0.3, 3), np.zeros(3)])
-        moved = retract_pose(pose, delta)
-        np.testing.assert_array_equal(moved.r.m, exp_so3(delta[:3]).m @ pose.r.m)
-        np.testing.assert_array_equal(moved.t, pose.t)
+        for scale in (0.3, 0.3, 0.3, 1e-3, 1e-9, 0.0):
+            pose = Pose6DoF(rng.uniform(-0.5, 0.5, 3), rng.normal(size=3)).to_transform()
+            delta = np.concatenate([rng.uniform(-scale, scale, 3), np.zeros(3)])
+            moved = retract_pose(pose, delta)
+            np.testing.assert_array_equal(moved.r.m, exp_so3(delta[:3]).m @ pose.r.m)
+            np.testing.assert_array_equal(moved.t, pose.t)
+
+    def test_non_finite_rotation_step_rejected(self):
+        with pytest.raises(ValueError, match="rotation vector must be finite"):
+            retract_pose(SE3Transform.identity(), np.array([np.nan, 0, 0, 0, 0, 0]))
 
     def test_translation_additive(self):
         pose = SE3Transform.from_translation([1.0, 2.0, 3.0])
@@ -138,6 +144,14 @@ class TestPerturbPose:
         np.testing.assert_array_equal(a.rot, b.rot)
         np.testing.assert_array_equal(a.trans, b.trans)
         assert not np.array_equal(a.trans, c.trans)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0"), (2.5, "seed must be an integer"),
+        (True, "seed must be an integer"),
+    ])
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            perturb_pose(Pose6DoF(np.zeros(3), GT_TRANS), 1.0, 0.02, seed=seed)
 
 
 class TestAlignOptions:
@@ -309,6 +323,13 @@ class TestPoseAndDepth:
 
 
 class TestAlignPosePair:
+    def test_only_pose_only_mode_accepted(self, slanted32):
+        # The depths are inputs of the pair solve, never unknowns.
+        pair, depth_source, k, gt6 = slanted32
+        with pytest.raises(ValueError, match="poses only, got mode 'pose_and_depth'"):
+            align_pose_pair(pair.target, pair.source, pair.gt_depth, depth_source, k, gt6, gt6,
+                            AlignOptions(mode="pose_and_depth"))
+
     def test_bf_term_collapses(self, slanted64):
         pair, k, gt6 = slanted64
         gt_fwd = SE3Transform.from_translation(GT_TRANS)

@@ -27,7 +27,6 @@ import pytest
 
 from egowarp import (
     AttentionGateParams,
-    AttentionMap,
     FeatureMap,
     ImageBuffer,
     ValidityMask,
@@ -251,20 +250,31 @@ class TestResampleGating:
 
     def test_bad_size_rejected(self):
         g = FeatureMap(np.zeros((2, 2, 1)))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="out_height must be >= 1"):
             resample_gating(g, 0, 4)
+
+    @pytest.mark.parametrize("out_height, out_width, message", [
+        (2.5, 3, "out_height must be an integer"),
+        (3, True, "out_width must be an integer"),
+    ])
+    def test_size_must_be_an_integer(self, out_height, out_width, message):
+        g = FeatureMap(np.zeros((2, 2, 1)))
+        with pytest.raises(ValueError, match=message):
+            resample_gating(g, out_height, out_width)
+        with pytest.raises(ValueError, match=message):
+            alpha_to_loss_mask(WeightMask(np.zeros((2, 2))), out_height, out_width)
 
 
 class TestAlphaToLossMask:
     def test_constant_alpha_round_trips(self):
-        alpha = AttentionMap(np.full((2, 2), 0.25))
+        alpha = WeightMask(np.full((2, 2), 0.25))
         mask = alpha_to_loss_mask(alpha, 5, 7)
         assert isinstance(mask, WeightMask)
         assert mask.data.shape == (5, 7)
         assert np.all(mask.data == 0.25)
 
     def test_align_corners_values(self):
-        alpha = AttentionMap(np.array([[0.0, 1.0]]))
+        alpha = WeightMask(np.array([[0.0, 1.0]]))
         mask = alpha_to_loss_mask(alpha, 1, 4)
         np.testing.assert_allclose(
             mask.data[0], [0.0, 1 / 3, 2 / 3, 1.0], rtol=0, atol=1e-15
@@ -275,7 +285,7 @@ class TestAlphaToLossMask:
         target = ImageBuffer(rng.random(size=(6, 8, 3)))
         recon = ImageBuffer(rng.random(size=(6, 8, 3)))
         valid = ValidityMask(np.ones((6, 8), dtype=bool))
-        mask = alpha_to_loss_mask(AttentionMap(np.ones((3, 4))), 6, 8)
+        mask = alpha_to_loss_mask(WeightMask(np.ones((3, 4))), 6, 8)
         masked = photometric_l1(target, recon, mask, valid)
         plain = photometric_l1(
             target, recon, WeightMask(np.ones((6, 8))), valid

@@ -113,6 +113,37 @@ class TestPfm:
             write_pfm(tmp_path / "d.pfm", np.zeros((2, 2, 1)))
 
 
+# One file per rejection of the binary decoder: (reader, bytes, message).
+BAD_BINARY_FILES = {
+    "pfm-color": (read_pfm, b"PF\n1 1\n-1.0\n" + b"\x00" * 12, "color PFM"),
+    "pfm-magic": (read_pfm, b"P5\n1 1\n255\n\x00", "not a PFM"),
+    "pfm-empty": (read_pfm, b"", "not a PFM"),
+    "pfm-short-header": (read_pfm, b"Pf\n2 2\n", "truncated PFM header"),
+    "pfm-bad-size": (read_pfm, b"Pf\n2 x\n-1.0\n" + b"\x00" * 8, "bad PFM header"),
+    "pfm-bad-scale": (read_pfm, b"Pf\n1 1\nscale\n" + b"\x00" * 4, "bad PFM header"),
+    "pfm-zero-size": (read_pfm, b"Pf\n0 1\n-1.0\n", "bad PFM header values"),
+    "pfm-zero-scale": (read_pfm, b"Pf\n1 1\n0.0\n" + b"\x00" * 4, "bad PFM header values"),
+    "pfm-payload": (read_pfm, b"Pf\n2 2\n-1.0\n" + b"\x00" * 15, "truncated"),
+    "pnm-magic": (read_image, b"P3\n1 1\n255\n0 0 0\n", "not a binary"),
+    "pnm-empty": (read_image, b"", "not a binary"),
+    "pnm-short-header": (read_image, b"P5\n1 1\n", "truncated PGM/PPM header"),
+    "pnm-bad-size": (read_image, b"P5\n1 y\n255\n\x00", "bad PGM/PPM header"),
+    "pnm-zero-size": (read_image, b"P5\n0 3\n255\n", "bad PGM/PPM header values"),
+    "pnm-maxval": (read_image, b"P5\n1 1\n65535\n\x00\x00", "maxval 255"),
+    "pnm-payload": (read_image, b"P6\n2 2\n255\n" + b"\x00" * 11, "truncated"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_BINARY_FILES)
+def test_every_binary_rejection_names_its_file(tmp_path, case):
+    reader, raw, message = BAD_BINARY_FILES[case]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=message) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 class TestDepthFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "depth.pfm"

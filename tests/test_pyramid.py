@@ -132,6 +132,16 @@ class TestUpsample2x:
     def test_channels_kept(self):
         assert upsample2x(np.ones((2, 2, 3)), 4, 4).shape == (4, 4, 3)
 
+    @pytest.mark.parametrize("out_h, out_w, message", [
+        (2.5, 3, "out_h must be an integer"),
+        (True, 3, "out_h must be an integer"),
+        (3, 2.5, "out_w must be an integer"),
+        (0, 3, "out_h must be >= 1"),
+    ])
+    def test_size_must_be_a_positive_integer(self, out_h, out_w, message):
+        with pytest.raises(ValueError, match=message):
+            upsample2x(np.ones((2, 2)), out_h, out_w)
+
     @pytest.mark.parametrize("h, w", [(64, 64), (63, 65)])
     def test_linear_ramp_survives_down_and_up(self, h, w):
         # A 2x2 block mean of a linear ramp is the ramp at the block centre,

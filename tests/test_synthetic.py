@@ -14,6 +14,9 @@ Oracles come from closed-form ray-plane intersection:
 * Rays that miss every plane get SKY_DEPTH, intensity 0, and a False hit
   flag.
 * PSNR of constant images 0.5 vs 0.75 is 10 log10(1 / 0.0625) = 40 log10 2.
+* A one-ray-at-a-time loop over the planes (nearest positive hit inside the
+  extent, texture summed at the hit) is the brute-force oracle for the
+  vectorised single pass.
 
 The renderer ray-casts both views independently (no image resampling), so
 inverse-warping a rendered source with the exact depth and pose must
@@ -31,6 +34,7 @@ from egowarp import (
     SE3Transform,
     ValidityMask,
     default_intrinsics,
+    exp_so3,
     inverse_warp,
     make_scene,
     psnr,
@@ -49,7 +53,55 @@ def _flat_scene(value: float, extent: float | None = None) -> SceneSpec:
     )
 
 
+def _cast_one_ray(spec: SceneSpec, pose: SE3Transform, k, u: int, v: int):
+    """(depth, intensity) of pixel (u, v)'s nearest hit, or None on a miss."""
+    r = pose.r.m
+    center = -(r.T @ pose.t)
+    ray = r.T @ np.array([(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0])
+    best = None
+    for plane in spec.planes:
+        tau = (plane.offset - plane.normal @ center) / (plane.normal @ ray)
+        e1, e2 = plane.basis()
+        rel = center + tau * ray - plane.offset * plane.normal
+        s, t = rel @ e1, rel @ e2
+        inside = plane.extent is None or max(abs(s), abs(t)) <= plane.extent
+        if tau > 1e-6 and inside and (best is None or tau < best[0]):
+            value = sum(a * np.cos(2.0 * np.pi * (fu * s + fv * t) + phase)
+                        for fu, fv, a, phase in spec.texture_freqs)
+            best = (tau, min(max(value, 0.0), 1.0))
+    return best
+
+
+class TestPlaneSpec:
+    @pytest.mark.parametrize("offset, extent, message", [
+        (np.nan, None, "offset must be finite"),
+        (np.inf, None, "offset must be finite"),
+        (-np.inf, 1.0, "offset must be finite"),
+        (5.0, np.nan, "extent must be positive and finite"),
+        (5.0, np.inf, "extent must be positive and finite"),
+        (5.0, 0.0, "extent must be positive and finite"),
+    ])
+    def test_non_finite_or_empty_plane_rejected(self, offset, extent, message):
+        with pytest.raises(ValueError, match=message):
+            PlaneSpec(np.array([0.0, 0.0, 1.0]), offset, extent=extent)
+
+
 class TestRenderView:
+    def test_matches_one_ray_at_a_time(self):
+        # Rotated and moved so the near patch's edge crosses the view.
+        spec = make_scene("two_planes", seed=9)
+        pose = SE3Transform(exp_so3(np.array([0.05, -0.08, 0.03])), np.array([0.3, -0.2, 0.5]))
+        k = default_intrinsics(40, 30)
+        image, depth, hit = render_view(spec, pose, k, 40, 30)
+        for v in range(30):
+            for u in range(40):
+                best = _cast_one_ray(spec, pose, k, u, v)
+                assert hit.data[v, u] == (best is not None)
+                d, value = best if best is not None else (SKY_DEPTH, 0.0)
+                assert depth.data[v, u] == pytest.approx(d, rel=1e-12)
+                assert image.data[v, u, 0] == pytest.approx(value, abs=1e-12)
+        assert depth.data.min() < 5.0 < depth.data.max()  # patch and background
+
     def test_fronto_plane_depth_is_constant(self):
         k = default_intrinsics(32, 24)
         _, depth, hit = render_view(make_scene("fronto_plane"), SE3Transform.identity(), k, 32, 24)
@@ -98,8 +150,19 @@ class TestRenderView:
         assert image.data[32, 32, 0] == 0.75
 
     def test_bad_size_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="width must be >= 1"):
             render_view(make_scene("fronto_plane"), SE3Transform.identity(), default_intrinsics(8, 8), 0, 8)
+
+    @pytest.mark.parametrize("width, height, message", [
+        (2.5, 8, "width must be an integer"),
+        (True, 8, "width must be an integer"),
+        (8, 2.5, "height must be an integer"),
+        (8, 0, "height must be >= 1"),
+    ])
+    def test_size_must_be_a_positive_integer(self, width, height, message):
+        with pytest.raises(ValueError, match=message):
+            render_view(make_scene("fronto_plane"), SE3Transform.identity(),
+                        default_intrinsics(8, 8), width, height)
 
 
 class TestRenderPair:
@@ -149,6 +212,14 @@ class TestMakeScene:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown scene kind"):
             make_scene("sphere")
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0"), (2.5, "seed must be an integer"),
+        (True, "seed must be an integer"),
+    ])
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            make_scene("fronto_plane", seed)
 
     def test_texture_values_stay_interior(self):
         # Amplitudes sum to 0.45 around 0.5: never touches the clamp.

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from egowarp import (
-    AttentionMap,
     CameraIntrinsics,
     DepthMap,
     FeatureMap,
@@ -82,7 +81,7 @@ class TestBufferValidation:
         assert m.count == 3
 
 
-# The six per-pixel types: a valid shape (all-ones data is valid for each)
+# The five per-pixel types: a valid shape (all-ones data is valid for each)
 # and a finite value each one rejects (None: every finite value is allowed).
 PIXEL_TYPES = [
     (ImageBuffer, (2, 3, 1), 1.5),
@@ -90,7 +89,6 @@ PIXEL_TYPES = [
     (ValidityMask, (2, 3), 2.0),
     (WeightMask, (2, 3), -0.1),
     (FeatureMap, (2, 3, 4), None),
-    (AttentionMap, (2, 3), 1.5),
 ]
 PIXEL_IDS = [cls.__name__ for cls, _, _ in PIXEL_TYPES]
 
