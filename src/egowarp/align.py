@@ -12,6 +12,12 @@ reweighted by 1 / max(|r|, floor) (iteratively reweighted least squares),
 so the pose block solves the 6x6 Gauss-Newton normal equations, the pair
 block one 12x12 system holding both photometric terms and the bf term's 12
 residuals, and the depth block takes the per-pixel diagonal Newton step.
+The pair block steps in the chart (F, E) with E = B o F, where the bf
+residuals depend on E alone, so a step does not leave the curved set
+B o F = I (the on-manifold change of variables of Blanco, "A tutorial on
+SE(3) transformation parameterizations and on-manifold optimization",
+2010): its gradient and curvature are pulled back through C = d(F, B) /
+d(F, E), and a step retracts F and E, then sets B = E o F^-1.
 Each warp direction's gradient and every block's curvature come from
 one loss_gradients call, made once per state a block steps from: a block
 that does not move hands it to the next block, and a level stopped by
@@ -51,6 +57,9 @@ from .se3 import (
     SE3Transform,
     bf_consistency_loss,
     bf_residual_jacobian,
+    compose,
+    hat,
+    inverse,
     log_so3,
     retract_pose,
 )
@@ -70,8 +79,12 @@ DEPTH_FLOOR = 1e-3
 DEPTH_DAMPING = 0.1
 # IRLS floor of the bf residuals. It is small because the bf term is an
 # unnormalized L1 penalty that the solve should drive to (near) zero: a
-# floor of 1e-3 stalls the pair solve at 2-7 % translation error.
-BF_IRLS_FLOOR = 1e-6
+# floor of 1e-3 stalls the pair solve at 2-7 % translation error. In the
+# (F, E) chart, once |e| is below the floor E's Newton step is about the
+# floor long and overshoots the L1 kink; Armijo then halves the whole
+# 12-vector, F's half too, about 8 times per search. At 1e-6 that took a
+# 64^2 solve's 32^2 level to 356 gradient calls at 8-9 evaluations each.
+BF_IRLS_FLOOR = 1e-9
 
 MODES = ("pose_only", "pose_and_depth")
 
@@ -136,6 +149,9 @@ def perturb_pose(
     """Perturb by rot_deg about a random axis and trans_frac of ||t|| along
     a random direction (absolute units if the translation is zero)."""
     _check_count(seed, "seed", 0)
+    for name, value in (("rot_deg", rot_deg), ("trans_frac", trans_frac)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     rng = np.random.default_rng(seed)
 
     def unit() -> np.ndarray:
@@ -237,6 +253,28 @@ def _descend(x, loss0, level, opts):
         if not moved:
             return x, history, it, True
     return x, history, opts.max_iters, False
+
+
+def _pair_chart(fwd: SE3Transform, bwd: SE3Transform) -> np.ndarray:
+    """C = d(F, B) / d(F, E) at E = B o F, in retract_pose's parameters.
+
+    A step (dF, dE) moves B by omega_B = omega_E - R_B omega_F and
+    rho_B = rho_E - R_B rho_F + hat(R_B t_F) omega_B; F moves by dF itself.
+    """
+    c = np.eye(12)
+    rb, h = bwd.r.m, hat(bwd.r.m @ fwd.t)
+    c[6:9, :3] = -rb
+    c[9:, :3] = -h @ rb
+    c[9:, 3:6] = -rb
+    c[9:, 6:9] = h
+    return c
+
+
+def _retract_pair(poses: tuple[SE3Transform, SE3Transform], delta: np.ndarray):
+    """(F', B') = (retract(F, dF), E' o F'^-1) with E' = retract(B o F, dE)."""
+    fwd, bwd = poses
+    moved = retract_pose(fwd, delta[:6])
+    return moved, compose(retract_pose(compose(bwd, fwd), delta[6:]), inverse(moved))
 
 
 def _coarse_to_fine(levels, x, level, opts):
@@ -362,7 +400,7 @@ def align_pose_pair(
             return (loss_f(fwd, d_t, smo_f) + loss_b(bwd, d_s, smo_b)
                     + w.lambda_bf * bf_consistency_loss([(fwd, bwd)]))
 
-        def evaluate(poses):  # the 12-vector gradient and its IRLS curvature
+        def evaluate(poses):  # the 12-vector gradient and IRLS curvature in (F, E)
             fwd, bwd = poses
             g_f, g_b = grads_f(fwd, d_t), grads_b(bwd, d_s)
             e, jac = bf_residual_jacobian(fwd, bwd)
@@ -370,10 +408,10 @@ def align_pose_pair(
             curv = w.lambda_bf * (jac.T / np.maximum(np.abs(e), BF_IRLS_FLOOR)) @ jac
             curv[:6, :6] += g_f.h_pose
             curv[6:, 6:] += g_b.h_pose
-            return grad, curv
+            c = _pair_chart(fwd, bwd)
+            return c.T @ grad, c.T @ curv @ c
 
-        return poses, (loss_fn, evaluate, [(lambda ev: _gauss_newton(*ev), lambda p, delta: (
-            retract_pose(p[0], delta[:6]), retract_pose(p[1], delta[6:])))])
+        return poses, (loss_fn, evaluate, [(lambda ev: _gauss_newton(*ev), _retract_pair)])
 
     (fwd, bwd), loss, iters, converged, history = _coarse_to_fine(
         levels, (init_forward.to_transform(), init_backward.to_transform()), level, opts

@@ -90,6 +90,7 @@ class SceneSpec:
         )
         if not all(np.isfinite(v) for term in freqs for v in term):
             raise ValueError("texture terms must be finite")
+        _check_count(self.seed, "seed", 0)
         object.__setattr__(self, "planes", tuple(self.planes))
         object.__setattr__(self, "texture_freqs", freqs)
 

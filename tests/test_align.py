@@ -24,9 +24,14 @@ Quantitative thresholds were chosen with several times the measured margin:
 * Armijo acceptance makes every recorded loss non-increasing regardless of
   where the run starts.
 * Joint forward/backward optimization with a strong lambda_bf drives the
-  backward-forward consistency term to ~7e-8 at 64x64 (an L1 penalty, so it
-  collapses almost to zero once dominant), with the forward pose ~0.003
+  backward-forward consistency term to ~1e-10 at 64x64 (an L1 penalty, so it
+  collapses almost to zero once dominant), with the forward pose ~0.002
   degrees and ~0.05 percent from the truth.
+* The pair solve steps in (F, E = B o F). Its chart Jacobian matches central
+  differences of the step to ~3e-10 (asserted at 1e-8) and zeroes the bf
+  residuals' dF columns to ~2e-16 (asserted at 1e-12). The solve makes 370
+  warps at 64x64 and 360 at criterion 5's 128x128 (1,544 and 628 when F and
+  B were stepped independently); asserted at 800 and 450.
 """
 
 from types import SimpleNamespace
@@ -40,11 +45,13 @@ from egowarp import (
     DepthMap,
     LossWeights,
     Pose6DoF,
+    Rotation,
     SE3Transform,
     WeightMask,
     align_pose,
     align_pose_pair,
     bf_consistency_loss,
+    bf_residual_jacobian,
     compose,
     default_intrinsics,
     exp_so3,
@@ -152,6 +159,15 @@ class TestPerturbPose:
     def test_seed_must_be_a_non_negative_integer(self, seed, message):
         with pytest.raises(ValueError, match=message):
             perturb_pose(Pose6DoF(np.zeros(3), GT_TRANS), 1.0, 0.02, seed=seed)
+
+
+    @pytest.mark.parametrize("rot_deg, trans_frac, name", [
+        (np.nan, 0.02, "rot_deg"), (np.inf, 0.0, "rot_deg"),
+        (1.0, np.nan, "trans_frac"), (1.0, -np.inf, "trans_frac"),
+    ])
+    def test_non_finite_magnitude_named(self, rot_deg, trans_frac, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            perturb_pose(Pose6DoF(np.zeros(3), GT_TRANS), rot_deg, trans_frac, seed=1)
 
 
 class TestAlignOptions:
@@ -378,6 +394,46 @@ class TestAlignPosePair:
         assert _monotone(report.loss_history)
 
 
+def _random_pose(rng: np.random.Generator) -> SE3Transform:
+    return Pose6DoF(rng.uniform(-0.5, 0.5, 3), rng.normal(size=3)).to_transform()
+
+
+def _step(before: SE3Transform, after: SE3Transform) -> np.ndarray:
+    """The 6-vector d with after = retract_pose(before, d)."""
+    return np.concatenate([log_so3(Rotation(after.r.m @ before.r.m.T)), after.t - before.t])
+
+
+class TestPairChart:
+    """The pair block steps in (F, E) with E = B o F; _pair_chart is the
+    Jacobian C = d(F, B) / d(F, E) of that step, read in retract_pose's
+    parameters."""
+
+    def test_matches_central_differences_of_the_step(self):
+        rng = np.random.default_rng(12)
+        h = 1e-6
+        for _ in range(10):
+            poses = (_random_pose(rng), _random_pose(rng))
+            numeric = np.empty((12, 12))
+            for j in range(12):
+                d = np.zeros(12)
+                d[j] = h
+                plus = align_module._retract_pair(poses, d)
+                minus = align_module._retract_pair(poses, -d)
+                for i in range(2):
+                    numeric[6 * i:6 * i + 6, j] = (
+                        _step(poses[i], plus[i]) - _step(poses[i], minus[i])) / (2 * h)
+            np.testing.assert_allclose(align_module._pair_chart(*poses), numeric, atol=1e-8)
+
+    def test_bf_residuals_depend_on_e_alone(self):
+        # Checked against se3's own Jacobian: columns of dF at fixed E vanish.
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            poses = (_random_pose(rng), _random_pose(rng))
+            _, jac = bf_residual_jacobian(*poses)
+            pulled = jac @ align_module._pair_chart(*poses)
+            assert np.max(np.abs(pulled[:, :6])) < 1e-12
+
+
 class TestZeroGradient:
     def test_block_costs_no_loss_evaluation(self):
         def never(*_):
@@ -482,6 +538,27 @@ class TestEvaluationCounts:
         repeats = [i for i, ((d0, p0), (d1, p1)) in enumerate(zip(states, states[1:]))
                    if d0 is d1 and p0 is p1]
         assert repeats == []
+
+
+    @pytest.mark.parametrize("size, max_warps", [(64, 800), (128, 450)])
+    def test_pair_solve_warp_budget(self, counted, size, max_warps):
+        """The pair solve on criterion 5's scene and inits, at criterion 5's
+        128^2 and at 64^2: stepping in (F, E) keeps the line searches short."""
+        k = default_intrinsics(size, size)
+        gt_fwd = SE3Transform.from_translation(GT_TRANS)
+        scene = make_scene("slanted_plane")
+        pair = render_pair(scene, gt_fwd, k, size, size)
+        _, depth_source, _ = render_view(scene, gt_fwd, k, size, size)
+        bwd = inverse(gt_fwd)
+        report = align_pose_pair(
+            pair.target, pair.source, pair.gt_depth, depth_source, k,
+            perturb_pose(Pose6DoF(np.zeros(3), GT_TRANS), 1.0, 0.02, seed=1),
+            perturb_pose(Pose6DoF(log_so3(bwd.r), bwd.t), 1.0, 0.02, seed=2),
+            AlignOptions(max_iters=500 if size == 128 else 200,
+                         weights=LossWeights(lambda_bf=10.0)),
+        )
+        assert report.bf_term < 1e-4
+        assert counted.warps <= max_warps
 
 
 class TestLevelLoss:

@@ -86,6 +86,20 @@ class TestPlaneSpec:
             PlaneSpec(np.array([0.0, 0.0, 1.0]), offset, extent=extent)
 
 
+class TestSceneSpec:
+    @pytest.mark.parametrize("seed, message", [
+        (-3, "seed must be >= 0"), (1.5, "seed must be an integer"),
+    ])
+    def test_seed_checked_as_make_scene_checks_it(self, seed, message):
+        # A hand-built spec carries no seed that make_scene would reject.
+        with pytest.raises(ValueError, match=message):
+            SceneSpec(kind="fronto_plane",
+                      planes=(PlaneSpec(np.array([0.0, 0.0, 1.0]), 5.0),),
+                      texture_freqs=((0.0, 0.0, 0.5, 0.0),), seed=seed)
+        with pytest.raises(ValueError, match=message):
+            make_scene("fronto_plane", seed)
+
+
 class TestRenderView:
     def test_matches_one_ray_at_a_time(self):
         # Rotated and moved so the near patch's edge crosses the view.
