@@ -21,12 +21,16 @@ d(F, E), and a step retracts F and E, then sets B = E o F^-1.
 Each warp direction's gradient and every block's curvature come from
 one loss_gradients call, made once per state a block steps from: a block
 that does not move hands it to the next block, and a level stopped by
-max_iters never evaluates its last state. Every step starts at length 1
-under Armijo backtracking (factor 0.5, c = 1e-4), so accepted steps never
-increase the loss. A level whose
-starting loss is not finite (no valid pixel) is skipped, so loss histories
-stay finite; the next level then starts from the caller's depth, not an
-upsampled estimate.
+max_iters never evaluates its last state. Steps are accepted by Armijo
+backtracking (factor 0.5, c = 1e-4), so they never increase the loss. Each
+block's search starts where its last gain ratio points (actual over
+model-predicted decrease; Madsen, Nielsen & Tingleff, "Methods for
+Non-Linear Least Squares Problems", 2004): near convergence more residuals
+fall below the IRLS floor, the model underestimates the curvature, and the
+full step overshoots, so a search that started at length 1 would pay a
+rejected evaluation per halving. A level whose starting loss is not finite
+(no valid pixel) is skipped, so loss histories stay finite; the next level
+then starts from the caller's depth, not an upsampled estimate.
 
 A loss evaluation is one inverse_warp per direction; what cannot change
 within a level is hoisted out of it. The all-ones mask is built once per
@@ -63,11 +67,17 @@ from .se3 import (
     log_so3,
     retract_pose,
 )
-from .warp import DepthMap, ImageBuffer, inverse_warp
+from .warp import DepthMap, ImageBuffer, _check_same_size, inverse_warp
 
 ARMIJO_C = 1e-4
 ARMIJO_FACTOR = 0.5
-# A line search gives up after _MAX_BACKTRACKS halvings of the Newton step
+# Each block's line search starts where the last one's gain ratio (actual
+# over model-predicted decrease) points: twice the accepted step (at most 1)
+# above GAIN_HIGH, half of it below GAIN_LOW, the same step in between; 1 at
+# the start of a level and after a failed search.
+GAIN_HIGH = 0.75
+GAIN_LOW = 0.25
+# A line search gives up after _MAX_BACKTRACKS halvings of its start step
 # or once the move is shorter than TOL_STEP; the block then does not move.
 TOL_STEP = 1e-6
 _MAX_BACKTRACKS = 10
@@ -112,9 +122,9 @@ class AlignReport:
     converged is True iff the finest level ran and its last iteration moved
     no block: for each block, the Newton step was not a descent direction
     (as at a zero gradient), or the Armijo line search found no decrease
-    within _MAX_BACKTRACKS halvings of the full Newton step before the move
-    fell below TOL_STEP. It says the step's model is exhausted, not that the
-    gradient vanished: at an L1 kink it never does, and in pose_and_depth
+    within _MAX_BACKTRACKS halvings of the block's start step before the
+    move fell below TOL_STEP. It says the step's model is exhausted, not that
+    the gradient vanished: at an L1 kink it never does, and in pose_and_depth
     mode the diagonal depth step can stop short of the minimum. Hitting
     max_iters reports False. Levels with a non-finite starting loss are
     skipped and add no iters.
@@ -192,28 +202,54 @@ def _direction(
     return loss, grads
 
 
+def _check_inputs(target: ImageBuffer, source: ImageBuffer, levels: int, **depths) -> None:
+    """Raise ValueError naming the caller's argument unless source and every
+    depth map have target's size, source has target's channel count and
+    target has at least 2^(levels - 1) pixels per side, so that levels
+    pyramid levels exist."""
+    for name, arr in (("source", source), *depths.items()):
+        _check_same_size(target, arr, "target", name)
+    if source.channels != target.channels:
+        raise ValueError(
+            f"target has {target.channels} channels and source {source.channels}; "
+            "they must match")
+    side = 2 ** (levels - 1)
+    if min(target.height, target.width) < side:
+        raise ValueError(
+            f"pyramid_levels={levels} needs images of at least {side}x{side} pixels, "
+            f"got target {target.height}x{target.width}")
+
+
 def _floored(depth: np.ndarray) -> DepthMap:
     """The depth map max(depth, DEPTH_FLOOR)."""
     return DepthMap(np.maximum(depth, DEPTH_FLOOR))
 
 
-def _backtrack(loss_fn, retract, x, loss0, grad, direction):
-    """One Armijo line search from the full step. Returns (x_new, loss_new) or
-    None, at once and without a loss evaluation when direction does not descend."""
+def _backtrack(loss_fn, retract, x, loss0, grad, direction, step):
+    """One Armijo line search that halves from step. Returns (x_new, loss_new,
+    accepted step) or None, at once and without a loss evaluation when
+    direction does not descend."""
     slope = float(np.sum(grad * direction))
     if not slope < 0.0:
         return None
     dir_norm = float(np.linalg.norm(direction))
-    step = 1.0
     for _ in range(_MAX_BACKTRACKS):
         if step * dir_norm < TOL_STEP:
             return None
         cand = retract(x, step * direction)
         cand_loss = loss_fn(cand)
         if np.isfinite(cand_loss) and cand_loss <= loss0 + ARMIJO_C * step * slope:
-            return cand, cand_loss
+            return cand, cand_loss, step
         step *= ARMIJO_FACTOR
     return None
+
+
+def _next_start(step, gain):
+    """The next search's start step after accepting step with gain ratio
+    gain = actual / predicted decrease (Madsen, Nielsen & Tingleff 2004)."""
+    if gain > GAIN_HIGH:
+        return min(1.0, 2 * step)
+    return step / 2 if gain < GAIN_LOW else step
 
 
 def _gauss_newton(grad: np.ndarray, curvature: np.ndarray):
@@ -237,19 +273,29 @@ def _descend(x, loss0, level, opts):
     from, so a block that does not move hands its evaluation to the next,
     and a level stopped by max_iters never evaluates its last state.
     history is loss0, then every accepted loss. The level converges when
-    an iteration moves no block.
+    an iteration moves no block. Each block's line search starts at its own
+    step, 1 at first and after a failed search, else _next_start of the last.
     """
     loss_fn, evaluate, blocks = level
     history, ev = [loss0], None
+    starts = [1.0] * len(blocks)
     for it in range(1, opts.max_iters + 1):
         moved = False
-        for newton, retract in blocks:
+        for b, (newton, retract) in enumerate(blocks):
             if ev is None:
                 ev = evaluate(x)
-            res = _backtrack(loss_fn, retract, x, history[-1], *newton(ev))
-            if res is not None:
-                x, ev, moved = res[0], None, True
-                history.append(res[1])
+            grad, direction = newton(ev)
+            res = _backtrack(loss_fn, retract, x, history[-1], grad, direction, starts[b])
+            if res is None:
+                starts[b] = 1.0
+                continue
+            x, loss, step = res
+            # The block's quadratic model predicts a decrease of -t s (1 - t/2)
+            # along its Newton step t d, where s = g . d (as d^T H d = -s).
+            predicted = -step * float(np.sum(grad * direction)) * (1 - step / 2)
+            starts[b] = _next_start(step, (history[-1] - loss) / predicted)
+            ev, moved = None, True
+            history.append(loss)
         if not moved:
             return x, history, it, True
     return x, history, opts.max_iters, False
@@ -321,6 +367,7 @@ def align_pose(
     if opts is None:
         opts = AlignOptions()
     levels = opts.pyramid_levels
+    _check_inputs(target, source, levels, depth=depth)
     imgs_t = image_pyramid(target, levels)
     imgs_s = image_pyramid(source, levels)
     depths = depth_pyramid(depth, levels)
@@ -382,6 +429,7 @@ def align_pose_pair(
     if opts.mode != "pose_only":
         raise ValueError(f"align_pose_pair solves poses only, got mode {opts.mode!r}")
     levels = opts.pyramid_levels
+    _check_inputs(target, source, levels, depth_target=depth_target, depth_source=depth_source)
     imgs_t = image_pyramid(target, levels)
     imgs_s = image_pyramid(source, levels)
     depths_t = depth_pyramid(depth_target, levels)

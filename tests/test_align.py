@@ -29,9 +29,13 @@ Quantitative thresholds were chosen with several times the measured margin:
   degrees and ~0.05 percent from the truth.
 * The pair solve steps in (F, E = B o F). Its chart Jacobian matches central
   differences of the step to ~3e-10 (asserted at 1e-8) and zeroes the bf
-  residuals' dF columns to ~2e-16 (asserted at 1e-12). The solve makes 370
-  warps at 64x64 and 360 at criterion 5's 128x128 (1,544 and 628 when F and
-  B were stepped independently); asserted at 800 and 450.
+  residuals' dF columns to ~2e-16 (asserted at 1e-12).
+* Each line search starts where the last one's gain ratio points. The pair
+  solve then makes 188 warps at 64x64 and 100 at criterion 5's 128x128
+  (1,544 and 628 when F and B were stepped independently, 370 and 360 in
+  the chart with every search starting at the full step); asserted at 300
+  and 200. Criterion 5's pose solve makes 69 (210 from the full step);
+  asserted at 120.
 """
 
 from types import SimpleNamespace
@@ -43,6 +47,7 @@ import egowarp.align as align_module
 from egowarp import (
     AlignOptions,
     DepthMap,
+    ImageBuffer,
     LossWeights,
     Pose6DoF,
     Rotation,
@@ -188,6 +193,64 @@ class TestAlignOptions:
     def test_numpy_integer_counts_accepted(self):
         opts = AlignOptions(max_iters=np.int64(7), pyramid_levels=np.int32(2))
         assert opts.max_iters == 7 and opts.pyramid_levels == 2
+
+
+def _flat(size: int, channels: int = 1) -> ImageBuffer:
+    return ImageBuffer(np.full((size, size, channels), 0.5))
+
+
+class TestInputChecks:
+    """A size, channel or pyramid-depth mismatch is rejected before the
+    pyramid is built, naming the caller's arguments, not the coarsest
+    level's arrays."""
+
+    SOLVES = {
+        "pose": lambda t, s, dt, ds, opts: align_pose(
+            t, s, dt, default_intrinsics(t.width, t.height), Pose6DoF(np.zeros(3), GT_TRANS),
+            opts),
+        "pair": lambda t, s, dt, ds, opts: align_pose_pair(
+            t, s, dt, ds, default_intrinsics(t.width, t.height),
+            Pose6DoF(np.zeros(3), GT_TRANS), Pose6DoF(np.zeros(3), -GT_TRANS), opts),
+    }
+
+    @pytest.mark.parametrize("solve", ["pose", "pair"])
+    def test_depth_size(self, solve):
+        message = "^target 16x16 and depth(_target)? 8x8 sizes differ$"
+        with pytest.raises(ValueError, match=message):
+            self.SOLVES[solve](_flat(16), _flat(16), DepthMap(np.ones((8, 8))),
+                               DepthMap(np.ones((16, 16))), AlignOptions())
+
+    def test_depth_source_size(self):
+        with pytest.raises(ValueError, match="^target 16x16 and depth_source 8x8 sizes differ$"):
+            self.SOLVES["pair"](_flat(16), _flat(16), DepthMap(np.ones((16, 16))),
+                                DepthMap(np.ones((8, 8))), AlignOptions())
+
+    @pytest.mark.parametrize("solve", ["pose", "pair"])
+    def test_source_size(self, solve):
+        depth = DepthMap(np.ones((16, 16)))
+        with pytest.raises(ValueError, match="^target 16x16 and source 8x8 sizes differ$"):
+            self.SOLVES[solve](_flat(16), _flat(8), depth, depth, AlignOptions())
+
+    @pytest.mark.parametrize("solve", ["pose", "pair"])
+    def test_channels(self, solve):
+        depth = DepthMap(np.ones((16, 16)))
+        with pytest.raises(ValueError, match="^target has 3 channels and source 1; "):
+            self.SOLVES[solve](_flat(16, 3), _flat(16), depth, depth, AlignOptions())
+
+    @pytest.mark.parametrize("solve", ["pose", "pair"])
+    def test_pyramid_deeper_than_image(self, solve):
+        depth = DepthMap(np.ones((16, 16)))
+        with pytest.raises(ValueError, match="^pyramid_levels=6 needs images of at least 32x32 "
+                                             "pixels, got target 16x16$"):
+            self.SOLVES[solve](_flat(16), _flat(16), depth, depth,
+                               AlignOptions(pyramid_levels=6))
+
+    def test_deepest_pyramid_the_image_allows_runs(self):
+        # 16 = 2^4, so five levels reach a 1x1 image and run.
+        depth = DepthMap(np.ones((16, 16)))
+        report = self.SOLVES["pose"](_flat(16), _flat(16), depth, depth,
+                                     AlignOptions(max_iters=1, pyramid_levels=5))
+        assert np.isfinite(report.final_loss)
 
 
 class TestPoseRecovery:
@@ -441,11 +504,57 @@ class TestZeroGradient:
 
         zero = np.zeros(6)
         for direction in (zero, np.ones(6), -np.ones(6)):
-            assert align_module._backtrack(never, never, "x", 1.0, zero, direction) is None
+            assert align_module._backtrack(never, never, "x", 1.0, zero, direction, 1.0) is None
         # A level whose only block has a zero gradient converges at once.
         level = (never, lambda x: "ev", [(lambda ev: (zero, -np.ones(6)), never)])
         opts = AlignOptions(max_iters=5)
         assert align_module._descend("x", 1.0, level, opts) == ("x", [1.0], 1, True)
+
+
+class TestStepRule:
+    """Each line search starts where the last one's gain ratio points, on a
+    synthetic level with known losses: sum a_i x_i^2 for a = 1..6, whose IRLS
+    model underestimates the curvature three times, so the Newton step
+    d = -3x overshoots and t = 1/2 lands on -x/2."""
+
+    A = np.arange(1.0, 7.0)
+
+    def test_searches_start_at_the_last_accepted_step(self, monkeypatch):
+        evals, starts, accepted = [], [], []
+
+        def loss(x):
+            evals.append(x)
+            return float(np.sum(self.A * x * x))
+
+        inner = align_module._backtrack
+
+        def recording(*args):
+            starts.append(args[6])
+            res = inner(*args)
+            accepted.append(res[2])
+            return res
+
+        monkeypatch.setattr(align_module, "_backtrack", recording)
+        level = (loss, lambda x: (2 * self.A * x, np.diag(2 * self.A / 3)),
+                 [(lambda ev: align_module._gauss_newton(*ev), lambda x, d: x + d)])
+        x, history, iters, converged = align_module._descend(
+            np.ones(6), 21.0, level, AlignOptions(max_iters=20))
+        # t = 1 costs 4x the loss; t = 1/2 quarters it, a gain ratio of 1/3,
+        # so every later search starts, and accepts, at 1/2: 21 evaluations
+        # where starting each at 1 takes 40, for the same iterates.
+        assert (iters, converged) == (20, False)
+        assert len(evals) == 21
+        assert accepted == [0.5] * 20
+        assert starts == [1.0] + [0.5] * 19
+        assert history == [21.0 * 4.0 ** -i for i in range(21)]
+        np.testing.assert_array_equal(x, (-0.5) ** 20 * np.ones(6))
+
+    @pytest.mark.parametrize("step, gain, start", [
+        (0.5, 0.9, 1.0), (1.0, 0.9, 1.0), (0.25, 0.76, 0.5),
+        (0.5, 0.75, 0.5), (0.5, 0.25, 0.5), (0.5, 0.24, 0.25), (1.0, 0.1, 0.5),
+    ])
+    def test_next_start(self, step, gain, start):
+        assert align_module._next_start(step, gain) == start
 
 
 class TestEvaluationCounts:
@@ -540,10 +649,23 @@ class TestEvaluationCounts:
         assert repeats == []
 
 
-    @pytest.mark.parametrize("size, max_warps", [(64, 800), (128, 450)])
+    def test_pose_solve_warp_budget(self, counted):
+        """The pose solve on criterion 5's 128^2 inputs: each line search
+        starts where the last gain ratio points, so most accept at once."""
+        k = default_intrinsics(128, 128)
+        gt = SE3Transform.from_translation(GT_TRANS)
+        pair = render_pair(make_scene("slanted_plane"), gt, k, 128, 128)
+        report = align_pose(pair.target, pair.source, pair.gt_depth, k,
+                            perturb_pose(Pose6DoF(np.zeros(3), GT_TRANS), 1.0, 0.02, seed=42),
+                            AlignOptions(max_iters=1500))
+        assert report.converged
+        assert counted.warps <= 120
+
+    @pytest.mark.parametrize("size, max_warps", [(64, 300), (128, 200)])
     def test_pair_solve_warp_budget(self, counted, size, max_warps):
         """The pair solve on criterion 5's scene and inits, at criterion 5's
-        128^2 and at 64^2: stepping in (F, E) keeps the line searches short."""
+        128^2 and at 64^2: stepping in (F, E) and starting each line search
+        where the last gain ratio points keep the line searches short."""
         k = default_intrinsics(size, size)
         gt_fwd = SE3Transform.from_translation(GT_TRANS)
         scene = make_scene("slanted_plane")

@@ -171,8 +171,10 @@ class TestAlign:
         assert _synth(pair, size="32x32") == 0
         capsys.readouterr()
         assert main(["align", "--pair", str(pair), "--levels", "8"]) == 5
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "error: cannot align pair: pyramid_levels=8 needs images of at least 128x128 "
+            "pixels, got target 32x32\n"
+        )
 
     def test_pair_without_overlap_returns_5(self, tmp_path, capsys):
         # A 50-unit baseline moves every pixel out of frame at every level,
