@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .exceptions import DegenerateInputError, _check_count
+from .exceptions import DegenerateInputError, _check_count, _check_finite
 from .losses import (
     LossWeights,
     WeightMask,
@@ -159,9 +159,8 @@ def perturb_pose(
     """Perturb by rot_deg about a random axis and trans_frac of ||t|| along
     a random direction (absolute units if the translation is zero)."""
     _check_count(seed, "seed", 0)
-    for name, value in (("rot_deg", rot_deg), ("trans_frac", trans_frac)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _check_finite(rot_deg, "rot_deg")
+    _check_finite(trans_frac, "trans_frac")
     rng = np.random.default_rng(seed)
 
     def unit() -> np.ndarray:

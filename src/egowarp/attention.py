@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import _check_count
+from .exceptions import _check_count, _check_finite
 from .losses import WeightMask
 from .warp import _PixelArray, _resample
 
@@ -43,25 +43,14 @@ class AttentionGateParams:
     b_psi: float
 
     def __post_init__(self) -> None:
-        w_x = np.asarray(self.w_x, dtype=float)
-        w_g = np.asarray(self.w_g, dtype=float)
-        psi = np.asarray(self.psi, dtype=float)
-        b_xg = np.asarray(self.b_xg, dtype=float)
-        if w_x.ndim != 2 or w_g.ndim != 2:
+        for name in ("w_x", "w_g", "psi", "b_xg"):
+            object.__setattr__(self, name, _check_finite(getattr(self, name), name))
+        object.__setattr__(self, "b_psi", float(_check_finite(self.b_psi, "b_psi")))
+        if self.w_x.ndim != 2 or self.w_g.ndim != 2:
             raise ValueError("w_x and w_g must be 2-d")
-        f_int = w_x.shape[1]
-        if w_g.shape[1] != f_int or psi.shape != (f_int,) or b_xg.shape != (f_int,):
+        f_int = self.w_x.shape[1]
+        if self.w_g.shape[1] != f_int or self.psi.shape != (f_int,) or self.b_xg.shape != (f_int,):
             raise ValueError("inner dimensions of gate parameters disagree")
-        for name, arr in (("w_x", w_x), ("w_g", w_g), ("psi", psi), ("b_xg", b_xg)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        if not np.isfinite(self.b_psi):
-            raise ValueError("b_psi must be finite")
-        object.__setattr__(self, "w_x", w_x)
-        object.__setattr__(self, "w_g", w_g)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "b_xg", b_xg)
-        object.__setattr__(self, "b_psi", float(self.b_psi))
 
     @classmethod
     def zeros(cls, f_x: int, f_g: int, f_int: int) -> "AttentionGateParams":

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import _check_finite
 from .se3 import SE3Transform
 
 # Points with camera-frame z at or below this are treated as behind the camera.
@@ -45,9 +46,7 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self) -> None:
-        vals = (self.fx, self.fy, self.cx, self.cy)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("intrinsics must be finite")
+        _check_finite((self.fx, self.fy, self.cx, self.cy), "intrinsics")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 

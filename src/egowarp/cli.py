@@ -173,8 +173,6 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _rgb(img: ImageBuffer) -> ImageBuffer:
     """Replicate a grayscale render to three channels for PPM output."""
-    if img.channels == 3:
-        return img
     return ImageBuffer(np.repeat(img.data, 3, axis=2))
 
 
@@ -299,29 +297,22 @@ def _cmd_eval_depth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trajectory(poses_path: str, times_path: str) -> Trajectory:
+    """The trajectory of a pose file and a timestamp file; a rejection of
+    the pair names both files."""
+    poses = fileio.read_trajectory(poses_path)
+    times = fileio.read_timestamps(times_path)
+    try:
+        return Trajectory(times, tuple(poses))
+    except ValueError as exc:
+        raise ValueError(f"{poses_path} with {times_path}: {exc}") from exc
+
+
 def _cmd_eval_ate(args: argparse.Namespace) -> int:
     try:
-        pred_poses = fileio.read_trajectory(args.pred)
-        gt_poses = fileio.read_trajectory(args.gt)
-        times = fileio.read_timestamps(args.times)
-        gt_times = (
-            fileio.read_timestamps(args.gt_times)
-            if args.gt_times is not None
-            else times
-        )
-        if len(pred_poses) != times.size:
-            raise ValueError(
-                f"{len(pred_poses)} poses vs {times.size} timestamps in {args.pred}"
-            )
-        if len(gt_poses) != gt_times.size:
-            raise ValueError(
-                f"{len(gt_poses)} poses vs {gt_times.size} timestamps in {args.gt}"
-            )
-        result = ate_snippet(
-            Trajectory(times, tuple(pred_poses)),
-            Trajectory(gt_times, tuple(gt_poses)),
-            args.snippet_len,
-        )
+        pred = _trajectory(args.pred, args.times)
+        gt = _trajectory(args.gt, args.times if args.gt_times is None else args.gt_times)
+        result = ate_snippet(pred, gt, args.snippet_len)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5

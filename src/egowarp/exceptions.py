@@ -2,11 +2,13 @@
 
 Everything derives from ValueError so callers that do not care about the
 distinction can catch one thing. Plain ValueError is raised directly for
-generic invalid arguments (non-finite inputs, bad shapes, empty lists, and
-through _check_count a count that is not an integer or is too small).
+generic invalid arguments: empty lists, through _check_finite non-finite or
+misshapen inputs, and through _check_count too small or non-integer counts.
 """
 
 import numbers
+
+import numpy as np
 
 
 def _check_count(value, name: str, low: int) -> None:
@@ -15,6 +17,19 @@ def _check_count(value, name: str, low: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}")
+
+
+def _check_finite(value, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """value as a float array; raise ValueError naming the argument unless
+    it has `shape` (when given) and every entry is finite. A rejected scalar
+    is quoted in the message."""
+    arr = np.asarray(value, dtype=float)
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        got = f", got {value!r}" if arr.ndim == 0 else ""
+        raise ValueError(f"{name} must be finite{got}")
+    return arr
 
 
 class AmbiguousLogError(ValueError):

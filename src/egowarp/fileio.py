@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import CameraIntrinsics
+from .exceptions import _check_finite
 from .se3 import Rotation, SE3Transform
 from .warp import DepthMap, ImageBuffer
 
@@ -125,6 +126,24 @@ def _lines(path: str | Path):
             yield lineno, line
 
 
+def _floats(tokens: list[str], count: int, what: str, where: str) -> list[float]:
+    """The numbers of one record of `count` tokens; a wrong count or a
+    non-number raises, naming where (the path, or path:lineno)."""
+    if len(tokens) != count:
+        numbers = "number" if count == 1 else "numbers"
+        raise ValueError(f"{where}: expected {count} {numbers} per {what}, got {len(tokens)}")
+    try:
+        return [float(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(f"{where}: non-numeric entry in {what}") from exc
+
+
+def _write_rows(path: str | Path, rows) -> None:
+    """One line of repr-formatted numbers per row."""
+    text = "".join(" ".join(_fmt(v) for v in row) + "\n" for row in rows)
+    Path(path).write_text(text, encoding="ascii")
+
+
 def _pose_from_numbers(vals: list[float], where: str) -> SE3Transform:
     m = np.array(vals, dtype=float).reshape(3, 4)
     r = m[:, :3]
@@ -147,26 +166,14 @@ def write_trajectory(path: str | Path, poses: list[SE3Transform]) -> None:
     raises before the file is made, as read_trajectory rejects that file."""
     if len(poses) == 0:
         raise ValueError(f"{path}: no poses to write")
-    lines = []
-    for p in poses:
-        m = p.matrix()[:3, :]
-        lines.append(" ".join(_fmt(v) for v in m.reshape(-1)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_rows(path, (p.matrix()[:3].ravel() for p in poses))
 
 
 def read_trajectory(path: str | Path) -> list[SE3Transform]:
     poses = []
     for lineno, line in _lines(path):
-        tokens = line.split()
-        if len(tokens) != 12:
-            raise ValueError(
-                f"{path}:{lineno}: expected 12 numbers per pose line, got {len(tokens)}"
-            )
-        try:
-            vals = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric pose entry") from exc
-        poses.append(_pose_from_numbers(vals, f"{path}:{lineno}"))
+        where = f"{path}:{lineno}"
+        poses.append(_pose_from_numbers(_floats(line.split(), 12, "pose line", where), where))
     if not poses:
         raise ValueError(f"{path}: no poses found")
     return poses
@@ -189,22 +196,16 @@ def write_timestamps(path: str | Path, times: np.ndarray) -> None:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError(f"{path}: timestamps must be non-empty and 1-d, got shape {times.shape}")
-    if not np.all(np.isfinite(times)):
-        raise ValueError(f"{path}: timestamps must be finite")
-    Path(path).write_text(
-        "\n".join(_fmt(t) for t in times) + "\n", encoding="ascii"
-    )
+    _check_finite(times, f"{path}: timestamps")
+    _write_rows(path, times[:, None])
 
 
 def read_timestamps(path: str | Path) -> np.ndarray:
     out = []
     for lineno, line in _lines(path):
-        try:
-            t = float(line.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric timestamp") from exc
-        if not np.isfinite(t):
-            raise ValueError(f"{path}:{lineno}: timestamp must be finite, got {t}")
+        where = f"{path}:{lineno}"
+        (t,) = _floats(line.split(), 1, "timestamp line", where)
+        _check_finite(t, f"{where}: timestamp")
         out.append(t)
     if not out:
         raise ValueError(f"{path}: no timestamps found")
@@ -213,20 +214,12 @@ def read_timestamps(path: str | Path) -> np.ndarray:
 
 def write_intrinsics(path: str | Path, k: CameraIntrinsics) -> None:
     """Single line: fx fy cx cy."""
-    Path(path).write_text(
-        " ".join(_fmt(v) for v in (k.fx, k.fy, k.cx, k.cy)) + "\n",
-        encoding="ascii",
-    )
+    _write_rows(path, [(k.fx, k.fy, k.cx, k.cy)])
 
 
 def read_intrinsics(path: str | Path) -> CameraIntrinsics:
     tokens = Path(path).read_text(encoding="ascii").split()
-    if len(tokens) != 4:
-        raise ValueError(f"{path}: expected 4 numbers (fx fy cx cy)")
-    try:
-        fx, fy, cx, cy = (float(t) for t in tokens)
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric intrinsics") from exc
+    fx, fy, cx, cy = _floats(tokens, 4, "intrinsics record (fx fy cx cy)", str(path))
     try:
         return CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
     except ValueError as exc:

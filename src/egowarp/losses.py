@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .camera import CameraIntrinsics, _depth_rows, _pose_sum, _projection_vjp
-from .exceptions import DegenerateInputError
+from .exceptions import DegenerateInputError, _check_finite
 from .se3 import SE3Transform
 from .warp import DepthMap, ImageBuffer, ValidityMask, _PixelArray
 from .warp import _channel_rows, _check_same_size, _warp_eval
@@ -35,10 +35,8 @@ class LossWeights:
     lambda_bf: float = 0.1
 
     def __post_init__(self) -> None:
-        vals = (self.lambda_smo, self.lambda_reg, self.lambda_bf)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("loss weights must be finite")
-        if any(v < 0 for v in vals):
+        vals = _check_finite((self.lambda_smo, self.lambda_reg, self.lambda_bf), "loss weights")
+        if np.any(vals < 0):
             raise ValueError("loss weights must be >= 0")
 
 

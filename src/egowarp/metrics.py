@@ -17,6 +17,7 @@ from .exceptions import (
     DegenerateInputError,
     DegenerateSnippetError,
     _check_count,
+    _check_finite,
 )
 from .se3 import SE3Transform, compose, inverse
 from .warp import DepthMap, _check_same_size
@@ -39,10 +40,8 @@ class DepthMetrics:
     d3: float
 
     def __post_init__(self) -> None:
-        vals = [getattr(self, f.name) for f in fields(self)]
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("metrics must be finite")
-        if any(v < 0 for v in vals):
+        vals = _check_finite([getattr(self, f.name) for f in fields(self)], "metrics")
+        if np.any(vals < 0):
             raise ValueError("metrics must be non-negative")
         if not (self.d1 <= self.d2 <= self.d3 <= 1.0):
             raise ValueError("delta fractions must satisfy d1 <= d2 <= d3 <= 1")
@@ -59,15 +58,12 @@ class Trajectory:
         ts = np.asarray(self.timestamps, dtype=float)
         if ts.ndim != 1 or ts.size == 0:
             raise ValueError("timestamps must be a non-empty 1-d array")
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("timestamps must be finite")
+        _check_finite(ts, "timestamps")
         if ts.size > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("timestamps must be strictly increasing")
         poses = tuple(self.poses)
         if len(poses) != ts.size:
-            raise ValueError(
-                f"{ts.size} timestamps but {len(poses)} poses"
-            )
+            raise ValueError(f"{len(poses)} poses vs {ts.size} timestamps")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "poses", poses)
 
@@ -83,8 +79,7 @@ class AteResult:
     std: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.mean) and np.isfinite(self.std)):
-            raise ValueError("ATE statistics must be finite")
+        _check_finite((self.mean, self.std), "ATE statistics")
         if self.mean < 0 or self.std < 0:
             raise ValueError("ATE statistics must be non-negative")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import AmbiguousLogError
+from .exceptions import AmbiguousLogError, _check_finite
 
 # Below this angle Rodrigues coefficients switch to 2nd-order Taylor series.
 SMALL_ANGLE = 1e-8
@@ -35,15 +35,6 @@ def hat(v: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_vec3(v: np.ndarray, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must have shape (3,), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class Rotation:
     """Orthonormal 3x3 matrix with determinant +1.
@@ -56,11 +47,7 @@ class Rotation:
     m: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("rotation matrix must be finite")
+        m = _check_finite(self.m, "rotation matrix", (3, 3))
         if np.max(np.abs(m.T @ m - np.eye(3))) > _ORTHO_TOL:
             raise ValueError("rotation matrix is not orthonormal within 1e-9")
         if abs(np.linalg.det(m) - 1.0) > _ORTHO_TOL:
@@ -80,7 +67,7 @@ class SE3Transform:
     t: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _check_vec3(self.t, "translation"))
+        object.__setattr__(self, "t", _check_finite(self.t, "translation", (3,)))
 
     @classmethod
     def identity(cls) -> "SE3Transform":
@@ -92,10 +79,8 @@ class SE3Transform:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SE3Transform":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"homogeneous transform must be 4x4, got {m.shape}")
-        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 0:
+        m = _check_finite(m, "homogeneous transform", (4, 4))
+        if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
             raise ValueError("bottom row must be [0, 0, 0, 1]")
         return cls(Rotation(m[:3, :3]), m[:3, 3])
 
@@ -128,8 +113,8 @@ class Pose6DoF:
     trans: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
-        rot = _check_vec3(self.rot, "rotation vector")
-        trans = _check_vec3(self.trans, "translation")
+        rot = _check_finite(self.rot, "rotation vector", (3,))
+        trans = _check_finite(self.trans, "translation", (3,))
         if np.linalg.norm(rot) >= np.pi:
             raise ValueError("rotation-vector norm must be < pi")
         object.__setattr__(self, "rot", rot)
@@ -141,7 +126,7 @@ class Pose6DoF:
 
 def _rodrigues(rot: np.ndarray) -> np.ndarray:
     """The matrix of exp_so3(rot), before Rotation checks it."""
-    rot = _check_vec3(rot, "rotation vector")
+    rot = _check_finite(rot, "rotation vector", (3,))
     theta = np.linalg.norm(rot)
     w = hat(rot)
     if theta < SMALL_ANGLE:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .exceptions import _check_count
+from .exceptions import _check_count, _check_finite
 from .se3 import SE3Transform
 from .warp import DepthMap, ImageBuffer, ValidityMask, _check_same_size
 
@@ -38,16 +38,12 @@ class PlaneSpec:
     extent: float | None = None
 
     def __post_init__(self) -> None:
-        n = np.asarray(self.normal, dtype=float)
-        if n.shape != (3,) or not np.all(np.isfinite(n)):
-            raise ValueError("plane normal must be a finite 3-vector")
+        n = _check_finite(self.normal, "plane normal", (3,))
         norm = np.linalg.norm(n)
         if norm == 0:
             raise ValueError("plane normal must be nonzero")
         object.__setattr__(self, "normal", n / norm)
-        object.__setattr__(self, "offset", float(self.offset))
-        if not np.isfinite(self.offset):
-            raise ValueError("plane offset must be finite")
+        object.__setattr__(self, "offset", float(_check_finite(self.offset, "plane offset")))
         if self.extent is not None and not (0 < self.extent < np.inf):
             raise ValueError("plane extent must be positive and finite")
 
@@ -88,8 +84,7 @@ class SceneSpec:
         freqs = tuple(
             (float(a), float(b), float(c), float(d)) for a, b, c, d in self.texture_freqs
         )
-        if not all(np.isfinite(v) for term in freqs for v in term):
-            raise ValueError("texture terms must be finite")
+        _check_finite(freqs, "texture terms")
         _check_count(self.seed, "seed", 0)
         object.__setattr__(self, "planes", tuple(self.planes))
         object.__setattr__(self, "texture_freqs", freqs)
@@ -230,6 +225,8 @@ def make_scene(kind: str, seed: int = 42) -> SceneSpec:
 
 def default_intrinsics(width: int, height: int) -> CameraIntrinsics:
     """Square-pixel intrinsics with f = width and the center mid-image."""
+    _check_count(width, "width", 1)
+    _check_count(height, "height", 1)
     return CameraIntrinsics(
         fx=float(width),
         fy=float(width),

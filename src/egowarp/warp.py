@@ -47,6 +47,7 @@ from .camera import (
     _rays,
     _transform_grid,
 )
+from .exceptions import _check_finite
 from .se3 import SE3Transform
 
 # Tolerance for the in-bounds test; absorbs reprojection round-off at borders.
@@ -76,8 +77,7 @@ class _PixelArray:
             axes = ", ".join(self._AXES)
             raise ValueError(f"{name} must be a non-empty ({axes}) array, got {data.shape}")
         if self._DTYPE is float:  # bool data is finite and in [0, 1] anyway
-            if not np.all(np.isfinite(data)):
-                raise ValueError(f"{name} values must be finite")
+            _check_finite(data, f"{name} values")
             if self._RANGE is not None:
                 low, high = self._RANGE
                 if data.min() < low or data.max() > high:

@@ -457,6 +457,21 @@ class TestAlignPosePair:
         assert _monotone(report.loss_history)
 
 
+class TestDefaultOptions:
+    @pytest.mark.parametrize("solve", ["pose", "pair"])
+    def test_omitted_opts_mean_the_defaults(self, slanted32, solve):
+        pair, depth_source, k, gt6 = slanted32
+        init = perturb_pose(gt6, 1.0, 0.02, seed=1)
+        if solve == "pose":
+            args = (pair.target, pair.source, pair.gt_depth, k, init)
+            omitted, default = align_pose(*args), align_pose(*args, AlignOptions())
+        else:
+            args = (pair.target, pair.source, pair.gt_depth, depth_source, k, init, init)
+            omitted, default = align_pose_pair(*args), align_pose_pair(*args, AlignOptions())
+        assert omitted.loss_history == default.loss_history
+        assert omitted.iters == default.iters and omitted.converged == default.converged
+
+
 def _random_pose(rng: np.random.Generator) -> SE3Transform:
     return Pose6DoF(rng.uniform(-0.5, 0.5, 3), rng.normal(size=3)).to_transform()
 

@@ -117,6 +117,31 @@ class TestAgForward:
         with pytest.raises(ValueError, match="feature count"):
             ag_forward(x, g, _scalar_params())
 
+    def test_gating_feature_mismatch_rejected(self):
+        x = FeatureMap(np.zeros((2, 2, 1)))
+        g = FeatureMap(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="g feature count does not match w_g"):
+            ag_forward(x, g, _scalar_params())
+
+
+class TestGateParams:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("w_x", np.zeros(1), "w_x and w_g must be 2-d"),
+            ("w_g", np.zeros((1, 2)), "inner dimensions of gate parameters disagree"),
+            ("psi", np.array([np.nan]), "psi must be finite"),
+            ("b_psi", np.inf, "b_psi must be finite, got inf"),
+        ],
+        ids=["1-d-w_x", "inner-dims", "nan-psi", "inf-b_psi"],
+    )
+    def test_rejected(self, field, value, message):
+        fields = {"w_x": np.ones((1, 1)), "w_g": np.ones((1, 1)), "psi": np.ones(1),
+                  "b_xg": np.zeros(1), "b_psi": 0.0}
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            AttentionGateParams(**fields)
+
 
 class TestAgBackward:
     def test_matches_finite_differences(self):

@@ -129,6 +129,16 @@ class TestAlign:
         ):
             assert f"{key}=" in text
 
+    def test_report_into_missing_directory_returns_3(self, tmp_path, capsys):
+        pair = tmp_path / "pair"
+        assert _synth(pair) == 0
+        capsys.readouterr()
+        report = tmp_path / "missing" / "report.txt"
+        argv = ["align", "--pair", str(pair), "--levels", "1", "--max-iters", "1"]
+        assert main(argv + ["--out", str(report)]) == 3
+        assert "error: cannot write report" in capsys.readouterr().err
+        assert not report.parent.exists()
+
     def test_byte_reproducible(self, tmp_path, capsys):
         pair = tmp_path / "pair"
         assert _synth(pair) == 0
@@ -288,6 +298,17 @@ class TestEvalDepth:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "002.pfm" in captured.err
 
+    def test_truncated_pfm_returns_5_and_names_it(self, tmp_path, capsys):
+        _write_depth_dir(tmp_path / "gt", [5.0])
+        _write_depth_dir(tmp_path / "pred", [5.0])
+        bad = tmp_path / "pred" / "000.pfm"
+        bad.write_bytes(bad.read_bytes()[:-1])
+        code = main(
+            ["eval-depth", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt")]
+        )
+        assert code == 5
+        assert capsys.readouterr().err == f"error: {bad}: PFM payload truncated\n"
+
     def test_empty_pred_returns_5(self, tmp_path, capsys):
         (tmp_path / "pred").mkdir()
         _write_depth_dir(tmp_path / "gt", [5.0])
@@ -332,6 +353,41 @@ class TestEvalAte:
         )
         assert code == 5
         assert "poses vs 4 timestamps" in capsys.readouterr().err
+
+    def test_gt_times_count_mismatch_returns_5_and_names_the_files(self, tmp_path, capsys):
+        self._write_fixture(tmp_path)
+        write_timestamps(tmp_path / "gt_times.txt", np.arange(4, dtype=float))
+        code = main(
+            [
+                "eval-ate",
+                "--pred", str(tmp_path / "pred.txt"),
+                "--gt", str(tmp_path / "gt.txt"),
+                "--times", str(tmp_path / "times.txt"),
+                "--gt-times", str(tmp_path / "gt_times.txt"),
+            ]
+        )
+        assert code == 5
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'gt.txt'} with {tmp_path / 'gt_times.txt'}: "
+            "6 poses vs 4 timestamps\n"
+        )
+
+    def test_repeated_timestamps_return_5_and_name_the_files(self, tmp_path, capsys):
+        self._write_fixture(tmp_path)
+        write_timestamps(tmp_path / "times.txt", np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0]))
+        code = main(
+            [
+                "eval-ate",
+                "--pred", str(tmp_path / "pred.txt"),
+                "--gt", str(tmp_path / "gt.txt"),
+                "--times", str(tmp_path / "times.txt"),
+            ]
+        )
+        assert code == 5
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'pred.txt'} with {tmp_path / 'times.txt'}: "
+            "timestamps must be strictly increasing\n"
+        )
 
     def test_unmatchable_gt_times_returns_5(self, tmp_path, capsys):
         self._write_fixture(tmp_path)

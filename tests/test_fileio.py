@@ -349,6 +349,13 @@ class TestRotationRepair:
         with pytest.raises(ValueError, match="determinant"):
             read_pose(path)
 
+    def test_mildly_damaged_reflection_rejected_after_repair(self, tmp_path):
+        # 1e-7 off orthonormal: the SVD repair runs and keeps det = -1.
+        path = tmp_path / "d.txt"
+        path.write_text("-1 1e-7 0 0 0 1 0 0 0 0 1 0\n")
+        with pytest.raises(ValueError, match="rotation block has negative determinant"):
+            read_pose(path)
+
 
 class TestTimestamps:
     def test_round_trip_bytes(self, tmp_path):
@@ -361,6 +368,12 @@ class TestTimestamps:
         path = tmp_path / "t.txt"
         path.write_text("0.0\noops\n")
         with pytest.raises(ValueError, match=r"t\.txt:2"):
+            read_timestamps(path)
+
+    def test_two_numbers_on_a_line_rejected(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("0.0\n1.0 2.0\n")
+        with pytest.raises(ValueError, match=r"t\.txt:2: expected 1 number per timestamp line, got 2"):
             read_timestamps(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -416,6 +429,13 @@ class TestIntrinsics:
         path.write_text("1 2 3\n")
         with pytest.raises(ValueError, match="4 numbers"):
             read_intrinsics(path)
+
+    def test_non_numeric_rejected_with_the_path(self, tmp_path):
+        path = tmp_path / "k.txt"
+        path.write_text("128 128 x 47.5\n")
+        with pytest.raises(ValueError, match="non-numeric") as info:
+            read_intrinsics(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestReports:

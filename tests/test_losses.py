@@ -198,6 +198,31 @@ class TestTotalLoss:
             LossWeights(lambda_smo=-0.1)
 
 
+def _no_valid_pixel_gradients():
+    target, source, depth, _, k, mask = _loss_setup(8)
+    behind = SE3Transform.from_translation(np.array([0.0, 0.0, -10.0]))
+    return loss_gradients(target, source, depth, behind, k, mask, LossWeights())
+
+
+class TestRejections:
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: LossWeights(lambda_reg=float("nan")), ValueError,
+             "loss weights must be finite"),
+            (lambda: photometric_l1(_img([[0.5]]), ImageBuffer(np.zeros((1, 1, 3))),
+                                    WeightMask.ones(1, 1), ValidityMask.all_valid(1, 1)),
+             ValueError, "target and recon channel counts differ"),
+            (lambda: multiscale_smoothness([], []), ValueError, "at least one scale"),
+            (_no_valid_pixel_gradients, DegenerateInputError, "no valid pixels"),
+        ],
+        ids=["nan-weight", "rgb-recon-gray-target", "no-scales", "no-valid-pixel"],
+    )
+    def test_rejected(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
+
 class TestWeightMaskValidation:
     def test_rejects_above_one(self):
         with pytest.raises(ValueError):

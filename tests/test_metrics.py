@@ -153,6 +153,14 @@ class TestDepthMetrics:
         with pytest.raises(ValueError, match="d1 <= d2 <= d3"):
             DepthMetrics(0.1, 0.1, 0.1, 0.1, d1=0.9, d2=0.5, d3=1.0)
 
+    @pytest.mark.parametrize(
+        "rmse, message", [(np.nan, "metrics must be finite"), (-0.1, "must be non-negative")],
+        ids=["nan", "negative"],
+    )
+    def test_bad_field_rejected(self, rmse, message):
+        with pytest.raises(ValueError, match=message):
+            DepthMetrics(0.1, 0.1, rmse, 0.1, d1=0.5, d2=0.9, d3=1.0)
+
 
 class TestMedianScaleAlign:
     def test_quarter_scale_recovers_gt_exactly(self):
@@ -183,8 +191,35 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), [SE3Transform.identity()])
 
+    @pytest.mark.parametrize(
+        "timestamps, message",
+        [(np.zeros((1, 1)), "non-empty 1-d"), (np.array([0.0, np.nan]), "timestamps must be finite")],
+        ids=["2-d", "nan"],
+    )
+    def test_bad_timestamps_rejected(self, timestamps, message):
+        poses = [SE3Transform.identity()] * timestamps.size
+        with pytest.raises(ValueError, match=message):
+            Trajectory(timestamps, poses)
+
+
+class TestAteResult:
+    @pytest.mark.parametrize(
+        "mean, std, message",
+        [(np.nan, 0.0, "must be finite"), (0.0, np.inf, "must be finite"),
+         (-1.0, 0.0, "must be non-negative")],
+        ids=["nan-mean", "inf-std", "negative-mean"],
+    )
+    def test_bad_statistics_rejected(self, mean, std, message):
+        with pytest.raises(ValueError, match=f"ATE statistics {message}"):
+            AteResult(mean, std)
+
 
 class TestAteSnippet:
+    def test_single_frame_trajectories_cannot_be_associated(self):
+        one = Trajectory(np.array([0.0]), [SE3Transform.identity()])
+        with pytest.raises(AssociationError, match="single-frame"):
+            ate_snippet(one, one)
+
     def test_identical_trajectories_are_zero(self):
         rng = np.random.default_rng(12)
         traj = _random_trajectory(rng, 8)

@@ -347,3 +347,43 @@ class TestBfConsistencyGrad:
         rng = np.random.default_rng(17)
         pairs = [(_rand_transform(rng), _rand_transform(rng)) for _ in range(4)]
         assert len(bf_consistency_grad(pairs)) == 4
+
+
+def _bottom_row(row) -> np.ndarray:
+    m = np.eye(4)
+    m[3] = row
+    return m
+
+
+class TestRejections:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: exp_so3(np.zeros(2)), r"rotation vector must have shape \(3,\), got \(2,\)"),
+            (lambda: Pose6DoF(np.zeros(2), np.zeros(3)), r"rotation vector must have shape \(3,\)"),
+            (lambda: SE3Transform(Rotation.identity(), np.zeros(2)),
+             r"translation must have shape \(3,\), got \(2,\)"),
+            (lambda: Rotation(np.eye(2)), r"rotation matrix must have shape \(3, 3\), got \(2, 2\)"),
+        ],
+        ids=["exp_so3", "pose6dof", "translation", "rotation"],
+    )
+    def test_wrong_shape_names_the_argument(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (np.eye(4)[:3], r"homogeneous transform must have shape \(4, 4\), got \(3, 4\)"),
+            (_bottom_row([0.0, 0.0, 1.0, 1.0]), r"bottom row must be \[0, 0, 0, 1\]"),
+            (_bottom_row([np.nan, 0.0, 0.0, 1.0]), "homogeneous transform must be finite"),
+        ],
+        ids=["3x4", "bottom-row", "nan-bottom-row"],
+    )
+    def test_from_matrix_rejects(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            SE3Transform.from_matrix(m)
+
+    def test_bf_consistency_grad_rejects_no_pairs(self):
+        with pytest.raises(ValueError, match="at least one pose pair"):
+            bf_consistency_grad([])

@@ -85,6 +85,15 @@ class TestPlaneSpec:
         with pytest.raises(ValueError, match=message):
             PlaneSpec(np.array([0.0, 0.0, 1.0]), offset, extent=extent)
 
+    @pytest.mark.parametrize("normal, message", [
+        (np.array([0.0, 1.0]), r"plane normal must have shape \(3,\), got \(2,\)"),
+        (np.array([0.0, np.nan, 1.0]), "plane normal must be finite"),
+        (np.zeros(3), "plane normal must be nonzero"),
+    ], ids=["2-vector", "nan", "zero"])
+    def test_bad_normal_rejected(self, normal, message):
+        with pytest.raises(ValueError, match=message):
+            PlaneSpec(normal, 5.0)
+
 
 class TestSceneSpec:
     @pytest.mark.parametrize("seed, message", [
@@ -98,6 +107,18 @@ class TestSceneSpec:
                       texture_freqs=((0.0, 0.0, 0.5, 0.0),), seed=seed)
         with pytest.raises(ValueError, match=message):
             make_scene("fronto_plane", seed)
+
+    @pytest.mark.parametrize("kind, planes, terms, message", [
+        ("sphere", None, None, "unknown scene kind 'sphere'"),
+        ("fronto_plane", (), None, "at least one plane"),
+        ("fronto_plane", None, (), "at least one term"),
+        ("fronto_plane", None, ((0.0, 0.0, np.nan, 0.0),), "texture terms must be finite"),
+    ], ids=["unknown-kind", "no-planes", "no-terms", "nan-term"])
+    def test_bad_spec_rejected(self, kind, planes, terms, message):
+        plane = PlaneSpec(np.array([0.0, 0.0, 1.0]), 5.0)
+        with pytest.raises(ValueError, match=message):
+            SceneSpec(kind=kind, planes=(plane,) if planes is None else planes,
+                      texture_freqs=((0.0, 0.0, 0.5, 0.0),) if terms is None else terms)
 
 
 class TestRenderView:
@@ -249,6 +270,15 @@ class TestDefaultIntrinsics:
         k = default_intrinsics(128, 96)
         assert (k.fx, k.fy, k.cx, k.cy) == (128.0, 128.0, 63.5, 47.5)
 
+    @pytest.mark.parametrize("width, height, message", [
+        (2.5, 3, "width must be an integer, got 2.5"),
+        (True, 3, "width must be an integer, got True"),
+        (3, 0, "height must be >= 1"),
+    ], ids=["float-width", "bool-width", "zero-height"])
+    def test_size_checked_as_render_view_checks_it(self, width, height, message):
+        with pytest.raises(ValueError, match=message):
+            default_intrinsics(width, height)
+
 
 class TestPsnr:
     def test_identical_is_infinite(self):
@@ -282,3 +312,8 @@ class TestPsnr:
         a = ImageBuffer(np.zeros((2, 2, 1)))
         with pytest.raises(ValueError, match="images 2x2 and valid 2x3 sizes differ"):
             psnr(a, a, ValidityMask(np.ones((2, 3), dtype=bool)))
+
+    def test_no_valid_pixel_rejected(self):
+        a = ImageBuffer(np.zeros((2, 2, 1)))
+        with pytest.raises(ValueError, match="no valid pixels"):
+            psnr(a, a, ValidityMask(np.zeros((2, 2), dtype=bool)))
