@@ -201,22 +201,24 @@ def _direction(
     return loss, grads
 
 
-def _check_inputs(target: ImageBuffer, source: ImageBuffer, levels: int, **depths) -> None:
-    """Raise ValueError naming the caller's argument unless source and every
-    depth map have target's size, source has target's channel count and
-    target has at least 2^(levels - 1) pixels per side, so that levels
-    pyramid levels exist."""
+def _level_inputs(opts: AlignOptions | None, target: ImageBuffer, source: ImageBuffer,
+                  k: CameraIntrinsics, **depths: DepthMap):
+    """(opts or the default options, one (target, source, k, *depths) tuple
+    per pyramid level, finest first). A source or depth that does not pair
+    with target, or a target too small for opts.pyramid_levels, raises
+    ValueError naming the caller's argument."""
+    opts = AlignOptions() if opts is None else opts
+    n = opts.pyramid_levels
     for name, arr in (("source", source), *depths.items()):
         _check_same_size(target, arr, "target", name)
-    if source.channels != target.channels:
-        raise ValueError(
-            f"target has {target.channels} channels and source {source.channels}; "
-            "they must match")
-    side = 2 ** (levels - 1)
+    side = 2 ** (n - 1)
     if min(target.height, target.width) < side:
         raise ValueError(
-            f"pyramid_levels={levels} needs images of at least {side}x{side} pixels, "
+            f"pyramid_levels={n} needs images of at least {side}x{side} pixels, "
             f"got target {target.height}x{target.width}")
+    return opts, list(zip(
+        image_pyramid(target, n), image_pyramid(source, n), intrinsics_pyramid(k, n),
+        *(depth_pyramid(d, n) for d in depths.values())))
 
 
 def _floored(depth: np.ndarray) -> DepthMap:
@@ -322,7 +324,7 @@ def _retract_pair(poses: tuple[SE3Transform, SE3Transform], delta: np.ndarray):
     return moved, compose(retract_pose(compose(bwd, fwd), delta[6:]), inverse(moved))
 
 
-def _coarse_to_fine(levels, x, level, opts):
+def _coarse_to_fine(x, level, opts):
     """Levels coarsest to finest; returns (x, loss, iters, converged, history).
 
     level(li, x, ran) gives level li's starting state and its (loss,
@@ -330,7 +332,7 @@ def _coarse_to_fine(levels, x, level, opts):
     loss, converged and history describe the finest level.
     """
     iters, ran = 0, False
-    for li in range(levels - 1, -1, -1):
+    for li in range(opts.pyramid_levels - 1, -1, -1):
         x, fns = level(li, x, ran)
         loss = fns[0](x)
         ran = bool(np.isfinite(loss))
@@ -363,24 +365,14 @@ def align_pose(
     Returns:
         AlignReport; depth is the refined map in pose_and_depth mode.
     """
-    if opts is None:
-        opts = AlignOptions()
-    levels = opts.pyramid_levels
-    _check_inputs(target, source, levels, depth=depth)
-    imgs_t = image_pyramid(target, levels)
-    imgs_s = image_pyramid(source, levels)
-    depths = depth_pyramid(depth, levels)
-    ks = intrinsics_pyramid(k, levels)
+    opts, levels = _level_inputs(opts, target, source, k, depth=depth)
     refine_depth = opts.mode == "pose_and_depth"
 
     def level(li: int, x: tuple[SE3Transform, DepthMap | None, float | None], ran: bool):
-        t_l = imgs_t[li]
-        pose, d_l, _ = x
+        t_l, s_l, k_l, d_l = levels[li]  # the caller's depth, also after a skipped level
         if refine_depth and ran:  # hand the coarser level's estimate up
-            d_l = _floored(upsample2x(d_l.data, t_l.height, t_l.width))
-        else:  # the caller's own depth, also after a skipped level
-            d_l = depths[li]
-        loss_l, grads_l = _direction(t_l, imgs_s[li], ks[li], opts.weights)
+            d_l = _floored(upsample2x(x[1].data, t_l.height, t_l.width))
+        loss_l, grads_l = _direction(t_l, s_l, k_l, opts.weights)
 
         def retract_depth(x, delta):  # projected above DEPTH_FLOOR
             d = _floored(x[1].data + delta)
@@ -390,11 +382,11 @@ def align_pose(
                    lambda x, delta: (retract_pose(x[0], delta), *x[1:]))]
         if refine_depth:
             blocks.append((lambda g: _diagonal_newton(g.d_depth, g.h_depth), retract_depth))
-        return (pose, d_l, smoothness(d_l, t_l)), (
+        return (x[0], d_l, smoothness(d_l, t_l)), (
             lambda x: loss_l(*x), lambda x: grads_l(*x[:2]), blocks)
 
     (pose, depth_est, _), loss, iters, converged, history = _coarse_to_fine(
-        levels, (init.to_transform(), None, None), level, opts
+        (init.to_transform(), None, None), level, opts
     )
     return AlignReport(
         converged=converged,
@@ -423,23 +415,16 @@ def align_pose_pair(
     bf_consistency_loss([(forward, backward)]). Depths stay fixed, so
     opts.mode must be "pose_only".
     """
-    if opts is None:
-        opts = AlignOptions()
-    if opts.mode != "pose_only":
+    if opts is not None and opts.mode != "pose_only":
         raise ValueError(f"align_pose_pair solves poses only, got mode {opts.mode!r}")
-    levels = opts.pyramid_levels
-    _check_inputs(target, source, levels, depth_target=depth_target, depth_source=depth_source)
-    imgs_t = image_pyramid(target, levels)
-    imgs_s = image_pyramid(source, levels)
-    depths_t = depth_pyramid(depth_target, levels)
-    depths_s = depth_pyramid(depth_source, levels)
-    ks = intrinsics_pyramid(k, levels)
+    opts, levels = _level_inputs(opts, target, source, k,
+                                 depth_target=depth_target, depth_source=depth_source)
     w = opts.weights
 
     def level(li: int, poses: tuple[SE3Transform, SE3Transform], _ran: bool):
-        t_l, s_l, d_t, d_s = imgs_t[li], imgs_s[li], depths_t[li], depths_s[li]
-        loss_f, grads_f = _direction(t_l, s_l, ks[li], w)
-        loss_b, grads_b = _direction(s_l, t_l, ks[li], w)
+        t_l, s_l, k_l, d_t, d_s = levels[li]
+        loss_f, grads_f = _direction(t_l, s_l, k_l, w)
+        loss_b, grads_b = _direction(s_l, t_l, k_l, w)
         smo_f, smo_b = smoothness(d_t, t_l), smoothness(d_s, s_l)
 
         def loss_fn(poses):  # inf when either direction has no valid pixel
@@ -461,7 +446,7 @@ def align_pose_pair(
         return poses, (loss_fn, evaluate, [(lambda ev: _gauss_newton(*ev), _retract_pair)])
 
     (fwd, bwd), loss, iters, converged, history = _coarse_to_fine(
-        levels, (init_forward.to_transform(), init_backward.to_transform()), level, opts
+        (init_forward.to_transform(), init_backward.to_transform()), level, opts
     )
     return AlignPairReport(
         converged=converged,

@@ -119,11 +119,7 @@ def ag_backward(
         (d_params, d_x, d_g) shaped like their primals.
     """
     _check_gate_inputs(x, g, params)
-    if (upstream.height, upstream.width, upstream.features) != (
-        x.height,
-        x.width,
-        x.features,
-    ):
+    if upstream.data.shape != x.data.shape:
         raise ValueError("upstream gradient must be shaped like x")
     pre, hidden, alpha = _gate(x, g, params)
 

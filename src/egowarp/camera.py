@@ -16,7 +16,9 @@ reproject_grid, reproject_jacobian_grid, the warp (which passes a row of u
 and a column of v, w + h floats) and loss_gradients are built from them.
 
 The package's only row formulas chain an upstream a = d(.)/d(X') on from
-there: _depth_rows, _pose_rows and their sum over all points, _pose_sum.
+there: _depth_rows, _pose_rows, their sum over all points, _pose_sum, and
+_channel_rows, the rows of pixel gradients (g_u, g_v) chained through J_pi,
+which reproject_jacobian_grid, warp_jacobians and the curvature all use.
 
 The pose Jacobian uses the same 6-parameter convention everywhere in this
 package: columns 0..2 are a left-multiplicative rotation perturbation
@@ -132,6 +134,18 @@ def _pose_sum(a: np.ndarray, rx: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cross(np.eye(3), m).sum(axis=0), a.sum(axis=0)])
 
 
+def _channel_rows(
+    grad: tuple, transformed: tuple, depth: np.ndarray, k: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unmasked (..., c) depth and (..., c, 6) pose rows of the (..., c) pixel
+    gradients grad = (g_u, g_v) at the points of the _transform_grid result
+    transformed: each g_c is chained to a_c = g_c^T J_pi, then to its rows."""
+    rx, x_src, _, z_safe = transformed
+    a = _projection_vjp(x_src[..., None, :], z_safe[..., None], k, *grad)
+    rx = rx[..., None, :]
+    return _depth_rows(a, rx, depth[..., None]), _pose_rows(a, rx)
+
+
 def reproject_grid(
     uv: np.ndarray, depth: np.ndarray, t: SE3Transform, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,21 +180,18 @@ def reproject_jacobian_grid(
       d(uv_src)/d(delta_rot) = J_pi @ (-hat(R X))     (left perturbation)
       d(uv_src)/d(t) = J_pi
 
-    J_pi and its depth and pose rows come from the helpers warp_jacobians and
-    loss_gradients chain through, so a check of this kernel checks theirs.
+    These are the _channel_rows of the unit pixel gradients (1, 0) and
+    (0, 1), which warp_jacobians and the curvature also run through, so a
+    check of this kernel checks theirs.
 
     Returns:
         (d_depth, d_pose, valid): shapes (..., 2), (..., 2, 6), (...,).
         Rows for invalid (behind-camera) pixels are zero.
     """
     uv, depth = np.asarray(uv, dtype=float), np.asarray(depth, dtype=float)
-    rx, x_src, valid, z_safe = _transform_grid(_rays(uv[..., 0], uv[..., 1], k), depth, t)
-    j_pi = np.stack(
-        [_projection_vjp(x_src, z_safe, k, 1.0, 0.0),
-         _projection_vjp(x_src, z_safe, k, 0.0, 1.0)], axis=-2
-    )
-    d_depth = _depth_rows(j_pi, rx[..., None, :], depth[..., None])
-    d_pose = _pose_rows(j_pi, rx[..., None, :])
+    transformed = _transform_grid(_rays(uv[..., 0], uv[..., 1], k), depth, t)
+    d_depth, d_pose = _channel_rows(np.eye(2), transformed, depth, k)
+    valid = transformed[2]
     d_depth = np.where(valid[..., None], d_depth, 0.0)
     d_pose = np.where(valid[..., None, None], d_pose, 0.0)
     return d_depth, d_pose, valid

@@ -2,8 +2,8 @@
 
 Everything derives from ValueError so callers that do not care about the
 distinction can catch one thing. Plain ValueError is raised directly for
-generic invalid arguments: empty lists, through _check_finite non-finite or
-misshapen inputs, and through _check_count too small or non-integer counts.
+generic invalid arguments: empty lists, bool, misshapen or non-finite inputs
+(_check_finite), and too small or non-integer counts (_check_count).
 """
 
 import numbers
@@ -20,9 +20,11 @@ def _check_count(value, name: str, low: int) -> None:
 
 
 def _check_finite(value, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """value as a float array; raise ValueError naming the argument unless
-    it has `shape` (when given) and every entry is finite. A rejected scalar
-    is quoted in the message."""
+    """value as a float array; raise ValueError naming the argument if it
+    is a bool (as _check_count does), lacks `shape` (when given) or has a
+    non-finite entry. A rejected scalar is quoted in the message."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     arr = np.asarray(value, dtype=float)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")

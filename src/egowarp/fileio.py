@@ -32,17 +32,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_binary(path: str | Path, magic: bytes, shape: tuple, value: str, payload: bytes):
+    """Write what _read_binary reads: the header lines magic, "w h" of the
+    (h, w) shape and value, then the payload."""
+    h, w = shape
+    with open(path, "wb") as f:
+        f.write(magic + f"\n{w} {h}\n{value}\n".encode("ascii"))
+        f.write(payload)
+
+
 def write_pfm(path: str | Path, data: np.ndarray) -> None:
     """Write an (h, w) array as a grayscale little-endian PFM."""
     data = np.asarray(data, dtype=np.float32)
     if data.ndim != 2:
         raise ValueError(f"PFM writer expects (h, w) data, got {data.shape}")
-    h, w = data.shape
-    with open(path, "wb") as f:
-        f.write(b"Pf\n")
-        f.write(f"{w} {h}\n".encode("ascii"))
-        f.write(b"-1.0\n")
-        f.write(data[::-1].astype("<f4").tobytes())
+    _write_binary(path, b"Pf", data.shape, "-1.0", data[::-1].astype("<f4").tobytes())
 
 
 def _header(raw: bytes, count: int) -> tuple[list[bytes], int]:
@@ -102,12 +106,7 @@ def write_image(path: str | Path, img: ImageBuffer) -> None:
     """Write PGM (P5) for 1-channel or PPM (P6) for 3-channel images."""
     quant = np.rint(np.clip(img.data, 0.0, 1.0) * 255.0).astype(np.uint8)
     magic = b"P5" if img.channels == 1 else b"P6"
-    payload = quant[:, :, 0] if img.channels == 1 else quant
-    with open(path, "wb") as f:
-        f.write(magic + b"\n")
-        f.write(f"{img.width} {img.height}\n".encode("ascii"))
-        f.write(b"255\n")
-        f.write(payload.tobytes())
+    _write_binary(path, magic, quant.shape[:2], "255", quant.tobytes())
 
 
 def read_image(path: str | Path) -> ImageBuffer:
@@ -118,10 +117,17 @@ def read_image(path: str | Path) -> ImageBuffer:
     return ImageBuffer(data.astype(float) / 255.0)
 
 
+def _text(path: str | Path) -> str:
+    """The ASCII text of a file; a non-ASCII byte raises, naming the file."""
+    try:
+        return Path(path).read_bytes().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: non-ASCII byte at offset {exc.start}") from exc
+
+
 def _lines(path: str | Path):
     """Yield (line number, line) for each non-blank line of a text file."""
-    text = Path(path).read_text(encoding="ascii")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_text(path).splitlines(), start=1):
         if line.strip():
             yield lineno, line
 
@@ -218,7 +224,7 @@ def write_intrinsics(path: str | Path, k: CameraIntrinsics) -> None:
 
 
 def read_intrinsics(path: str | Path) -> CameraIntrinsics:
-    tokens = Path(path).read_text(encoding="ascii").split()
+    tokens = _text(path).split()
     fx, fy, cx, cy = _floats(tokens, 4, "intrinsics record (fx fy cx cy)", str(path))
     try:
         return CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)

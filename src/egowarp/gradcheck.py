@@ -8,10 +8,10 @@ photometric residuals near L1 zero crossings, depth differences near
 smoothness sign flips, and ReLU preactivations near zero.
 
 Components (one random configuration per trial):
-  reproject  reproject_jacobian_grid, built from the projection Jacobian
-             and depth and pose rows that warp_jacobians and
-             loss_gradients chain through, against reproject_grid on an
-             8x8 grid of random pixels and depths.
+  reproject  reproject_jacobian_grid, the camera._channel_rows of unit
+             pixel gradients, which warp_jacobians and the solver's
+             curvature run too, against reproject_grid on an 8x8 grid of
+             random pixels and depths.
   warp       warp_jacobians, whose rows the solver's IRLS curvature is
              built from, against inverse_warp on a random 8x8 image, depth
              and small pose, at pixels whose sample point is stable.
@@ -36,6 +36,7 @@ from .exceptions import _check_count
 from .losses import (
     LossWeights,
     WeightMask,
+    _forward_diffs,
     explainability_reg,
     loss_gradients,
     photometric_l1,
@@ -49,8 +50,6 @@ from .warp import (
     pixel_grid,
     warp_jacobians,
 )
-
-COMPONENTS = ("reproject", "warp", "losses", "attention")
 
 FD_STEP = 1e-5
 # Exclusion margins around non-differentiable sets, in the relevant units
@@ -248,11 +247,8 @@ def _check_losses(rng: np.random.Generator) -> list:
         # pixels far outside the border.
         stable, outside = _stable_pixels(source, depth, pose, k)
         diff_ok = np.min(np.abs(target.data - recon.data), axis=2) > KINK_MARGIN
-        if not np.all(np.where(valid.data, stable & diff_ok, outside)):
-            continue
-        dx_ok = np.abs(np.diff(depth.data, axis=1)) > KINK_MARGIN
-        dy_ok = np.abs(np.diff(depth.data, axis=0)) > KINK_MARGIN
-        break
+        if np.all(np.where(valid.data, stable & diff_ok, outside)):
+            break
     else:
         raise RuntimeError("could not draw a kink-free loss configuration")
 
@@ -270,10 +266,10 @@ def _check_losses(rng: np.random.Generator) -> list:
     g = loss_gradients(target, source, depth, pose, k, mask, weights)
     # Per-pixel depth FD; a pixel also needs its smoothness edges sign-stable.
     edge_ok = np.ones((h, w), dtype=bool)
-    edge_ok[:, 1:] &= dx_ok
-    edge_ok[:, :-1] &= dx_ok
-    edge_ok[1:, :] &= dy_ok
-    edge_ok[:-1, :] &= dy_ok
+    for ahead, behind, dd, _ in _forward_diffs(depth, target):
+        sign_stable = np.abs(dd) > KINK_MARGIN
+        edge_ok[ahead] &= sign_stable
+        edge_ok[behind] &= sign_stable
     depth_ok = edge_ok & (~valid.data | stable)
     fd_depth = _fd(lambda d: warped_loss(d, pose), depth.data, depth_ok)
     fd_pose = _fd_pose(lambda p: warped_loss(depth.data, p), pose)
@@ -328,6 +324,7 @@ _CHECKERS = {
     "losses": _check_losses,
     "attention": _check_attention,
 }
+COMPONENTS = tuple(_CHECKERS)
 
 
 def grad_check(component: str, seed: int = 42, trials: int = 100) -> GradCheckReport:

@@ -13,11 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _depth_rows, _pose_sum, _projection_vjp
+from .camera import CameraIntrinsics, _channel_rows, _depth_rows, _pose_sum, _projection_vjp
 from .exceptions import DegenerateInputError, _check_finite
 from .se3 import SE3Transform
-from .warp import DepthMap, ImageBuffer, ValidityMask, _PixelArray
-from .warp import _channel_rows, _check_same_size, _warp_eval
+from .warp import DepthMap, ImageBuffer, ValidityMask, _PixelArray, _check_same_size, _warp_eval
 
 # Explainability masks are clamped here before the log; keeps the
 # regularizer finite when a mask collapses toward zero.
@@ -75,8 +74,6 @@ def photometric_l1(
     """
     _check_same_size(target, recon, "target", "recon")
     _check_same_size(target, mask, "target", "mask")
-    if target.channels != recon.channels:
-        raise ValueError("target and recon channel counts differ")
     _check_same_size(target, valid, "target", "valid")
     n_valid = valid.count
     if n_valid == 0:
@@ -200,8 +197,6 @@ def loss_gradients(
     _check_same_size(target, source, "target", "source")
     _check_same_size(target, depth, "target", "depth")
     _check_same_size(target, mask, "target", "mask")
-    if target.channels != source.channels:
-        raise ValueError("target and source channel counts differ")
     recon, valid, grad, transformed = _warp_eval(source, depth, pose, k, jacobians=True)
     n_valid = int(valid.sum())
     if n_valid == 0:

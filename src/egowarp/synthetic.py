@@ -44,8 +44,10 @@ class PlaneSpec:
             raise ValueError("plane normal must be nonzero")
         object.__setattr__(self, "normal", n / norm)
         object.__setattr__(self, "offset", float(_check_finite(self.offset, "plane offset")))
-        if self.extent is not None and not (0 < self.extent < np.inf):
-            raise ValueError("plane extent must be positive and finite")
+        if self.extent is not None:
+            if not 0 < self.extent < np.inf:
+                raise ValueError("plane extent must be positive and finite")
+            object.__setattr__(self, "extent", float(_check_finite(self.extent, "plane extent")))
 
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic orthonormal in-plane axes (e1, e2)."""
@@ -241,8 +243,6 @@ def psnr(a: ImageBuffer, b: ImageBuffer, valid: ValidityMask | None = None) -> f
     Returns inf for identical inputs.
     """
     _check_same_size(a, b, "a", "b")
-    if a.channels != b.channels:
-        raise ValueError("image channel counts differ")
     diff = a.data - b.data
     if valid is not None:
         _check_same_size(a, valid, "images", "valid")

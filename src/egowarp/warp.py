@@ -13,7 +13,7 @@ bottom row and right column, so a corner past the edge reads 0 (where its
 weight is 0 anyway). Values and (u, v) derivatives share those corners, and
 inverse_warp, warp_jacobians and loss_gradients share one reprojection.
 Derivatives leave it as the sampler gradient and the transformed points:
-_channel_rows chains each channel through them into the rows that
+camera's _channel_rows chains each channel through them into the rows that
 warp_jacobians masks and the solver's IRLS curvature is built from, and
 loss_gradients' gradient contracts the channels first (reverse mode).
 
@@ -38,15 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .camera import (
-    CameraIntrinsics,
-    _depth_rows,
-    _pose_rows,
-    _project_grid,
-    _projection_vjp,
-    _rays,
-    _transform_grid,
-)
+from .camera import CameraIntrinsics, _channel_rows, _project_grid, _rays, _transform_grid
 from .exceptions import _check_finite
 from .se3 import SE3Transform
 
@@ -147,10 +139,15 @@ class ValidityMask(_PixelArray):
 
 
 def _check_same_size(a: _PixelArray, b: _PixelArray, name_a: str, name_b: str) -> None:
+    """Raise ValueError naming both arguments unless a and b have the same
+    size and, when both are images, the same channel count."""
     if (a.height, a.width) != (b.height, b.width):
         raise ValueError(
             f"{name_a} {a.height}x{a.width} and {name_b} {b.height}x{b.width} sizes differ"
         )
+    if isinstance(a, ImageBuffer) and isinstance(b, ImageBuffer) and a.channels != b.channels:
+        raise ValueError(
+            f"{name_a} has {a.channels} channels and {name_b} {b.channels}; they must match")
 
 
 def pixel_grid(height: int, width: int) -> np.ndarray:
@@ -257,20 +254,6 @@ def _warp_eval(
     valid = in_front & in_bounds
     recon = np.clip(np.where(valid[..., None], vals, 0.0), 0.0, 1.0)
     return recon, valid, grad, transformed
-
-
-def _channel_rows(
-    grad: tuple, transformed: tuple, depth: np.ndarray, k: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unmasked (h, w, c) d(recon)/d(depth) and (h, w, c, 6) d(recon)/d(pose).
-
-    Each channel's sampler gradient g_c = (d_u, d_v)_c is chained through
-    J_pi to a_c = g_c^T J_pi, whose depth and pose rows camera builds.
-    """
-    rx, x_src, _, z_safe = transformed
-    a = _projection_vjp(x_src[..., None, :], z_safe[..., None], k, *grad)
-    rx = rx[..., None, :]
-    return _depth_rows(a, rx, depth[..., None]), _pose_rows(a, rx)
 
 
 def inverse_warp(

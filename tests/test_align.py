@@ -174,6 +174,10 @@ class TestPerturbPose:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             perturb_pose(Pose6DoF(np.zeros(3), GT_TRANS), rot_deg, trans_frac, seed=1)
 
+    def test_bool_magnitude_rejected(self):
+        with pytest.raises(ValueError, match="^rot_deg must be a number, got True$"):
+            perturb_pose(Pose6DoF(np.zeros(3), GT_TRANS), True, 0.02, seed=1)
+
 
 class TestAlignOptions:
     def test_bad_values_rejected(self):

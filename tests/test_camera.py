@@ -12,20 +12,27 @@ same oracle.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+import egowarp.camera as camera_module
 from egowarp import (
     CameraIntrinsics,
     DepthMap,
     ImageBuffer,
+    LossWeights,
     Rotation,
     SE3Transform,
+    WeightMask,
     exp_so3,
     hat,
     inverse_warp,
+    loss_gradients,
     reproject_grid,
     reproject_jacobian_grid,
+    warp_jacobians,
 )
 from egowarp.camera import Z_EPSILON, _rays, _transform_grid
 
@@ -307,6 +314,48 @@ class TestReprojectJacobian:
                 dd, dp = _reproject_jacobian(uv[i, j], depth[i, j], t)
                 np.testing.assert_allclose(d_depth_g[i, j], dd, atol=1e-12)
                 np.testing.assert_allclose(d_pose_g[i, j], dp, atol=1e-12)
+
+
+class TestChannelRows:
+    """camera._channel_rows builds every depth and pose row: the
+    reprojection Jacobian's, the warp's and the solver curvature's. Each
+    binding of it in the package is patched to count calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = camera_module._channel_rows
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("egowarp") and getattr(module, "_channel_rows", None) is original:
+                monkeypatch.setattr(module, "_channel_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("use, expected", [
+        ("reproject_jacobian_grid", 1), ("warp_jacobians", 1),
+        ("loss_gradients_curvature", 1), ("loss_gradients", 0),
+    ])
+    def test_calls(self, calls, use, expected):
+        rng = np.random.default_rng(9)
+        k = CameraIntrinsics(fx=8.0, fy=8.0, cx=3.5, cy=3.5)
+        image = ImageBuffer.grayscale(rng.uniform(0.2, 0.8, (8, 8)))
+        depth = DepthMap(rng.uniform(4.0, 6.0, (8, 8)))
+        t = SE3Transform.from_translation(np.array([0.1, 0.0, 0.0]))
+        runs = {
+            "reproject_jacobian_grid": lambda: reproject_jacobian_grid(
+                np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0)), axis=-1), depth.data, t, k),
+            "warp_jacobians": lambda: warp_jacobians(image, depth, t, k),
+            "loss_gradients_curvature": lambda: loss_gradients(
+                image, image, depth, t, k, WeightMask.ones(8, 8), LossWeights(), curvature=True),
+            "loss_gradients": lambda: loss_gradients(
+                image, image, depth, t, k, WeightMask.ones(8, 8), LossWeights()),
+        }
+        runs[use]()
+        assert len(calls) == expected
 
 
 class TestWarpRays:

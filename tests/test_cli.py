@@ -176,6 +176,17 @@ class TestAlign:
             "rotation matrix must be finite\n"
         )
 
+    def test_non_ascii_intrinsics_returns_4_and_names_the_file(self, tmp_path, capsys):
+        pair = tmp_path / "pair"
+        assert _synth(pair) == 0
+        capsys.readouterr()
+        (pair / "intrinsics.txt").write_bytes(b"48.0 48.0 23.5 \xe923.5\n")
+        assert main(["align", "--pair", str(pair)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: cannot read pair inputs: {pair / 'intrinsics.txt'}: "
+            "non-ASCII byte at offset 15\n"
+        )
+
     def test_pyramid_deeper_than_image_returns_5(self, tmp_path, capsys):
         pair = tmp_path / "pair"
         assert _synth(pair, size="32x32") == 0
@@ -387,6 +398,24 @@ class TestEvalAte:
         assert capsys.readouterr().err == (
             f"error: {tmp_path / 'pred.txt'} with {tmp_path / 'times.txt'}: "
             "timestamps must be strictly increasing\n"
+        )
+
+    def test_non_ascii_byte_returns_5_and_names_the_file(self, tmp_path, capsys):
+        self._write_fixture(tmp_path)
+        with open(tmp_path / "gt.txt", "ab") as f:
+            f.write(b"\xff\n")
+        code = main(
+            [
+                "eval-ate",
+                "--pred", str(tmp_path / "pred.txt"),
+                "--gt", str(tmp_path / "gt.txt"),
+                "--times", str(tmp_path / "times.txt"),
+            ]
+        )
+        offset = (tmp_path / "gt.txt").stat().st_size - 2
+        assert code == 5
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'gt.txt'}: non-ASCII byte at offset {offset}\n"
         )
 
     def test_unmatchable_gt_times_returns_5(self, tmp_path, capsys):

@@ -62,3 +62,9 @@ def test_gradcheck_does_not_import_the_solver():
     lives in se3, so nothing ties it to the aligner."""
     assert "se3" in _package_imports(PACKAGE / "gradcheck.py")
     assert "align" not in _package_imports(PACKAGE / "gradcheck.py")
+
+
+def test_camera_imports_only_exceptions_and_se3():
+    """camera holds every Jacobian row formula; the warp, the losses and
+    the solver build on it, never the other way round."""
+    assert _package_imports(PACKAGE / "camera.py") == {"exceptions", "se3"}

@@ -144,6 +144,16 @@ def test_every_binary_rejection_names_its_file(tmp_path, case):
     assert str(info.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("reader", [read_trajectory, read_pose, read_timestamps,
+                                    read_intrinsics, read_report], ids=lambda f: f.__name__)
+def test_non_ascii_byte_names_the_file_and_offset(tmp_path, reader):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1.0 2.0\n3.0 \xff\n")
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}: non-ASCII byte at offset 12"
+
+
 class TestDepthFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "depth.pfm"

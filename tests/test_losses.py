@@ -210,13 +210,10 @@ class TestRejections:
         [
             (lambda: LossWeights(lambda_reg=float("nan")), ValueError,
              "loss weights must be finite"),
-            (lambda: photometric_l1(_img([[0.5]]), ImageBuffer(np.zeros((1, 1, 3))),
-                                    WeightMask.ones(1, 1), ValidityMask.all_valid(1, 1)),
-             ValueError, "target and recon channel counts differ"),
             (lambda: multiscale_smoothness([], []), ValueError, "at least one scale"),
             (_no_valid_pixel_gradients, DegenerateInputError, "no valid pixels"),
         ],
-        ids=["nan-weight", "rgb-recon-gray-target", "no-scales", "no-valid-pixel"],
+        ids=["nan-weight", "no-scales", "no-valid-pixel"],
     )
     def test_rejected(self, make, error, message):
         with pytest.raises(error, match=message):
@@ -304,18 +301,6 @@ class TestLossGradients:
         diff = np.abs(target.data - recon.data).sum(axis=2)
         expected = diff * valid.data / valid.count - weights.lambda_reg / 64.0
         np.testing.assert_allclose(grads.d_mask, expected, atol=1e-12)
-
-    @pytest.mark.parametrize("rgb_target", [True, False])
-    def test_channel_mismatch_rejected(self, rgb_target):
-        # photometric_l1 rejects the same pair; the gradient must not
-        # broadcast one channel against three.
-        target, source, depth, pose, k, mask = _loss_setup(8)
-        if rgb_target:
-            target = ImageBuffer(np.repeat(target.data, 3, axis=2))
-        else:
-            source = ImageBuffer(np.repeat(source.data, 3, axis=2))
-        with pytest.raises(ValueError, match="channel counts differ"):
-            loss_gradients(target, source, depth, pose, k, mask, LossWeights())
 
     def test_shapes(self):
         target, source, depth, pose, k, mask = _loss_setup(8)

@@ -85,6 +85,17 @@ class TestPlaneSpec:
         with pytest.raises(ValueError, match=message):
             PlaneSpec(np.array([0.0, 0.0, 1.0]), offset, extent=extent)
 
+    @pytest.mark.parametrize("offset, extent, name", [
+        (True, None, "plane offset"), (5.0, True, "plane extent"),
+    ], ids=["offset", "extent"])
+    def test_bool_rejected(self, offset, extent, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got True$"):
+            PlaneSpec(np.array([0.0, 0.0, 1.0]), offset, extent=extent)
+
+    def test_extent_stored_as_float(self):
+        extent = PlaneSpec(np.array([0.0, 0.0, 1.0]), 5.0, extent=2).extent
+        assert type(extent) is float and extent == 2.0
+
     @pytest.mark.parametrize("normal, message", [
         (np.array([0.0, 1.0]), r"plane normal must have shape \(3,\), got \(2,\)"),
         (np.array([0.0, np.nan, 1.0]), "plane normal must be finite"),
@@ -303,10 +314,6 @@ class TestPsnr:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="a 2x2 and b 2x3 sizes differ"):
             psnr(ImageBuffer(np.zeros((2, 2, 1))), ImageBuffer(np.zeros((2, 3, 1))))
-
-    def test_channel_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="channel counts differ"):
-            psnr(ImageBuffer(np.zeros((2, 2, 1))), ImageBuffer(np.zeros((2, 2, 3))))
 
     def test_mask_size_mismatch_rejected(self):
         a = ImageBuffer(np.zeros((2, 2, 1)))

@@ -19,11 +19,18 @@ from egowarp import (
     DepthMap,
     FeatureMap,
     ImageBuffer,
+    LossWeights,
+    Pose6DoF,
     SE3Transform,
     ValidityMask,
     WeightMask,
+    align_pose,
+    align_pose_pair,
     inverse_warp,
+    loss_gradients,
+    photometric_l1,
     pixel_grid,
+    psnr,
     reproject_grid,
     resample_gating,
     retract_pose,
@@ -133,6 +140,35 @@ class TestPixelArrays:
         assert ImageBuffer.grayscale([[0, 1]]).data.dtype == np.float64
         assert DepthMap([[1, 2]]).data.dtype == np.float64
         assert ValidityMask(np.array([[1, 0]], dtype=np.uint8)).data.dtype == np.bool_
+
+
+_DEPTH8 = DepthMap(np.full((8, 8), 5.0))
+_K8 = CameraIntrinsics(fx=8.0, fy=8.0, cx=3.5, cy=3.5)
+_STILL = Pose6DoF(np.zeros(3), np.zeros(3))
+# Each function that takes two images: (call(first, second), its names for them).
+PAIRED_IMAGES = {
+    "photometric_l1": (lambda a, b: photometric_l1(
+        a, b, WeightMask.ones(8, 8), ValidityMask.all_valid(8, 8)), "target", "recon"),
+    "loss_gradients": (lambda a, b: loss_gradients(
+        a, b, _DEPTH8, SE3Transform.identity(), _K8, WeightMask.ones(8, 8), LossWeights()),
+        "target", "source"),
+    "psnr": (psnr, "a", "b"),
+    "align_pose": (lambda a, b: align_pose(a, b, _DEPTH8, _K8, _STILL), "target", "source"),
+    "align_pose_pair": (lambda a, b: align_pose_pair(
+        a, b, _DEPTH8, _DEPTH8, _K8, _STILL, _STILL), "target", "source"),
+}
+
+
+@pytest.mark.parametrize("function", PAIRED_IMAGES)
+def test_paired_images_need_equal_channel_counts(function):
+    """warp._check_same_size holds the rule for every caller, in the
+    caller's own argument names, whichever image has more channels."""
+    call, a, b = PAIRED_IMAGES[function]
+    rgb, gray = ImageBuffer(np.full((8, 8, 3), 0.5)), ImageBuffer(np.full((8, 8, 1), 0.5))
+    with pytest.raises(ValueError, match=f"^{a} has 3 channels and {b} 1; they must match$"):
+        call(rgb, gray)
+    with pytest.raises(ValueError, match=f"^{a} has 1 channels and {b} 3; they must match$"):
+        call(gray, rgb)
 
 
 class TestPixelGrid:
