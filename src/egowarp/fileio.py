@@ -32,7 +32,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_binary(path: str | Path, magic: bytes, shape: tuple, value: str, payload: bytes):
+def _write_binary(
+    path: str | Path, magic: bytes, shape: tuple, value: str, payload: bytes
+) -> None:
     """Write what _read_binary reads: the header lines magic, "w h" of the
     (h, w) shape and value, then the payload."""
     h, w = shape
