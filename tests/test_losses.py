@@ -302,6 +302,20 @@ class TestLossGradients:
         expected = diff * valid.data / valid.count - weights.lambda_reg / 64.0
         np.testing.assert_allclose(grads.d_mask, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("rgb_target", [True, False])
+    def test_channel_mismatch_rejected(self, rgb_target):
+        # photometric_l1 rejects the same pair; the gradient must not
+        # broadcast one channel against three.
+        target, source, depth, pose, k, mask = _loss_setup(8)
+        if rgb_target:
+            target = ImageBuffer(np.repeat(target.data, 3, axis=2))
+            message = "^target has 3 channels and source 1; they must match$"
+        else:
+            source = ImageBuffer(np.repeat(source.data, 3, axis=2))
+            message = "^target has 1 channels and source 3; they must match$"
+        with pytest.raises(ValueError, match=message):
+            loss_gradients(target, source, depth, pose, k, mask, LossWeights())
+
     def test_shapes(self):
         target, source, depth, pose, k, mask = _loss_setup(8)
         grads = loss_gradients(target, source, depth, pose, k, mask, LossWeights())
