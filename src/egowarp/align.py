@@ -18,12 +18,12 @@ B o F = I (the on-manifold change of variables of Blanco, "A tutorial on
 SE(3) transformation parameterizations and on-manifold optimization",
 2010): its gradient and curvature are pulled back through C = d(F, B) /
 d(F, E), and a step retracts F and E, then sets B = E o F^-1.
-Each warp direction's gradient and every block's curvature come from
-one loss_gradients call, made once per state a block steps from: a block
-that does not move hands it to the next block, and a level stopped by
-max_iters never evaluates its last state. Steps are accepted by Armijo
-backtracking (factor 0.5, c = 1e-4), so they never increase the loss. Each
-block's search starts where its last gain ratio points (actual over
+Each iteration makes one loss_gradients call per warp direction, at its
+starting state, and every block steps from that one evaluation: in
+pose_and_depth the depth step comes from the gradient taken before the pose
+step, and its line search runs from the moved pose. Steps are accepted by
+Armijo backtracking (factor 0.5, c = 1e-4), so they never increase the loss.
+Each block's search starts where its last gain ratio points (actual over
 model-predicted decrease; Madsen, Nielsen & Tingleff, "Methods for
 Non-Linear Least Squares Problems", 2004): near convergence more residuals
 fall below the IRLS floor, the model underestimates the curvature, and the
@@ -270,21 +270,19 @@ def _descend(x, loss0, level, opts):
 
     level is (loss(x), evaluate(x), blocks) and a block is (newton(ev),
     retract(x, delta)): newton gives the block's gradient and Newton step
-    from evaluate's result. evaluate runs once per state a block steps
-    from, so a block that does not move hands its evaluation to the next,
-    and a level stopped by max_iters never evaluates its last state.
+    from evaluate's result. evaluate runs once at the top of each
+    iteration, and every block steps from that one result, so a level
+    stopped by max_iters never evaluates its last state.
     history is loss0, then every accepted loss. The level converges when
     an iteration moves no block. Each block's line search starts at its own
     step, 1 at first and after a failed search, else _next_start of the last.
     """
     loss_fn, evaluate, blocks = level
-    history, ev = [loss0], None
+    history = [loss0]
     starts = [1.0] * len(blocks)
     for it in range(1, opts.max_iters + 1):
-        moved = False
+        ev, moved = evaluate(x), False
         for b, (newton, retract) in enumerate(blocks):
-            if ev is None:
-                ev = evaluate(x)
             grad, direction = newton(ev)
             res = _backtrack(loss_fn, retract, x, history[-1], grad, direction, starts[b])
             if res is None:
@@ -295,7 +293,7 @@ def _descend(x, loss0, level, opts):
             # along its Newton step t d, where s = g . d (as d^T H d = -s).
             predicted = -step * float(np.sum(grad * direction)) * (1 - step / 2)
             starts[b] = _next_start(step, (history[-1] - loss) / predicted)
-            ev, moved = None, True
+            moved = True
             history.append(loss)
         if not moved:
             return x, history, it, True

@@ -41,6 +41,7 @@ from .losses import (
     loss_gradients,
     photometric_l1,
     smoothness,
+    total_loss,
 )
 from .se3 import SE3Transform, exp_so3, retract_pose
 from .warp import (
@@ -253,11 +254,8 @@ def _check_losses(rng: np.random.Generator) -> list:
         raise RuntimeError("could not draw a kink-free loss configuration")
 
     def total(recon_l, valid_l, smo: float, m: WeightMask) -> float:
-        return (
-            photometric_l1(target, recon_l, m, valid_l)
-            + weights.lambda_smo * smo
-            + weights.lambda_reg * explainability_reg(m)
-        )
+        photo = photometric_l1(target, recon_l, m, valid_l)
+        return total_loss(photo, smo, explainability_reg(m), 0.0, weights)
 
     def warped_loss(depth_arr: np.ndarray, pose_t: SE3Transform) -> float:
         d = DepthMap(depth_arr)

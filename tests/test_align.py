@@ -577,9 +577,10 @@ class TestStepRule:
 
 
 class TestEvaluationCounts:
-    """One loss_gradients call per iteration in pose_only, two (one per
-    direction) in the pair solve, no state evaluated twice in a row in any
-    mode, and a non-increasing history. Every loss evaluation warps through
+    """One loss_gradients call per iteration in both align_pose modes, at
+    the state the iteration starts from, two (one per direction) in the pair
+    solve, no state evaluated twice in a row in any mode, and a
+    non-increasing history. Every loss evaluation warps through
     egowarp.align.inverse_warp once per direction, the binding a profiler
     wraps to count them."""
 
@@ -616,7 +617,7 @@ class TestEvaluationCounts:
         monkeypatch.setattr(align_module, "_backtrack", backtrack)
         return counts
 
-    @pytest.mark.parametrize("mode, per_iter", [("pose_only", 1)])
+    @pytest.mark.parametrize("mode, per_iter", [("pose_only", 1), ("pose_and_depth", 1)])
     def test_align_pose(self, counted, slanted32, mode, per_iter):
         pair, _, k, gt6 = slanted32
         report = align_pose(
@@ -648,9 +649,9 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("mode", ["pose_only", "pose_and_depth", "pair"])
     def test_no_state_is_evaluated_twice_in_a_row(self, counted, slanted32, mode):
-        """A block that does not move hands its evaluation to the next
-        block: consecutive loss_gradients calls never get the same depth
-        and pose objects."""
+        """Every block steps from its iteration's one evaluation, and an
+        iteration that moves no block ends the level: consecutive
+        loss_gradients calls never get the same depth and pose objects."""
         pair, depth_source, k, gt6 = slanted32
         init = perturb_pose(gt6, 1.0, 0.02, seed=5)
         if mode == "pair":

@@ -1,7 +1,8 @@
 """Tests for the finite-difference gradient checker.
 
 The checker is itself test infrastructure, so these tests focus on two
-things: the analytic gradients pass at the advertised tolerance, and the
+things: the analytic gradients pass at the advertised tolerance (criterion
+3 in test_acceptance.py checks every component over 100 trials), and the
 checker actually detects broken gradients. The second half is the
 self-test: corrupting every analytic entry by c * (1 + |entry|), through a
 wrapped checker, guarantees a reported relative error of at least
@@ -19,17 +20,12 @@ PASS_TOL = 1e-4
 
 
 class TestAnalyticGradients:
-    @pytest.mark.parametrize("component", COMPONENTS)
-    def test_component_passes_at_tolerance(self, component):
-        report = grad_check(component, seed=42, trials=25)
-        assert report.component == component
-        assert report.trials == 25
-        assert report.max_rel_err < PASS_TOL
-
     def test_deterministic_per_seed(self):
         a = grad_check("reproject", seed=7, trials=5)
         b = grad_check("reproject", seed=7, trials=5)
         c = grad_check("reproject", seed=8, trials=5)
+        assert a.component == "reproject"
+        assert a.trials == 5
         assert a.max_rel_err == b.max_rel_err
         assert a.max_rel_err != c.max_rel_err
 
