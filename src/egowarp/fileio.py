@@ -13,13 +13,14 @@ byte-identical.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .camera import CameraIntrinsics
 from .exceptions import _check_finite
-from .se3 import Rotation, SE3Transform
+from .se3 import _ORTHO_TOL, Rotation, SE3Transform
 from .warp import DepthMap, ImageBuffer
 
 # Rotation blocks parsed from text may be off orthonormal by quantization;
@@ -51,22 +52,10 @@ def write_pfm(path: str | Path, data: np.ndarray) -> None:
     _write_binary(path, b"Pf", data.shape, "-1.0", data[::-1].astype("<f4").tobytes())
 
 
-def _header(raw: bytes, count: int) -> tuple[list[bytes], int]:
-    """Up to `count` leading whitespace-separated tokens of raw (fewer if it
-    ends first) and the offset one byte past the last: where a binary
-    payload starts, whatever its own first byte is."""
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < count:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            break
-        tokens.append(raw[start:pos])
-    return tokens, pos + 1
+# Up to four leading whitespace-separated header tokens (fewer if the file
+# ends first); a bytes pattern's \s is exactly bytes.isspace's set. A binary
+# payload starts one byte past the match, whatever its own first byte is.
+_HEADER = re.compile(rb"\s*(\S+)" + rb"(?:\s+(\S+))?" * 3)
 
 
 def _read_binary(path: str | Path, pixel_bytes: dict[bytes, int], name: str, token_type):
@@ -76,7 +65,8 @@ def _read_binary(path: str | Path, pixel_bytes: dict[bytes, int], name: str, tok
     """
     with open(path, "rb") as f:
         raw = f.read()
-    tokens, pos = _header(raw, 4)
+    m = _HEADER.match(raw)
+    tokens = [t for t in m.groups() if t is not None] if m else []
     if not tokens or tokens[0] not in pixel_bytes:
         raise ValueError(f"{path}: not a {name} file, or not a binary one")
     if len(tokens) < 4:
@@ -88,7 +78,7 @@ def _read_binary(path: str | Path, pixel_bytes: dict[bytes, int], name: str, tok
     if w < 1 or h < 1:
         raise ValueError(f"{path}: bad {name} header values")
     size = w * h * pixel_bytes[tokens[0]]
-    payload = raw[pos : pos + size]
+    payload = raw[m.end() + 1 : m.end() + 1 + size]
     if len(payload) != size:
         raise ValueError(f"{path}: {name} payload truncated")
     return tokens[0], value, np.frombuffer(payload, dtype=np.uint8).reshape(h, w, -1)
@@ -158,7 +148,7 @@ def _pose_from_numbers(vals: list[float], where: str) -> SE3Transform:
     err = float(np.max(np.abs(r.T @ r - np.eye(3))))
     if err > _ROTATION_REPAIR_TOL:
         raise ValueError(f"{where}: rotation block is not orthonormal (err {err:.2e})")
-    if err > 1e-9:
+    if err > _ORTHO_TOL:
         u, _, vt = np.linalg.svd(r)
         r = u @ vt
         if np.linalg.det(r) < 0:

@@ -196,18 +196,9 @@ def _stable_pixels(
     uv = pixel_grid(h, w)
     uv_src, z, in_front = reproject_grid(uv, depth.data, pose, k)
     u, v = uv_src[..., 0], uv_src[..., 1]
-    inside = (
-        (u > GRID_MARGIN)
-        & (u < source.width - 1 - GRID_MARGIN)
-        & (v > GRID_MARGIN)
-        & (v < source.height - 1 - GRID_MARGIN)
-    )
-    outside = (
-        (u < -GRID_MARGIN)
-        | (u > source.width - 1 + GRID_MARGIN)
-        | (v < -GRID_MARGIN)
-        | (v > source.height - 1 + GRID_MARGIN)
-    )
+    # Signed distance to the nearest frame border, negative outside.
+    edge = np.minimum.reduce([u, source.width - 1 - u, v, source.height - 1 - v])
+    inside, outside = edge > GRID_MARGIN, edge < -GRID_MARGIN
     frac = uv_src - np.floor(uv_src)
     off_grid = np.all(np.minimum(frac, 1.0 - frac) > GRID_MARGIN, axis=-1)
     return in_front & (z > 0.5) & inside & off_grid, outside

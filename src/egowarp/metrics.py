@@ -67,9 +67,6 @@ class Trajectory:
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "poses", poses)
 
-    def __len__(self) -> int:
-        return len(self.poses)
-
 
 @dataclass(frozen=True)
 class AteResult:

@@ -52,7 +52,7 @@ def _pyramid(first, levels: int, down) -> list:
 
 def image_pyramid(img: ImageBuffer, levels: int) -> list[ImageBuffer]:
     """Fine-to-coarse list of `levels` images (index 0 = full resolution)."""
-    return _pyramid(img, levels, lambda im: ImageBuffer(np.clip(downsample2x(im.data), 0, 1)))
+    return _pyramid(img, levels, lambda im: ImageBuffer(downsample2x(im.data)))
 
 
 def depth_pyramid(depth: DepthMap, levels: int) -> list[DepthMap]:

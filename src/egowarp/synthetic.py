@@ -71,14 +71,10 @@ class SceneSpec:
     the constant texture clamp(a).
     """
 
-    kind: str
     planes: tuple[PlaneSpec, ...]
     texture_freqs: tuple[tuple[float, float, float, float], ...]
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in SCENE_KINDS:
-            raise ValueError(f"unknown scene kind {self.kind!r}")
         if len(self.planes) == 0:
             raise ValueError("scene needs at least one plane")
         if len(self.texture_freqs) == 0:
@@ -87,7 +83,6 @@ class SceneSpec:
             (float(a), float(b), float(c), float(d)) for a, b, c, d in self.texture_freqs
         )
         _check_finite(freqs, "texture terms")
-        _check_count(self.seed, "seed", 0)
         object.__setattr__(self, "planes", tuple(self.planes))
         object.__setattr__(self, "texture_freqs", freqs)
 
@@ -222,7 +217,7 @@ def make_scene(kind: str, seed: int = 42) -> SceneSpec:
             PlaneSpec(np.array([0.0, 0.0, 1.0]), 6.0),
             PlaneSpec(np.array([0.0, 0.0, 1.0]), 4.0, extent=1.0),
         )
-    return SceneSpec(kind=kind, planes=planes, texture_freqs=tuple(terms), seed=seed)
+    return SceneSpec(planes=planes, texture_freqs=tuple(terms))
 
 
 def default_intrinsics(width: int, height: int) -> CameraIntrinsics:

@@ -144,6 +144,29 @@ def test_every_binary_rejection_names_its_file(tmp_path, case):
     assert str(info.value).startswith(f"{path}: ")
 
 
+_BYTES = bytes([0, 128, 255, 64, 9, 32])
+# (reader, header tokens, payload, what the reader returns)
+BINARY_FILES = {
+    "P5": (lambda p: read_image(p).data, [b"P5", b"3", b"2", b"255"], _BYTES,
+           np.frombuffer(_BYTES, np.uint8).reshape(2, 3, 1) / 255.0),
+    "P6": (lambda p: read_image(p).data, [b"P6", b"1", b"2", b"255"], _BYTES,
+           np.frombuffer(_BYTES, np.uint8).reshape(2, 1, 3) / 255.0),
+    "Pf": (read_pfm, [b"Pf", b"2", b"1", b"-1.0"], struct.pack("<2f", 1.5, 2.5), [[1.5, 2.5]]),
+}
+
+
+@pytest.mark.parametrize("sep", [bytes([c]) for c in b" \t\n\r\x0b\x0c"],
+                         ids=["space", "tab", "lf", "cr", "vt", "ff"])
+@pytest.mark.parametrize("case", BINARY_FILES)
+def test_every_ascii_whitespace_byte_separates_header_tokens(tmp_path, case, sep):
+    # Before the magic and between tokens any run of whitespace; after the
+    # last token exactly one byte, then the payload.
+    reader, tokens, payload, expect = BINARY_FILES[case]
+    path = tmp_path / "sep.bin"
+    path.write_bytes(sep + (sep * 2).join(tokens) + sep + payload)
+    np.testing.assert_array_equal(reader(path), expect)
+
+
 @pytest.mark.parametrize("reader", [read_trajectory, read_pose, read_timestamps,
                                     read_intrinsics, read_report], ids=lambda f: f.__name__)
 def test_non_ascii_byte_names_the_file_and_offset(tmp_path, reader):

@@ -47,7 +47,6 @@ from egowarp.synthetic import SCENE_KINDS, SKY_DEPTH
 def _flat_scene(value: float, extent: float | None = None) -> SceneSpec:
     """Fronto plane at z = 5 painted with a constant texture."""
     return SceneSpec(
-        kind="fronto_plane",
         planes=(PlaneSpec(np.array([0.0, 0.0, 1.0]), 5.0, extent=extent),),
         texture_freqs=((0.0, 0.0, value, 0.0),),
     )
@@ -92,6 +91,13 @@ class TestPlaneSpec:
         with pytest.raises(ValueError, match=f"^{name} must be a number, got True$"):
             PlaneSpec(np.array([0.0, 0.0, 1.0]), offset, extent=extent)
 
+    @pytest.mark.parametrize("normal", [[1.0, 0.05, 0.0], [-1.0, 0.0, 0.0]], ids=["near-x", "on-x"])
+    def test_basis_of_a_normal_near_the_x_axis(self, normal):
+        # |n . x| > 0.9 makes basis() build e1 from the y axis instead.
+        plane = PlaneSpec(np.array(normal), 5.0)
+        frame = np.stack([*plane.basis(), plane.normal])
+        np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-12)
+
     def test_extent_stored_as_float(self):
         extent = PlaneSpec(np.array([0.0, 0.0, 1.0]), 5.0, extent=2).extent
         assert type(extent) is float and extent == 2.0
@@ -111,24 +117,18 @@ class TestSceneSpec:
         (-3, "seed must be >= 0"), (1.5, "seed must be an integer"),
     ])
     def test_seed_checked_as_make_scene_checks_it(self, seed, message):
-        # A hand-built spec carries no seed that make_scene would reject.
-        with pytest.raises(ValueError, match=message):
-            SceneSpec(kind="fronto_plane",
-                      planes=(PlaneSpec(np.array([0.0, 0.0, 1.0]), 5.0),),
-                      texture_freqs=((0.0, 0.0, 0.5, 0.0),), seed=seed)
         with pytest.raises(ValueError, match=message):
             make_scene("fronto_plane", seed)
 
-    @pytest.mark.parametrize("kind, planes, terms, message", [
-        ("sphere", None, None, "unknown scene kind 'sphere'"),
-        ("fronto_plane", (), None, "at least one plane"),
-        ("fronto_plane", None, (), "at least one term"),
-        ("fronto_plane", None, ((0.0, 0.0, np.nan, 0.0),), "texture terms must be finite"),
-    ], ids=["unknown-kind", "no-planes", "no-terms", "nan-term"])
-    def test_bad_spec_rejected(self, kind, planes, terms, message):
+    @pytest.mark.parametrize("planes, terms, message", [
+        ((), None, "at least one plane"),
+        (None, (), "at least one term"),
+        (None, ((0.0, 0.0, np.nan, 0.0),), "texture terms must be finite"),
+    ], ids=["no-planes", "no-terms", "nan-term"])
+    def test_bad_spec_rejected(self, planes, terms, message):
         plane = PlaneSpec(np.array([0.0, 0.0, 1.0]), 5.0)
         with pytest.raises(ValueError, match=message):
-            SceneSpec(kind=kind, planes=(plane,) if planes is None else planes,
+            SceneSpec(planes=(plane,) if planes is None else planes,
                       texture_freqs=((0.0, 0.0, 0.5, 0.0),) if terms is None else terms)
 
 
@@ -252,8 +252,7 @@ class TestRenderPair:
 class TestMakeScene:
     def test_known_kinds(self):
         assert SCENE_KINDS == ("fronto_plane", "slanted_plane", "two_planes")
-        for kind in SCENE_KINDS:
-            assert make_scene(kind).kind == kind
+        assert [len(make_scene(kind).planes) for kind in SCENE_KINDS] == [1, 1, 2]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown scene kind"):
