@@ -28,9 +28,10 @@ model-predicted decrease; Madsen, Nielsen & Tingleff, "Methods for
 Non-Linear Least Squares Problems", 2004): near convergence more residuals
 fall below the IRLS floor, the model underestimates the curvature, and the
 full step overshoots, so a search that started at length 1 would pay a
-rejected evaluation per halving. A level whose starting loss is not finite
-(no valid pixel) is skipped, so loss histories stay finite; the next level
-then starts from the caller's depth, not an upsampled estimate.
+rejected evaluation per halving. The start is 1 when a level begins, and a
+failed search keeps it. A level whose starting loss is not finite (no valid
+pixel) is skipped, so loss histories stay finite; the next level then
+starts from the caller's depth, not an upsampled estimate.
 
 A loss evaluation is one inverse_warp per direction; what cannot change
 within a level is hoisted out of it. The all-ones mask is built once per
@@ -74,7 +75,7 @@ ARMIJO_FACTOR = 0.5
 # Each block's line search starts where the last one's gain ratio (actual
 # over model-predicted decrease) points: twice the accepted step (at most 1)
 # above GAIN_HIGH, half of it below GAIN_LOW, the same step in between; 1 at
-# the start of a level and after a failed search.
+# the start of a level. A failed search leaves it where it was.
 GAIN_HIGH = 0.75
 GAIN_LOW = 0.25
 # A line search gives up after _MAX_BACKTRACKS halvings of its start step
@@ -275,7 +276,7 @@ def _descend(x, loss0, level, opts):
     stopped by max_iters never evaluates its last state.
     history is loss0, then every accepted loss. The level converges when
     an iteration moves no block. Each block's line search starts at its own
-    step, 1 at first and after a failed search, else _next_start of the last.
+    step: 1 at first, then _next_start of its last accepted step.
     """
     loss_fn, evaluate, blocks = level
     history = [loss0]
@@ -286,7 +287,6 @@ def _descend(x, loss0, level, opts):
             grad, direction = newton(ev)
             res = _backtrack(loss_fn, retract, x, history[-1], grad, direction, starts[b])
             if res is None:
-                starts[b] = 1.0
                 continue
             x, loss, step = res
             # The block's quadratic model predicts a decrease of -t s (1 - t/2)

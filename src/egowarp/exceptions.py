@@ -21,11 +21,11 @@ def _check_count(value, name: str, low: int) -> None:
 
 def _check_finite(value, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """value as a float array; raise ValueError naming the argument if it
-    is a Python or numpy bool (which _check_count rejects too) or a tuple or
-    list holding one, lacks `shape` (when given) or has a non-finite entry.
-    A rejected scalar is quoted in the message."""
+    is a bool (Python, numpy or a bool-dtype array; _check_count rejects
+    bools too) or a tuple or list holding one, lacks `shape` (when given) or
+    has a non-finite entry. A rejected scalar is quoted in the message."""
     items = value if isinstance(value, (tuple, list)) else (value,)
-    if any(isinstance(x, (bool, np.bool_)) for x in items):
+    if any(isinstance(x, bool) or getattr(x, "dtype", None) == np.bool_ for x in items):
         raise ValueError(f"{name} must be a number, got {value!r}")
     arr = np.asarray(value, dtype=float)
     if shape is not None and arr.shape != shape:

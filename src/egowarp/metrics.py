@@ -55,10 +55,9 @@ class Trajectory:
     poses: tuple[SE3Transform, ...]
 
     def __post_init__(self) -> None:
-        ts = np.asarray(self.timestamps, dtype=float)
+        ts = _check_finite(self.timestamps, "timestamps")
         if ts.ndim != 1 or ts.size == 0:
             raise ValueError("timestamps must be a non-empty 1-d array")
-        _check_finite(ts, "timestamps")
         if ts.size > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("timestamps must be strictly increasing")
         poses = tuple(self.poses)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraIntrinsics
+from .camera import CameraIntrinsics, _rays
 from .exceptions import _check_count, _check_finite
 from .se3 import SE3Transform
 from .warp import DepthMap, ImageBuffer, ValidityMask, _check_same_size
@@ -79,10 +79,8 @@ class SceneSpec:
             raise ValueError("scene needs at least one plane")
         if len(self.texture_freqs) == 0:
             raise ValueError("texture needs at least one term")
-        freqs = tuple(
-            (float(a), float(b), float(c), float(d)) for a, b, c, d in self.texture_freqs
-        )
-        _check_finite(freqs, "texture terms")
+        rows = (_check_finite(row, "texture terms") for row in self.texture_freqs)
+        freqs = tuple((float(a), float(b), float(c), float(d)) for a, b, c, d in rows)
         object.__setattr__(self, "planes", tuple(self.planes))
         object.__setattr__(self, "texture_freqs", freqs)
 
@@ -131,10 +129,8 @@ def render_view(
     _check_count(height, "height", 1)
     r = pose.r.m
     center = -(r.T @ pose.t)
-    v, u = np.mgrid[0:height, 0:width].astype(float)
-    dir_cam = np.stack(
-        [(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones_like(u)], axis=-1
-    )
+    rays = _rays(np.arange(width, dtype=float), np.arange(height, dtype=float)[:, None], k)
+    dir_cam = np.stack(np.broadcast_arrays(*rays, 1.0), axis=-1)
     dir_world = dir_cam @ r  # R^T applied to each ray
 
     # dir_cam z-component is 1, so the ray parameter equals camera-frame depth.
