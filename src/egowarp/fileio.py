@@ -189,8 +189,10 @@ def read_pose(path: str | Path) -> SE3Transform:
 
 
 def write_timestamps(path: str | Path, times: np.ndarray) -> None:
-    """One time per line; no time, a non-finite one or an array that is not
-    1-d raises before the file is made."""
+    """One time per line; no time, a non-finite or bool one or an array that
+    is not 1-d raises before the file is made."""
+    if np.asarray(times).dtype == np.bool_:
+        raise ValueError(f"{path}: timestamps must be a number, got a bool array")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError(f"{path}: timestamps must be non-empty and 1-d, got shape {times.shape}")

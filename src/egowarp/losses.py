@@ -99,8 +99,11 @@ def _forward_diffs(depth: DepthMap, image: ImageBuffer):
     d, img = depth.data, image.data
     for axis, ahead, behind in ((1, np.s_[:, 1:], np.s_[:, :-1]), (0, np.s_[1:], np.s_[:-1])):
         if d.shape[axis] > 1:
-            weight = np.exp(-np.mean(np.abs(img[ahead] - img[behind]), axis=2))
-            yield ahead, behind, d[ahead] - d[behind], weight
+            di = img[ahead] - img[behind]
+            weight = np.mean(np.abs(di, out=di), axis=2)
+            del di  # not held across the yield
+            np.negative(weight, out=weight)
+            yield ahead, behind, d[ahead] - d[behind], np.exp(weight, out=weight)
 
 
 def smoothness(depth: DepthMap, image: ImageBuffer) -> float:
@@ -114,7 +117,9 @@ def smoothness(depth: DepthMap, image: ImageBuffer) -> float:
     _check_same_size(depth, image, "depth", "image")
     total = 0.0
     for *_, dd, weight in _forward_diffs(depth, image):
-        total += float(np.mean(np.abs(dd) * weight))
+        np.abs(dd, out=dd)
+        dd *= weight
+        total += float(np.mean(dd))
     return total
 
 
@@ -150,7 +155,9 @@ def _smoothness_grad_depth(depth: DepthMap, image: ImageBuffer) -> np.ndarray:
     """d(smoothness)/d(depth), scatter of the per-difference subgradients."""
     grad = np.zeros_like(depth.data)
     for ahead, behind, dd, weight in _forward_diffs(depth, image):
-        s = np.sign(dd) * weight / dd.size
+        s = np.sign(dd, out=dd)
+        s *= weight
+        s /= dd.size
         grad[ahead] += s
         grad[behind] -= s
     return grad
@@ -202,37 +209,45 @@ def loss_gradients(
     if n_valid == 0:
         raise DegenerateInputError("loss gradients undefined: no valid pixels")
 
-    diff = target.data - recon
-    pix_weight = mask.data * valid / n_valid  # (h, w)
+    diff = np.subtract(target.data, recon, out=recon)
+    pix_weight = mask.data * valid  # (h, w)
+    pix_weight /= n_valid
 
     # d|t - r|/d(r) = -sign(t - r), contracted over channels to dL/du and
-    # dL/dv and chained back through the reprojection. The sign is deleted
-    # before the curvature block so that it does not raise the peak memory.
+    # dL/dv and chained back through the reprojection. The temporaries are
+    # deleted before the curvature block so that they do not raise its peak.
     sign = np.sign(diff)
-    d_u, d_v = (-np.einsum("hwc,hwc->hw", g, sign) * pix_weight for g in grad)
+    d_uv = [np.einsum("hwc,hwc->hw", g, sign) for g in grad]
     del sign
+    for d in d_uv:
+        np.negative(d, out=d)
+        d *= pix_weight
     rx, x_src, _, z_safe = transformed
-    d_x = _projection_vjp(x_src, z_safe, k, d_u, d_v)  # dL/dX'
+    d_x = _projection_vjp(x_src, z_safe, k, *d_uv)  # dL/dX'
     d_photo_pose = _pose_sum(d_x, rx)
-    d_photo_depth = _depth_rows(d_x, rx, depth.data)
-    d_photo_mask = np.sum(np.abs(diff), axis=2) * valid / n_valid
+    d_depth = _depth_rows(d_x, rx, depth.data)
+    d_depth += weights.lambda_smo * _smoothness_grad_depth(depth, target)
 
-    d_depth = d_photo_depth + weights.lambda_smo * _smoothness_grad_depth(
-        depth, target
-    )
-
-    n_pix = mask.data.size
-    d_reg_mask = np.where(
-        mask.data > MASK_FLOOR, -1.0 / (n_pix * np.maximum(mask.data, MASK_FLOOR)), 0.0
-    )
-    d_mask = d_photo_mask + weights.lambda_reg * d_reg_mask
+    abs_diff = np.abs(diff, out=diff)
+    d_mask = np.sum(abs_diff, axis=2)
+    d_mask *= valid
+    d_mask /= n_valid
+    # d(reg)/d(mask) = -1 / (n_pix mask), 0 where the floor clamps the mask
+    d_reg = np.maximum(mask.data, MASK_FLOOR)
+    d_reg *= mask.data.size
+    np.divide(-1.0, d_reg, out=d_reg)
+    d_reg[mask.data <= MASK_FLOOR] = 0.0
+    d_mask += weights.lambda_reg * d_reg
+    del d_uv, d_x, d_reg
     grads = LossGradients(d_depth, d_photo_pose, d_mask)
     if not curvature:
         return grads
-    irls = pix_weight[..., None] / np.maximum(np.abs(diff), IRLS_FLOOR)  # (h, w, c)
+    irls = np.maximum(abs_diff, IRLS_FLOOR, out=abs_diff)  # (h, w, c)
+    np.divide(pix_weight[..., None], irls, out=irls)
     j_depth, j_pose = _channel_rows(grad, transformed, depth.data, k)
     j_pose = j_pose.reshape(-1, 6)
+    j_depth *= j_depth
     return grads._replace(
         h_pose=j_pose.T @ (j_pose * irls.reshape(-1, 1)),
-        h_depth=np.einsum("hwc,hwc->hw", irls, j_depth * j_depth),
+        h_depth=np.einsum("hwc,hwc->hw", irls, j_depth),
     )

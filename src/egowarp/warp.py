@@ -25,6 +25,14 @@ the public samplers, sample_grid and sample_grad_grid, alone. The warp's
 rays K^-1 (u, v, 1) are separable: a row of x parts from the columns u and
 a column of y parts from the rows v, w + h floats per call.
 
+The kernels here and in camera and losses build their full-size
+temporaries in place: out= and in-place ufuncs write into arrays the kernel
+allocated itself. Each formula keeps its order of operations, so the
+results are the plain expressions' bit for bit. A temporary is let go
+before the next large allocation, since at 256 x 256 RGB a fresh page costs
+more than the arithmetic done on it. A caller's input is never written, and
+every returned array is freshly allocated and the caller's.
+
 The five per-pixel types (ImageBuffer, DepthMap and ValidityMask here,
 WeightMask in losses and FeatureMap in attention) share one checked base,
 _PixelArray; each states only its own rules. float64 and bool data are
@@ -52,8 +60,9 @@ class _PixelArray:
 
     `data` is stored as a _DTYPE array, not copied when it already is one,
     with the axes _AXES, at least one pixel, finite values and, when _RANGE
-    is set, values in that closed range. A subclass's __post_init__ adds its
-    own rules. Every rejection is a ValueError that names the type.
+    is set, values in that closed range; bool data is no number for a
+    float type. A subclass's __post_init__ adds its own rules. Every
+    rejection is a ValueError that names the type.
     """
 
     data: np.ndarray
@@ -63,8 +72,10 @@ class _PixelArray:
     _RANGE: ClassVar[tuple[float, float] | None] = None
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=self._DTYPE)
         name = type(self).__name__
+        if self._DTYPE is float and np.asarray(self.data).dtype == np.bool_:
+            raise ValueError(f"{name} values must be a number, got a bool array")
+        data = np.asarray(self.data, dtype=self._DTYPE)
         if data.ndim != len(self._AXES) or data.size == 0:
             axes = ", ".join(self._AXES)
             raise ValueError(f"{name} must be a non-empty ({axes}) array, got {data.shape}")
@@ -167,23 +178,50 @@ def _bilinear(data: np.ndarray, u: np.ndarray, v: np.ndarray, grad: bool) -> tup
     h, w, c = data.shape
     valid = ((u >= -BORDER_EPS) & (u <= w - 1 + BORDER_EPS)
              & (v >= -BORDER_EPS) & (v <= h - 1 + BORDER_EPS))
-    u, v = np.clip(u, 0.0, float(w - 1)), np.clip(v, 0.0, float(h - 1))
-    u0, v0 = np.floor(u), np.floor(v)
-    fu, fv = (u - u0)[..., None], (v - v0)[..., None]
-    padded = np.zeros((h + 1, w + 1, c))
-    padded[:h, :w] = data
-    flat = padded.reshape(-1, c)
-    # mode="clip" keeps NaN coordinates (invalid anyway) from raising.
+    # out= keeps a 0-d point an array, so the in-place steps below apply.
+    fu = np.clip(u, 0.0, float(w - 1), out=np.empty(np.shape(u)))
+    fv = np.clip(v, 0.0, float(h - 1), out=np.empty(np.shape(v)))
+    u0, v0 = np.floor(fu), np.floor(fv)
     idx = v0.astype(np.intp) * (w + 1) + u0.astype(np.intp)
-    i00, i10, i01, i11 = (
-        np.take(flat, idx + off, axis=0, mode="clip") for off in (0, 1, w + 1, w + 2)
-    )
-    vals = (i00 * (1.0 - fu) * (1.0 - fv) + i10 * fu * (1.0 - fv)
-            + i01 * (1.0 - fu) * fv + i11 * fu * fv)
+    fu -= u0
+    fv -= v0
+    del u0, v0
+    fu, fv = fu[..., None], fv[..., None]
+    gu, gv = 1.0 - fu, 1.0 - fv
+    padded = np.empty((h + 1, w + 1, c))
+    padded[:h, :w] = data
+    padded[h], padded[:h, w] = 0.0, 0.0
+    flat = padded.reshape(-1, c)
+    # The corners in the blend's order, at idx + 0, 1, w + 1 and w + 2; mode="clip"
+    # keeps NaN coordinates (invalid anyway) from raising. part is one corner's
+    # weighted term; without derivatives the corners are read into it too.
+    corners, vals, part = [], None, None
+    for step, wu, wv in ((0, gu, gv), (1, fu, gv), (w, gu, fv), (1, fu, fv)):
+        idx += step
+        corner = np.take(flat, idx, axis=0, mode="clip", out=None if grad else part)
+        if grad:
+            corners.append(corner)
+        part = np.multiply(corner, wu, out=part if grad else corner)
+        part *= wv
+        if vals is None:
+            vals, part = part, None
+        else:
+            vals += part
     if not grad:
         return vals, valid, None
-    d_u = (i10 - i00) * (1.0 - fv) + (i11 - i01) * fv
-    d_v = (i01 - i00) * (1.0 - fu) + (i11 - i10) * fu
+    # d_u = (i10 - i00) gv + (i11 - i01) fv and d_v = (i01 - i00) gu + (i11 - i10) fu,
+    # in the corners' buffers and the blend's scratch.
+    i00, i10, i01, i11 = corners
+    d_u = np.subtract(i10, i00, out=part)
+    d_v = np.subtract(i01, i00, out=i00)
+    np.subtract(i11, i01, out=i01)
+    np.subtract(i11, i10, out=i11)
+    d_u *= gv
+    i01 *= fv
+    d_u += i01
+    d_v *= gu
+    i11 *= fu
+    d_v += i11
     return vals, valid, (d_u, d_v)
 
 
@@ -247,13 +285,11 @@ def _warp_eval(
     u_src, v_src = _project_grid(transformed, k)
     in_front = transformed[2]
     if not jacobians:
-        # Dropped before the gather so that its buffers can reuse this
-        # memory; kept alive, it made 256x256 RGB inverse_warp ~10 % slower.
         transformed = None
     vals, in_bounds, grad = _bilinear(source.data, u_src, v_src, jacobians)
     valid = in_front & in_bounds
-    recon = np.clip(np.where(valid[..., None], vals, 0.0), 0.0, 1.0)
-    return recon, valid, grad, transformed
+    np.copyto(vals, 0.0, where=~valid[..., None])
+    return np.clip(vals, 0.0, 1.0, out=vals), valid, grad, transformed
 
 
 def inverse_warp(

@@ -3,14 +3,20 @@ pass several fields to _check_finite as one tuple or list, through scalar
 arguments and through array fields: a Python or numpy bool, or an array of
 bools, is not a number."""
 
+import os
+
 import numpy as np
 import pytest
 
-from egowarp import (AteResult, AttentionGateParams, CameraIntrinsics, DepthMetrics,
-                     LossWeights, PlaneSpec, Pose6DoF, Rotation, SceneSpec, SE3Transform,
-                     Trajectory, perturb_pose)
+from egowarp import (AteResult, AttentionGateParams, CameraIntrinsics, DepthMap, DepthMetrics,
+                     FeatureMap, ImageBuffer, LossWeights, PlaneSpec, Pose6DoF, Rotation,
+                     SceneSpec, SE3Transform, Trajectory, WeightMask, perturb_pose)
+from egowarp.fileio import write_timestamps
 
 _BOOLS = np.array([True, False, True])
+# A bool pixel array or time series is rejected by its dtype, and its message
+# names the type without printing the data.
+_NOT_PRINTED = "a bool array$"
 
 
 def _gate(w_x):
@@ -21,30 +27,37 @@ def _scene(row):
     return SceneSpec((PlaneSpec(np.array([0.0, 0.0, 1.0]), 5.0),), (row,))
 
 
-@pytest.mark.parametrize("make, name", [
-    (lambda: CameraIntrinsics(True, 1.0, 0.0, 0.0), "intrinsics"),
-    (lambda: LossWeights(lambda_smo=True), "loss weights"),
-    (lambda: AteResult(True, 0.0), "ATE statistics"),
-    (lambda: DepthMetrics(True, 0.0, 0.0, 0.0, 0.5, 0.6, 0.7), "metrics"),
-    (lambda: CameraIntrinsics(np.True_, 1.0, 0.0, 0.0), "intrinsics"),
-    (lambda: LossWeights(lambda_smo=np.True_), "loss weights"),
-    (lambda: AteResult(np.True_, 0.0), "ATE statistics"),
-    (lambda: DepthMetrics(np.True_, 0.0, 0.0, 0.0, 0.5, 0.6, 0.7), "metrics"),
-    (lambda: PlaneSpec(np.array([0.0, 0.0, 1.0]), np.True_), "plane offset"),
-    (lambda: perturb_pose(Pose6DoF(np.zeros(3), np.ones(3)), np.True_, 0.0, 1), "rot_deg"),
-    (lambda: PlaneSpec(_BOOLS, 5.0), "plane normal"),
-    (lambda: _gate(np.ones((3, 2), dtype=bool)), "w_x"),
-    (lambda: Pose6DoF(_BOOLS, np.zeros(3)), "rotation vector"),
-    (lambda: SE3Transform(Rotation.identity(), _BOOLS), "translation"),
-    (lambda: Rotation(np.eye(3, dtype=bool)), "rotation matrix"),
-    (lambda: Trajectory(_BOOLS[1:], [SE3Transform.identity()] * 2), "timestamps"),
-    (lambda: _scene(np.array([False, False, True, False])), "texture terms"),
-    (lambda: _scene((0.0, 0.0, True, 0.0)), "texture terms"),
+@pytest.mark.parametrize("make, name, got", [
+    (lambda: CameraIntrinsics(True, 1.0, 0.0, 0.0), "intrinsics", "True"),
+    (lambda: LossWeights(lambda_smo=True), "loss weights", "True"),
+    (lambda: AteResult(True, 0.0), "ATE statistics", "True"),
+    (lambda: DepthMetrics(True, 0.0, 0.0, 0.0, 0.5, 0.6, 0.7), "metrics", "True"),
+    (lambda: CameraIntrinsics(np.True_, 1.0, 0.0, 0.0), "intrinsics", "True"),
+    (lambda: LossWeights(lambda_smo=np.True_), "loss weights", "True"),
+    (lambda: AteResult(np.True_, 0.0), "ATE statistics", "True"),
+    (lambda: DepthMetrics(np.True_, 0.0, 0.0, 0.0, 0.5, 0.6, 0.7), "metrics", "True"),
+    (lambda: PlaneSpec(np.array([0.0, 0.0, 1.0]), np.True_), "plane offset", "True"),
+    (lambda: perturb_pose(Pose6DoF(np.zeros(3), np.ones(3)), np.True_, 0.0, 1), "rot_deg",
+     "True"),
+    (lambda: PlaneSpec(_BOOLS, 5.0), "plane normal", "True"),
+    (lambda: _gate(np.ones((3, 2), dtype=bool)), "w_x", "True"),
+    (lambda: Pose6DoF(_BOOLS, np.zeros(3)), "rotation vector", "True"),
+    (lambda: SE3Transform(Rotation.identity(), _BOOLS), "translation", "True"),
+    (lambda: Rotation(np.eye(3, dtype=bool)), "rotation matrix", "True"),
+    (lambda: Trajectory(_BOOLS[1:], [SE3Transform.identity()] * 2), "timestamps", "True"),
+    (lambda: _scene(np.array([False, False, True, False])), "texture terms", "True"),
+    (lambda: _scene((0.0, 0.0, True, 0.0)), "texture terms", "True"),
+    (lambda: ImageBuffer(np.ones((2, 2, 1), dtype=bool)), "ImageBuffer values", _NOT_PRINTED),
+    (lambda: DepthMap(np.ones((2, 2), dtype=bool)), "DepthMap values", _NOT_PRINTED),
+    (lambda: WeightMask(np.ones((2, 2), dtype=bool)), "WeightMask values", _NOT_PRINTED),
+    (lambda: FeatureMap(np.ones((2, 2, 1), dtype=bool)), "FeatureMap values", _NOT_PRINTED),
+    (lambda: write_timestamps(os.devnull, _BOOLS[:2]), f"{os.devnull}: timestamps", _NOT_PRINTED),
 ], ids=["CameraIntrinsics", "LossWeights", "AteResult", "DepthMetrics",
         "CameraIntrinsics-numpy", "LossWeights-numpy", "AteResult-numpy", "DepthMetrics-numpy",
         "PlaneSpec-numpy", "perturb_pose-numpy", "PlaneSpec-array", "AttentionGateParams-array",
         "Pose6DoF-array", "SE3Transform-array", "Rotation-array", "Trajectory-array",
-        "SceneSpec-array", "SceneSpec-tuple"])
-def test_bool_field_of_a_packed_record_rejected(make, name):
-    with pytest.raises(ValueError, match=f"^{name} must be a number, got .*True"):
+        "SceneSpec-array", "SceneSpec-tuple", "ImageBuffer-array", "DepthMap-array",
+        "WeightMask-array", "FeatureMap-array", "write_timestamps-array"])
+def test_bool_field_of_a_packed_record_rejected(make, name, got):
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got .*{got}"):
         make()

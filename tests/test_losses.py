@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -490,3 +491,22 @@ class TestOneTransform:
         loss_gradients(target, source, depth, pose, k, mask, LossWeights(),
                        curvature=curvature)
         assert calls == {"_transform_grid": 1, "reproject_jacobian_grid": 0}
+
+
+def test_loss_gradients_memory_budget():
+    """256 x 256 RGB, the benchmark's training-stream shape: the gradient
+    builds its temporaries in place (11.8 images of 256 x 256 x 3 float64;
+    15.5 when each step allocated)."""
+    rng = np.random.default_rng(0)
+    k = CameraIntrinsics(fx=256.0, fy=256.0, cx=127.5, cy=127.5)
+    target, source = (ImageBuffer(rng.uniform(0.0, 1.0, (256, 256, 3))) for _ in range(2))
+    depth = DepthMap(rng.uniform(4.0, 6.0, (256, 256)))
+    pose = SE3Transform.from_translation(np.array([0.9, 0.6, 0.3]))
+    mask = WeightMask.ones(256, 256)
+    tracemalloc.start()
+    try:
+        loss_gradients(target, source, depth, pose, k, mask, LossWeights())
+        peak = tracemalloc.get_traced_memory()[1] / (256 * 256 * 3 * 8)
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.0

@@ -9,6 +9,7 @@ fx * tx / z computable on paper.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -474,3 +475,24 @@ class TestWarpJacobians:
             np.testing.assert_allclose(analytic[both], fd[both], rtol=1e-6, atol=1e-7)
         np.testing.assert_array_equal(d_depth[~valid.data], 0.0)
         np.testing.assert_array_equal(d_pose[~valid.data], 0.0)
+
+
+def _peak_images(call) -> float:
+    """tracemalloc peak of one call, in units of one 256 x 256 RGB float64 image."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (256 * 256 * 3 * 8)
+    finally:
+        tracemalloc.stop()
+
+
+def test_inverse_warp_memory_budget():
+    """256 x 256 RGB, the benchmark's training-stream shape: the warp builds
+    its temporaries in place (5.5 images; 11.5 when each step allocated)."""
+    rng = np.random.default_rng(0)
+    k = CameraIntrinsics(fx=256.0, fy=256.0, cx=127.5, cy=127.5)
+    source = ImageBuffer(rng.uniform(0.0, 1.0, (256, 256, 3)))
+    depth = DepthMap(rng.uniform(4.0, 6.0, (256, 256)))
+    pose = SE3Transform.from_translation(np.array([0.9, 0.6, 0.3]))
+    assert _peak_images(lambda: inverse_warp(source, depth, pose, k)) < 8.0
