@@ -148,10 +148,12 @@ def _pose_rows(a: np.ndarray, rx: np.ndarray) -> np.ndarray:
 
 def _pose_sum(a: np.ndarray, rx: np.ndarray) -> np.ndarray:
     """sum_p _pose_rows(a, rx), (6,), with sum_p R X x a = sum_i e_i x m[i]
-    for the 3x3 m = sum_p R X a^T: the rows themselves are never built."""
+    = (m12 - m21, m20 - m02, m01 - m10) for the 3x3 m = sum_p R X a^T: the
+    rows themselves are never built."""
     a = a.reshape(-1, 3)
     m = rx.reshape(-1, 3).T @ a
-    return np.concatenate([np.cross(np.eye(3), m).sum(axis=0), a.sum(axis=0)])
+    return np.array([m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0],
+                     *(np.ones(len(a)) @ a)])
 
 
 def _channel_rows(

@@ -78,7 +78,7 @@ def photometric_l1(
     n_valid = valid.count
     if n_valid == 0:
         raise DegenerateInputError("photometric loss undefined: no valid pixels")
-    per_pixel = np.sum(np.abs(target.data - recon.data), axis=2)
+    per_pixel = _csum(np.abs(target.data - recon.data))
     return float(np.sum(per_pixel * mask.data * valid.data) / n_valid)
 
 
@@ -92,6 +92,24 @@ def explainability_reg(mask: WeightMask) -> float:
     return float(np.mean(-np.log(clamped)))
 
 
+def _csum(x: np.ndarray) -> np.ndarray:
+    """sum_c x[..., c] as plane additions, left to right from +0.0: the order
+    in which np.sum(x, axis=-1) adds an axis of fewer than 8 entries, so the
+    two agree bit for bit."""
+    out = np.add(x[..., 0], 0.0)
+    for c in range(1, x.shape[-1]):
+        out += x[..., c]
+    return out
+
+
+def _cdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_c x[..., c] * y[..., c] as plane products."""
+    out = x[..., 0] * y[..., 0]
+    for c in range(1, x.shape[-1]):
+        out += x[..., c] * y[..., c]
+    return out
+
+
 def _forward_diffs(depth: DepthMap, image: ImageBuffer):
     """Yield (ahead, behind, dD, exp(-mean_c |dI|)) for each axis with a
     forward difference, x first and then y, where dD = D[ahead] - D[behind];
@@ -100,9 +118,9 @@ def _forward_diffs(depth: DepthMap, image: ImageBuffer):
     for axis, ahead, behind in ((1, np.s_[:, 1:], np.s_[:, :-1]), (0, np.s_[1:], np.s_[:-1])):
         if d.shape[axis] > 1:
             di = img[ahead] - img[behind]
-            weight = np.mean(np.abs(di, out=di), axis=2)
+            weight = _csum(np.abs(di, out=di))
             del di  # not held across the yield
-            np.negative(weight, out=weight)
+            weight /= -img.shape[2]  # -mean_c |dI|, as np.mean divides
             yield ahead, behind, d[ahead] - d[behind], np.exp(weight, out=weight)
 
 
@@ -189,10 +207,15 @@ def loss_gradients(
     curvature=True also returns the photometric term's iteratively
     reweighted least-squares (Gauss-Newton) curvature: each residual r of
     the pixel-and-channel sum is replaced by r^2 / (2 max(|r|, 1e-3)), so
-    h_pose = sum m v / (n max(|r|, 1e-3)) J J^T over pixels and channels,
-    with J = d(recon)/d(pose), and h_depth is the same sum with
-    J = d(recon)/d(depth) per pixel (the depth Hessian is diagonal). Both
-    come from the rows that warp_jacobians returns.
+    h_pose = sum w J J^T over pixels and channels, w = m v / (n max(|r|,
+    1e-3)), with J = d(recon)/d(pose), and h_depth is the same sum with
+    J = d(recon)/d(depth) per pixel (the depth Hessian is diagonal). J is
+    linear in the channel's pixel gradient (g_u, g_v), so the rows are built,
+    as warp_jacobians builds them, from the sqrt(w)-weighted gradients,
+    and h_pose is the one product J^T J. Only each pixel's 2 x 2
+    S = sum_c w (g_u, g_v)^T (g_u, g_v) enters both, so with more than two
+    channels the two rows of S's Cholesky factor replace them: at most two
+    pseudo-channels of rows per pixel.
 
     Returns:
         LossGradients(d_depth (h, w), d_pose (6,), d_mask (h, w), h_pose,
@@ -205,7 +228,7 @@ def loss_gradients(
     _check_same_size(target, depth, "target", "depth")
     _check_same_size(target, mask, "target", "mask")
     recon, valid, grad, transformed = _warp_eval(source, depth, pose, k, jacobians=True)
-    n_valid = int(valid.sum())
+    n_valid = np.count_nonzero(valid)
     if n_valid == 0:
         raise DegenerateInputError("loss gradients undefined: no valid pixels")
 
@@ -229,7 +252,7 @@ def loss_gradients(
     d_depth += weights.lambda_smo * _smoothness_grad_depth(depth, target)
 
     abs_diff = np.abs(diff, out=diff)
-    d_mask = np.sum(abs_diff, axis=2)
+    d_mask = _csum(abs_diff)
     d_mask *= valid
     d_mask /= n_valid
     # d(reg)/d(mask) = -1 / (n_pix mask), 0 where the floor clamps the mask
@@ -242,12 +265,24 @@ def loss_gradients(
     grads = LossGradients(d_depth, d_photo_pose, d_mask)
     if not curvature:
         return grads
-    irls = np.maximum(abs_diff, IRLS_FLOOR, out=abs_diff)  # (h, w, c)
-    np.divide(pix_weight[..., None], irls, out=irls)
-    j_depth, j_pose = _channel_rows(grad, transformed, depth.data, k)
+    # Each channel's rows are sqrt(w) times those of its pixel gradient
+    # (g_u, g_v). The residual's buffer is let go before the rows are built.
+    sqrt_w = np.maximum(abs_diff, IRLS_FLOOR, out=abs_diff)  # (h, w, c)
+    np.divide(pix_weight[..., None], sqrt_w, out=sqrt_w)
+    np.sqrt(sqrt_w, out=sqrt_w)
+    g_u, g_v = grad
+    g_u *= sqrt_w
+    g_v *= sqrt_w
+    del recon, diff, abs_diff, sqrt_w, pix_weight, grad
+    if g_u.shape[-1] > 2:
+        # The rows of S's Cholesky factor, (l11, l21) and (0, l22), stand in
+        # for the channels as two pseudo-channels.
+        s_uu, s_uv, s_vv = _cdot(g_u, g_u), _cdot(g_u, g_v), _cdot(g_v, g_v)
+        g_u, g_v = np.zeros(s_uu.shape + (2,)), np.zeros(s_uu.shape + (2,))
+        l11 = np.sqrt(s_uu, out=g_u[..., 0])
+        l21 = np.divide(s_uv, l11, out=g_v[..., 0], where=l11 > 0.0)
+        s_vv -= np.multiply(l21, l21, out=s_uv)
+        np.sqrt(np.maximum(s_vv, 0.0, out=s_vv), out=g_v[..., 1])
+    j_depth, j_pose = _channel_rows((g_u, g_v), transformed, depth.data, k)
     j_pose = j_pose.reshape(-1, 6)
-    j_depth *= j_depth
-    return grads._replace(
-        h_pose=j_pose.T @ (j_pose * irls.reshape(-1, 1)),
-        h_depth=np.einsum("hwc,hwc->hw", irls, j_depth),
-    )
+    return grads._replace(h_pose=j_pose.T @ j_pose, h_depth=_cdot(j_depth, j_depth))

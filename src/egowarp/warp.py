@@ -31,7 +31,11 @@ allocated itself. Each formula keeps its order of operations, so the
 results are the plain expressions' bit for bit. A temporary is let go
 before the next large allocation, since at 256 x 256 RGB a fresh page costs
 more than the arithmetic done on it. A caller's input is never written, and
-every returned array is freshly allocated and the caller's.
+every returned array is freshly allocated and the caller's. A short axis,
+the channels or x, y, z, is contracted with plane arithmetic,
+x[..., 0] + x[..., 1] + ..., not by a numpy reduction over it, which runs
+several times slower on a 3-long axis; only the einsums that measured
+faster at 256 x 256 stay (loss_gradients' d/du and d/dv, the depth rows).
 
 The five per-pixel types (ImageBuffer, DepthMap and ValidityMask here,
 WeightMask in losses and FeatureMap in attention) share one checked base,
@@ -146,7 +150,7 @@ class ValidityMask(_PixelArray):
 
     @property
     def count(self) -> int:
-        return int(self.data.sum())
+        return int(np.count_nonzero(self.data))
 
 
 def _check_same_size(a: _PixelArray, b: _PixelArray, name_a: str, name_b: str) -> None:

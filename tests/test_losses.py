@@ -37,6 +37,7 @@ from egowarp import (
     total_loss,
     warp_jacobians,
 )
+from egowarp.losses import _csum
 
 
 def _img(rows) -> ImageBuffer:
@@ -325,13 +326,17 @@ class TestLossGradients:
         assert grads.d_mask.shape == (8, 8)
 
 
-def _curvature_setup():
+def _curvature_setup(along_v_only=False):
     """Non-square RGB pair, ~30 % of pixels warped out of frame, a
-    non-uniform mask, and some residuals below the IRLS floor."""
+    non-uniform mask, and some residuals below the IRLS floor. With
+    along_v_only the source is constant along u, so every channel's d/du
+    is 0."""
     rng = np.random.default_rng(21)
     h, w = 10, 14
     k = CameraIntrinsics(fx=12.0, fy=12.0, cx=6.5, cy=4.5)
     v, u = np.mgrid[0:h, 0:w].astype(float)
+    if along_v_only:
+        u = np.zeros_like(u)
     phase = rng.uniform(0, np.pi, 3)
     source = ImageBuffer(np.stack(
         [(np.sin(u * 0.5 + p) * np.cos(v * 0.4 - p) + 1.5) / 3.0 for p in phase], axis=-1))
@@ -347,10 +352,21 @@ def _curvature_setup():
 
 class TestCurvature:
     def test_matches_per_pixel_loop(self):
-        target, source, depth, pose, k, mask, valid = _curvature_setup()
+        self._check_per_pixel_loop(along_v_only=False)
+
+    def test_matches_per_pixel_loop_along_v_only(self):
+        """Every pixel's structure tensor has s_uu = 0, the edge of its
+        Cholesky factor."""
+        self._check_per_pixel_loop(along_v_only=True)
+
+    @staticmethod
+    def _check_per_pixel_loop(along_v_only):
+        """loss_gradients' curvature against the sum over pixels and channels."""
+        target, source, depth, pose, k, mask, valid = _curvature_setup(along_v_only)
         assert np.mean(valid.data) < 0.8
         recon, _ = inverse_warp(source, depth, pose, k)
         d_depth, d_pose = warp_jacobians(source, depth, pose, k)
+        assert np.all(source.data == source.data[:, :1]) == along_v_only
         n = valid.count
         h_pose = np.zeros((6, 6))
         h_depth = np.zeros(depth.data.shape)
@@ -365,6 +381,19 @@ class TestCurvature:
         assert np.max(np.abs(got.h_pose - h_pose)) <= 1e-12 * np.max(np.abs(h_pose))
         assert np.max(np.abs(got.h_depth - h_depth)) <= 1e-12 * np.max(np.abs(h_depth))
         assert np.all(got.h_depth[~valid.data] == 0.0)
+
+    def test_gray_replicated_to_rgb_is_three_gray_channels(self):
+        """The image egowarp synth writes: a rank-1 structure tensor, where
+        s_vv - l21^2 cancels to round-off of either sign."""
+        target, source, depth, pose, k, mask, _ = _curvature_setup()
+        gray = [ImageBuffer(img.data[..., :1]) for img in (target, source)]
+        rgb = [ImageBuffer(np.repeat(img.data, 3, axis=2)) for img in gray]
+        one = loss_gradients(*gray, depth, pose, k, mask, LossWeights(), curvature=True)
+        three = loss_gradients(*rgb, depth, pose, k, mask, LossWeights(), curvature=True)
+        for name in ("h_pose", "h_depth"):
+            want = 3.0 * getattr(one, name)
+            got = getattr(three, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     def test_gradients_do_not_depend_on_the_request(self):
         target, source, depth, pose, k, mask, _ = _curvature_setup()
@@ -493,10 +522,9 @@ class TestOneTransform:
         assert calls == {"_transform_grid": 1, "reproject_jacobian_grid": 0}
 
 
-def test_loss_gradients_memory_budget():
-    """256 x 256 RGB, the benchmark's training-stream shape: the gradient
-    builds its temporaries in place (11.8 images of 256 x 256 x 3 float64;
-    15.5 when each step allocated)."""
+def _loss_gradients_peak(curvature):
+    """tracemalloc peak of one loss_gradients call at 256 x 256 RGB, the
+    benchmark's training-stream shape, in images of 256 x 256 x 3 float64."""
     rng = np.random.default_rng(0)
     k = CameraIntrinsics(fx=256.0, fy=256.0, cx=127.5, cy=127.5)
     target, source = (ImageBuffer(rng.uniform(0.0, 1.0, (256, 256, 3))) for _ in range(2))
@@ -505,8 +533,34 @@ def test_loss_gradients_memory_budget():
     mask = WeightMask.ones(256, 256)
     tracemalloc.start()
     try:
-        loss_gradients(target, source, depth, pose, k, mask, LossWeights())
-        peak = tracemalloc.get_traced_memory()[1] / (256 * 256 * 3 * 8)
+        loss_gradients(target, source, depth, pose, k, mask, LossWeights(), curvature=curvature)
+        return tracemalloc.get_traced_memory()[1] / (256 * 256 * 3 * 8)
     finally:
         tracemalloc.stop()
-    assert peak < 14.0
+
+
+def test_loss_gradients_memory_budget():
+    """The gradient builds its temporaries in place (11.8 images; 15.5 when
+    each step allocated)."""
+    assert _loss_gradients_peak(curvature=False) < 14.0
+
+
+def test_loss_gradients_curvature_memory_budget():
+    """The curvature's rows come from at most two pseudo-channels and are
+    weighted before they are built (13.1 images; 19.8 with (h w c) x 6 rows
+    and an IRLS-weighted copy of them)."""
+    assert _loss_gradients_peak(curvature=True) < 18.0
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_channel_sum_and_mean_are_numpys_bit_for_bit(channels):
+    """The loss values a line search compares stay those of np.sum and
+    np.mean over the channel axis."""
+    rng = np.random.default_rng(channels)
+    x = rng.normal(size=(9, 11, channels)) * 10.0 ** rng.integers(-8, 9, (9, 11, channels))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    x[0, 0] = -0.0
+    total = _csum(x)
+    assert total.tobytes() == np.sum(x, axis=-1).tobytes()
+    assert (total / channels).tobytes() == np.mean(x, axis=-1).tobytes()
