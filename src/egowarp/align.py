@@ -21,17 +21,12 @@ d(F, E), and a step retracts F and E, then sets B = E o F^-1.
 Each iteration makes one loss_gradients call per warp direction, at its
 starting state, and every block steps from that one evaluation: in
 pose_and_depth the depth step comes from the gradient taken before the pose
-step, and its line search runs from the moved pose. Steps are accepted by
-Armijo backtracking (factor 0.5, c = 1e-4), so they never increase the loss.
-Each block's search starts where its last gain ratio points (actual over
-model-predicted decrease; Madsen, Nielsen & Tingleff, "Methods for
-Non-Linear Least Squares Problems", 2004): near convergence more residuals
-fall below the IRLS floor, the model underestimates the curvature, and the
-full step overshoots, so a search that started at length 1 would pay a
-rejected evaluation per halving. The start is 1 when a level begins, and a
-failed search keeps it. A level whose starting loss is not finite (no valid
-pixel) is skipped, so loss histories stay finite; the next level then
-starts from the caller's depth, not an upsampled estimate.
+step, and its line search runs from the moved pose. Steps pass an Armijo
+test, so they never increase the loss; _backtrack's docstring states the
+step rule, including where each block's next search starts. A level whose
+starting loss is not finite (no valid pixel) is skipped, so loss histories
+stay finite; the next level then starts from the caller's depth, not an
+upsampled estimate.
 
 A loss evaluation is one inverse_warp per direction; what cannot change
 within a level is hoisted out of it. The all-ones mask is built once per
@@ -72,14 +67,9 @@ from .warp import DepthMap, ImageBuffer, _check_same_size, inverse_warp
 
 ARMIJO_C = 1e-4
 ARMIJO_FACTOR = 0.5
-# Each block's line search starts where the last one's gain ratio (actual
-# over model-predicted decrease) points: twice the accepted step (at most 1)
-# above GAIN_HIGH, half of it below GAIN_LOW, the same step in between; 1 at
-# the start of a level. A failed search leaves it where it was.
+# Gain-ratio bounds of the step rule stated in _backtrack's docstring.
 GAIN_HIGH = 0.75
 GAIN_LOW = 0.25
-# A line search gives up after _MAX_BACKTRACKS halvings of its start step
-# or once the move is shorter than TOL_STEP; the block then does not move.
 TOL_STEP = 1e-6
 _MAX_BACKTRACKS = 10
 # Depth estimates are kept above this during projected steps.
@@ -227,11 +217,23 @@ def _floored(depth: np.ndarray) -> DepthMap:
     return DepthMap(np.maximum(depth, DEPTH_FLOOR))
 
 
-def _backtrack(loss_fn, retract, x, loss0, grad, direction, step):
-    """One Armijo line search that halves from step. Returns (x_new, loss_new,
-    accepted step) or None, at once and without a loss evaluation when
-    direction does not descend."""
-    slope = float(np.sum(grad * direction))
+def _backtrack(loss_fn, retract, x, loss0, slope, direction, step):
+    """One block's Armijo line search (factor ARMIJO_FACTOR, c = ARMIJO_C)
+    along direction, whose slope g . d is slope, halving from step.
+
+    Returns (x_new, loss_new, next start) or None. None comes at once, with
+    no loss evaluation, when direction does not descend, and otherwise after
+    _MAX_BACKTRACKS halvings or once the move is shorter than TOL_STEP; the
+    block then does not move and its next search starts at the same step.
+    An accepted step t sets the next start by its gain ratio, the actual
+    over the decrease -t s (1 - t/2) that the block's quadratic model
+    predicts along its Newton step t d (as d^T H d = -s; Madsen, Nielsen &
+    Tingleff, "Methods for Non-Linear Least Squares Problems", 2004): near
+    convergence more residuals fall below the IRLS floor, the model
+    underestimates the curvature and the full step overshoots, so a search
+    that started at length 1 would pay a rejected evaluation per halving.
+    Each level starts every block's first search at 1.
+    """
     if not slope < 0.0:
         return None
     dir_norm = float(np.linalg.norm(direction))
@@ -241,63 +243,33 @@ def _backtrack(loss_fn, retract, x, loss0, grad, direction, step):
         cand = retract(x, step * direction)
         cand_loss = loss_fn(cand)
         if np.isfinite(cand_loss) and cand_loss <= loss0 + ARMIJO_C * step * slope:
-            return cand, cand_loss, step
+            predicted = -step * slope * (1 - step / 2)
+            return cand, cand_loss, _next_start(step, (loss0 - cand_loss) / predicted)
         step *= ARMIJO_FACTOR
     return None
 
 
 def _next_start(step, gain):
     """The next search's start step after accepting step with gain ratio
-    gain = actual / predicted decrease (Madsen, Nielsen & Tingleff 2004)."""
+    gain: twice step (at most 1) above GAIN_HIGH, half of it below GAIN_LOW,
+    step itself in between."""
     if gain > GAIN_HIGH:
         return min(1.0, 2 * step)
     return step / 2 if gain < GAIN_LOW else step
 
 
 def _gauss_newton(grad: np.ndarray, curvature: np.ndarray):
-    """(g, -H^+ g); the pseudo-inverse keeps a rank-deficient H usable."""
-    return grad, -np.linalg.lstsq(curvature, grad, rcond=None)[0]
+    """(g . d, d) for d = -H^+ g; the pseudo-inverse keeps a rank-deficient H usable."""
+    d = -np.linalg.lstsq(curvature, grad, rcond=None)[0]
+    return float(np.sum(grad * d)), d
 
 
 def _diagonal_newton(grad: np.ndarray, curvature: np.ndarray):
-    """(g, -g / (h + mu)) per pixel, Levenberg-Marquardt damped by
-    mu = DEPTH_DAMPING * mean(h); pixels whose h + mu is 0 do not move."""
+    """(g . d, d) for d = -g / (h + mu) per pixel, Levenberg-Marquardt damped
+    by mu = DEPTH_DAMPING * mean(h); pixels whose h + mu is 0 do not move."""
     denom = curvature + DEPTH_DAMPING * curvature.mean()
-    return grad, np.divide(-grad, denom, out=np.zeros_like(grad), where=denom > 0)
-
-
-def _descend(x, loss0, level, opts):
-    """One pyramid level from state x; returns (x, history, iters, converged).
-
-    level is (loss(x), evaluate(x), blocks) and a block is (newton(ev),
-    retract(x, delta)): newton gives the block's gradient and Newton step
-    from evaluate's result. evaluate runs once at the top of each
-    iteration, and every block steps from that one result, so a level
-    stopped by max_iters never evaluates its last state.
-    history is loss0, then every accepted loss. The level converges when
-    an iteration moves no block. Each block's line search starts at its own
-    step: 1 at first, then _next_start of its last accepted step.
-    """
-    loss_fn, evaluate, blocks = level
-    history = [loss0]
-    starts = [1.0] * len(blocks)
-    for it in range(1, opts.max_iters + 1):
-        ev, moved = evaluate(x), False
-        for b, (newton, retract) in enumerate(blocks):
-            grad, direction = newton(ev)
-            res = _backtrack(loss_fn, retract, x, history[-1], grad, direction, starts[b])
-            if res is None:
-                continue
-            x, loss, step = res
-            # The block's quadratic model predicts a decrease of -t s (1 - t/2)
-            # along its Newton step t d, where s = g . d (as d^T H d = -s).
-            predicted = -step * float(np.sum(grad * direction)) * (1 - step / 2)
-            starts[b] = _next_start(step, (history[-1] - loss) / predicted)
-            moved = True
-            history.append(loss)
-        if not moved:
-            return x, history, it, True
-    return x, history, opts.max_iters, False
+    d = np.divide(-grad, denom, out=np.zeros_like(grad), where=denom > 0)
+    return float(np.sum(grad * d)), d
 
 
 def _pair_chart(fwd: SE3Transform, bwd: SE3Transform) -> np.ndarray:
@@ -325,19 +297,33 @@ def _retract_pair(poses: tuple[SE3Transform, SE3Transform], delta: np.ndarray):
 def _coarse_to_fine(x, level, opts):
     """Levels coarsest to finest; returns (x, loss, iters, converged, history).
 
-    level(li, x, ran) gives level li's starting state and its (loss,
-    evaluate, blocks); ran says whether level li + 1 ran (was not skipped).
-    loss, converged and history describe the finest level.
+    level(li, x, ran) gives level li's (starting state, loss(x), evaluate(x),
+    blocks); ran says whether level li + 1 ran (was not skipped). A block is
+    (newton(ev), retract(x, delta)): newton gives the block's slope and
+    Newton step from evaluate's result. evaluate runs once at the top of each
+    iteration and every block steps from that one result, so a level stopped
+    by max_iters never evaluates its last state. A level converges when an
+    iteration moves no block. loss, converged and history describe the
+    finest level; history is its starting loss, then every accepted loss.
     """
     iters, ran = 0, False
     for li in range(opts.pyramid_levels - 1, -1, -1):
-        x, fns = level(li, x, ran)
-        loss = fns[0](x)
-        ran = bool(np.isfinite(loss))
-        history, converged = [], False
-        if ran:
-            x, history, n, converged = _descend(x, loss, fns, opts)
-            loss, iters = history[-1], iters + n
+        x, loss_fn, evaluate, blocks = level(li, x, ran)
+        loss = loss_fn(x)
+        ran, converged = bool(np.isfinite(loss)), False
+        history = [loss] if ran else []
+        starts = [1.0] * len(blocks)
+        for _ in range(opts.max_iters if ran else 0):
+            iters += 1
+            ev, converged = evaluate(x), True
+            for b, (newton, retract) in enumerate(blocks):
+                res = _backtrack(loss_fn, retract, x, loss, *newton(ev), starts[b])
+                if res is not None:
+                    x, loss, starts[b] = res
+                    history.append(loss)
+                    converged = False
+            if converged:
+                break
     return x, loss, iters, converged, tuple(history)
 
 
@@ -380,8 +366,8 @@ def align_pose(
                    lambda x, delta: (retract_pose(x[0], delta), *x[1:]))]
         if refine_depth:
             blocks.append((lambda g: _diagonal_newton(g.d_depth, g.h_depth), retract_depth))
-        return (x[0], d_l, smoothness(d_l, t_l)), (
-            lambda x: loss_l(*x), lambda x: grads_l(*x[:2]), blocks)
+        return ((x[0], d_l, smoothness(d_l, t_l)), lambda x: loss_l(*x),
+                lambda x: grads_l(*x[:2]), blocks)
 
     (pose, depth_est, _), loss, iters, converged, history = _coarse_to_fine(
         (init.to_transform(), None, None), level, opts
@@ -441,7 +427,7 @@ def align_pose_pair(
             c = _pair_chart(fwd, bwd)
             return c.T @ grad, c.T @ curv @ c
 
-        return poses, (loss_fn, evaluate, [(lambda ev: _gauss_newton(*ev), _retract_pair)])
+        return poses, loss_fn, evaluate, [(lambda ev: _gauss_newton(*ev), _retract_pair)]
 
     (fwd, bwd), loss, iters, converged, history = _coarse_to_fine(
         (init_forward.to_transform(), init_backward.to_transform()), level, opts

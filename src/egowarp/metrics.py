@@ -95,9 +95,13 @@ def depth_metrics(
         max_depth: pixels with gt above this are excluded.
 
     Raises:
+        ValueError: a cap is not a finite number (a bool is not one), or
+            0 < min_depth < max_depth fails.
         DegenerateInputError: no gt pixel inside the caps.
     """
     _check_same_size(pred, gt, "pred", "gt")
+    _check_finite(min_depth, "min_depth", ())
+    _check_finite(max_depth, "max_depth", ())
     if not (0 < min_depth < max_depth):
         raise ValueError("caps must satisfy 0 < min_depth < max_depth")
     sel = (gt.data >= min_depth) & (gt.data <= max_depth)

@@ -26,6 +26,8 @@ _ORTHO_TOL = 1e-9
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix W with W @ x = v x x (cross product)."""
     v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"v must have shape (3,), got {v.shape}")
     return np.array(
         [
             [0.0, -v[2], v[1]],
@@ -195,6 +197,8 @@ def inverse(a: SE3Transform) -> SE3Transform:
 def retract_pose(pose: SE3Transform, delta: np.ndarray) -> SE3Transform:
     """Apply a 6-vector step: left-multiplicative rotation, additive
     translation, the parameterization of bf_residual_jacobian's columns."""
+    if np.shape(delta) != (6,):
+        raise ValueError(f"delta must have shape (6,), got {np.shape(delta)}")
     return SE3Transform(Rotation(_rodrigues(delta[:3]) @ pose.r.m), pose.t + delta[3:])
 
 

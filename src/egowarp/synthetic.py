@@ -16,11 +16,12 @@ import numpy as np
 
 from .camera import CameraIntrinsics, _rays
 from .exceptions import _check_count, _check_finite
+from .metrics import DEFAULT_MAX_DEPTH
 from .se3 import SE3Transform
 from .warp import DepthMap, ImageBuffer, ValidityMask, _check_same_size
 
-# Depth recorded for rays that miss every plane; matches the evaluation cap.
-SKY_DEPTH = 80.0
+# Depth recorded for rays that miss every plane: the evaluation's depth cap.
+SKY_DEPTH = DEFAULT_MAX_DEPTH
 
 SCENE_KINDS = ("fronto_plane", "slanted_plane", "two_planes")
 

@@ -124,6 +124,13 @@ class TestRetractPose:
         with pytest.raises(ValueError, match="rotation vector must be finite"):
             retract_pose(SE3Transform.identity(), np.array([np.nan, 0, 0, 0, 0, 0]))
 
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_wrong_length_step_rejected(self, n):
+        # Unchecked, a 4-vector's last entry broadcasts over all three
+        # translation components.
+        with pytest.raises(ValueError, match=r"delta must have shape \(6,\)"):
+            retract_pose(SE3Transform.identity(), np.full(n, 0.5))
+
     def test_translation_additive(self):
         pose = SE3Transform.from_translation([1.0, 2.0, 3.0])
         moved = retract_pose(pose, np.array([0.0, 0.0, 0.0, 0.5, -0.25, 1.0]))
@@ -526,11 +533,23 @@ class TestZeroGradient:
 
         zero = np.zeros(6)
         for direction in (zero, np.ones(6), -np.ones(6)):
-            assert align_module._backtrack(never, never, "x", 1.0, zero, direction, 1.0) is None
-        # A level whose only block has a zero gradient converges at once.
-        level = (never, lambda x: "ev", [(lambda ev: (zero, -np.ones(6)), never)])
-        opts = AlignOptions(max_iters=5)
-        assert align_module._descend("x", 1.0, level, opts) == ("x", [1.0], 1, True)
+            slope = float(np.sum(zero * direction))
+            assert align_module._backtrack(never, never, "x", 1.0, slope, direction, 1.0) is None
+        # A level whose only block has a zero gradient converges at once,
+        # after the one evaluation of its starting loss.
+        losses = []
+
+        def loss(x):
+            losses.append(x)
+            return 1.0
+
+        def level(li, x, ran):
+            newton = lambda ev: (float(np.sum(zero * -np.ones(6))), -np.ones(6))
+            return x, loss, lambda x: "ev", [(newton, never)]
+
+        opts = AlignOptions(max_iters=5, pyramid_levels=1)
+        assert align_module._coarse_to_fine("x", level, opts) == ("x", 1.0, 1, True, (1.0,))
+        assert losses == ["x"]
 
 
 class TestStepRule:
@@ -541,41 +560,34 @@ class TestStepRule:
 
     A = np.arange(1.0, 7.0)
 
-    def test_searches_start_at_the_last_accepted_step(self, monkeypatch):
-        evals, starts, accepted = [], [], []
+    @staticmethod
+    def _solve(x0, loss, evaluate, blocks, **opts):
+        """_coarse_to_fine where every pyramid level is the same synthetic level."""
+        return align_module._coarse_to_fine(
+            x0, lambda li, x, ran: (x, loss, evaluate, blocks), AlignOptions(**opts))
 
-        def loss(x):
-            evals.append(x)
-            return float(np.sum(self.A * x * x))
+    @staticmethod
+    def _block(part, flip_at=None):
+        """(newton, retract) of the Newton step on x[part]; the flip_at-th
+        newton call returns the ascent direction instead."""
+        calls = []
 
-        inner = align_module._backtrack
+        def newton(ev):
+            calls.append(ev)
+            grad, curv = ev[0][part], ev[1][part]
+            d = grad / curv if len(calls) == flip_at else -grad / curv
+            return float(np.sum(grad * d)), d
 
-        def recording(*args):
-            starts.append(args[6])
-            res = inner(*args)
-            accepted.append(res[2])
-            return res
+        def retract(x, delta):
+            x = x.copy()
+            x[part] += delta
+            return x
 
-        monkeypatch.setattr(align_module, "_backtrack", recording)
-        level = (loss, lambda x: (2 * self.A * x, np.diag(2 * self.A / 3)),
-                 [(lambda ev: align_module._gauss_newton(*ev), lambda x, d: x + d)])
-        x, history, iters, converged = align_module._descend(
-            np.ones(6), 21.0, level, AlignOptions(max_iters=20))
-        # t = 1 costs 4x the loss; t = 1/2 quarters it, a gain ratio of 1/3,
-        # so every later search starts, and accepts, at 1/2: 21 evaluations
-        # where starting each at 1 takes 40, for the same iterates.
-        assert (iters, converged) == (20, False)
-        assert len(evals) == 21
-        assert accepted == [0.5] * 20
-        assert starts == [1.0] + [0.5] * 19
-        assert history == [21.0 * 4.0 ** -i for i in range(21)]
-        np.testing.assert_array_equal(x, (-0.5) ** 20 * np.ones(6))
+        return newton, retract
 
-    def test_a_failed_search_keeps_the_start(self, monkeypatch):
-        """Two blocks, each the level above on its own half of x. Block 0's
-        second direction does not descend, so that search fails without an
-        evaluation while block 1 moves on; block 0's third search starts at
-        the 1/2 it accepted first, not at 1."""
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The start step of every align._backtrack call, in order."""
         starts = []
         inner = align_module._backtrack
 
@@ -584,30 +596,73 @@ class TestStepRule:
             return inner(*args)
 
         monkeypatch.setattr(align_module, "_backtrack", recording)
+        return starts
+
+    def test_searches_start_at_the_last_accepted_step(self, monkeypatch):
+        evals, starts, accepted, nexts = [], [], [], []
+
+        def loss(x):
+            evals.append(x)
+            return float(np.sum(self.A * x * x))
+
+        inner = align_module._backtrack
+
+        def recording(loss_fn, retract, x, loss0, slope, direction, step):
+            starts.append(step)
+            res = inner(loss_fn, retract, x, loss0, slope, direction, step)
+            accepted.append(float(np.mean((res[0] - x) / direction)))
+            nexts.append(res[2])
+            return res
+
+        monkeypatch.setattr(align_module, "_backtrack", recording)
+        x, final, iters, converged, history = self._solve(
+            np.ones(6), loss, lambda x: (2 * self.A * x, np.diag(2 * self.A / 3)),
+            [(lambda ev: align_module._gauss_newton(*ev), lambda x, d: x + d)],
+            max_iters=20, pyramid_levels=1)
+        # t = 1 costs 4x the loss; t = 1/2 quarters it, a gain ratio of 1/3,
+        # so every later search starts, and accepts, at 1/2: after the
+        # level's starting loss, 21 evaluations where starting each search
+        # at 1 takes 40, for the same iterates.
+        assert (iters, converged) == (20, False)
+        assert len(evals) == 1 + 21
+        assert accepted == [0.5] * 20
+        assert nexts == [0.5] * 20
+        assert starts == [1.0] + [0.5] * 19
+        assert history == tuple(21.0 * 4.0 ** -i for i in range(21))
+        assert final == history[-1]
+        np.testing.assert_array_equal(x, (-0.5) ** 20 * np.ones(6))
+
+    def test_a_failed_search_keeps_the_start(self, starts):
+        """Two blocks, each the level above on its own half of x. Block 0's
+        second direction does not descend, so that search fails without an
+        evaluation while block 1 moves on; block 0's third search starts at
+        the 1/2 it accepted first, not at 1."""
         a = np.tile(self.A, 2)
-
-        def block(part, flip_at=None):
-            calls = []
-
-            def newton(ev):
-                calls.append(ev)
-                grad, curv = ev[0][part], ev[1][part]
-                return grad, grad / curv if len(calls) == flip_at else -grad / curv
-
-            def retract(x, delta):
-                x = x.copy()
-                x[part] += delta
-                return x
-
-            return newton, retract
-
-        level = (lambda x: float(np.sum(a * x * x)), lambda x: (2 * a * x, 2 * a / 3),
-                 [block(slice(0, 6), flip_at=2), block(slice(6, 12))])
-        _, history, iters, _ = align_module._descend(
-            np.ones(12), 42.0, level, AlignOptions(max_iters=3))
+        _, _, iters, _, history = self._solve(
+            np.ones(12), lambda x: float(np.sum(a * x * x)), lambda x: (2 * a * x, 2 * a / 3),
+            [self._block(slice(0, 6), flip_at=2), self._block(slice(6, 12))],
+            max_iters=3, pyramid_levels=1)
         assert iters == 3 and len(history) == 6
         assert starts[0::2] == [1.0, 0.5, 0.5]
         assert starts[1::2] == [1.0, 0.5, 0.5]
+
+    def test_every_level_restarts_each_search_at_1(self, starts):
+        """Two pyramid levels of the two-block level above: each block's
+        searches settle at 1/2 on the coarse level, and the fine level still
+        starts each block's first search at 1."""
+        a = np.tile(self.A, 2)
+        x, _, iters, converged, history = self._solve(
+            np.ones(12), lambda x: float(np.sum(a * x * x)), lambda x: (2 * a * x, 2 * a / 3),
+            [self._block(slice(0, 6)), self._block(slice(6, 12))],
+            max_iters=3, pyramid_levels=2)
+        assert (iters, converged) == (6, False)
+        assert starts[0::2] == [1.0, 0.5, 0.5] * 2
+        assert starts[1::2] == [1.0, 0.5, 0.5] * 2
+        # history is the fine level's: its starting loss, where the coarse
+        # level's 3 iterations left it, then 6 accepted steps.
+        assert len(history) == 7
+        assert (history[0], history[-1]) == (42.0 * 4.0 ** -3, 42.0 * 4.0 ** -6)
+        np.testing.assert_array_equal(x, (-0.5) ** 6 * np.ones(12))
 
     @pytest.mark.parametrize("step, gain, start", [
         (0.5, 0.9, 1.0), (1.0, 0.9, 1.0), (0.25, 0.76, 0.5),

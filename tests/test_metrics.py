@@ -149,6 +149,16 @@ class TestDepthMetrics:
         with pytest.raises(ValueError, match="caps"):
             depth_metrics(gt, gt, min_depth=2.0, max_depth=1.0)
 
+    @pytest.mark.parametrize("caps", [
+        {"min_depth": True}, {"max_depth": np.inf}, {"min_depth": np.nan},
+        {"max_depth": np.array([1.0, 80.0])},
+    ], ids=["bool", "inf", "nan", "array"])
+    def test_cap_not_a_finite_number_rejected(self, caps):
+        gt = _constant_depth(5.0)
+        (name,) = caps
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            depth_metrics(gt, gt, **caps)
+
     def test_delta_ordering_enforced(self):
         with pytest.raises(ValueError, match="d1 <= d2 <= d3"):
             DepthMetrics(0.1, 0.1, 0.1, 0.1, d1=0.9, d2=0.5, d3=1.0)

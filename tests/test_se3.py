@@ -60,6 +60,11 @@ class TestHat:
             a, b = rng.normal(size=3), rng.normal(size=3)
             np.testing.assert_allclose(hat(a) @ b, np.cross(a, b), atol=1e-15)
 
+    @pytest.mark.parametrize("v", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], 1.0])
+    def test_wrong_shape_rejected(self, v):
+        with pytest.raises(ValueError, match=r"v must have shape \(3,\)"):
+            hat(v)
+
 
 class TestExpSo3:
     def test_zero_gives_identity_exactly(self):
