@@ -168,6 +168,21 @@ def _channel_rows(
     return _depth_rows(a, rx, depth[..., None]), _pose_rows(a, rx)
 
 
+def _stacked_points(uv, depth=None):
+    """The stacked views' points: uv as a float (..., 2) array, or (uv, depth)
+    when depth is given. Raise ValueError naming uv unless its last axis is
+    2 and it is finite, or depth unless it is finite and > 0."""
+    uv = _check_finite(uv, "uv")
+    if uv.shape[-1:] != (2,):
+        raise ValueError(f"uv must have a last axis of length 2, got shape {uv.shape}")
+    if depth is None:
+        return uv
+    depth = _check_finite(depth, "depth")
+    if np.any(depth <= 0.0):
+        raise ValueError("depth must be > 0")
+    return uv, depth
+
+
 def reproject_grid(
     uv: np.ndarray, depth: np.ndarray, t: SE3Transform, k: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,7 +199,7 @@ def reproject_grid(
         depth (...,), and a bool mask, False where z_src <= 1e-6 (those
         uv_src rows are zero-filled).
     """
-    uv = np.asarray(uv, dtype=float)
+    uv, depth = _stacked_points(uv, depth)
     transformed = _transform_grid(_rays(uv[..., 0], uv[..., 1], k), depth, t)
     _, x_src, valid, _ = transformed
     uv_src = np.stack(_project_grid(transformed, k), axis=-1)
@@ -210,7 +225,7 @@ def reproject_jacobian_grid(
         (d_depth, d_pose, valid): shapes (..., 2), (..., 2, 6), (...,).
         Rows for invalid (behind-camera) pixels are zero.
     """
-    uv, depth = np.asarray(uv, dtype=float), np.asarray(depth, dtype=float)
+    uv, depth = _stacked_points(uv, depth)
     transformed = _transform_grid(_rays(uv[..., 0], uv[..., 1], k), depth, t)
     d_depth, d_pose = _channel_rows(np.eye(2), transformed, depth, k)
     valid = transformed[2]

@@ -73,16 +73,17 @@ def _size(text: str) -> tuple[int, int]:
     return tuple(_number(int, 2, closed=True)(p) for p in parts)
 
 
-def _baseline(text: str) -> tuple[float, ...]:
+def _baseline(text: str) -> Pose6DoF:
     parts = text.split(",")
     if len(parts) != 6:
         raise argparse.ArgumentTypeError(
             f"expected tx,ty,tz,rx,ry,rz (6 numbers), got {text!r}"
         )
-    values = tuple(_number(float)(p) for p in parts)
-    if not np.linalg.norm(values[3:]) < np.pi:
-        raise argparse.ArgumentTypeError(f"rotation norm must be below pi, got {text!r}")
-    return values
+    values = np.array([_number(float)(p) for p in parts])
+    try:
+        return Pose6DoF(values[3:], values[:3])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
 
 
 def _perturb_rot(text: str) -> float:
@@ -111,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--baseline",
         type=_baseline,
-        default=(0.1, 0.0, 0.0, 0.0, 0.0, 0.0),
+        default="0.1,0,0,0,0,0",
         metavar="TX,TY,TZ,RX,RY,RZ",
         help="target-to-source pose: translation then axis-angle radians",
     )
@@ -178,9 +179,8 @@ def _rgb(img: ImageBuffer) -> ImageBuffer:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     w, h = args.size
-    tx, ty, tz, rx, ry, rz = args.baseline
     spec = make_scene(args.scene, args.seed)
-    pose = Pose6DoF(np.array([rx, ry, rz]), np.array([tx, ty, tz])).to_transform()
+    pose = args.baseline.to_transform()
     pair = render_pair(spec, pose, default_intrinsics(w, h), w, h)
     out = Path(args.out)
     try:

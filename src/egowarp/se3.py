@@ -106,9 +106,9 @@ class SE3Transform:
 class Pose6DoF:
     """Minimal 6-parameter pose: axis-angle rotation vector + translation.
 
-    The rotation-vector norm must be < pi so the parameterization stays
-    single-valued (and continuous near the identity, where pose networks and
-    the aligner operate).
+    The rotation-vector norm must be < pi - PI_MARGIN, the angles log_so3
+    returns, so the parameterization stays single-valued (and continuous
+    near the identity, where pose networks and the aligner operate).
     """
 
     rot: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -117,8 +117,8 @@ class Pose6DoF:
     def __post_init__(self) -> None:
         rot = _check_finite(self.rot, "rotation vector", (3,))
         trans = _check_finite(self.trans, "translation", (3,))
-        if np.linalg.norm(rot) >= np.pi:
-            raise ValueError("rotation-vector norm must be < pi")
+        if np.linalg.norm(rot) >= np.pi - PI_MARGIN:
+            raise ValueError(f"rotation-vector norm must be < pi - {PI_MARGIN:g}")
         object.__setattr__(self, "rot", rot)
         object.__setattr__(self, "trans", trans)
 
@@ -159,24 +159,35 @@ def exp_so3(rot: np.ndarray) -> Rotation:
 def log_so3(r: Rotation) -> np.ndarray:
     """Inverse of exp_so3.
 
+    Past 90 degrees, where arccos and vee / sin(theta) lose precision as
+    theta -> pi, theta is atan2(sin, cos) and the axis is read from the
+    symmetric part (R + R^T) / 2 - cos(theta) I = (1 - cos(theta)) a a^T.
+
     Args:
         r: rotation with angle < pi - 1e-6.
 
     Returns:
-        (3,) rotation vector with norm in [0, pi).
+        (3,) rotation vector with norm in [0, pi - 1e-6).
 
     Raises:
         AmbiguousLogError: angle within 1e-6 of pi (axis sign undetermined).
     """
     m = r.m
     cos_theta = np.clip((np.trace(m) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
+    # vee(R - R^T) = 2 sin(theta) * axis
+    vee = 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    obtuse = cos_theta < 0.0
+    theta = np.arctan2(np.linalg.norm(vee), cos_theta) if obtuse else np.arccos(cos_theta)
     if theta >= np.pi - PI_MARGIN:
         raise AmbiguousLogError(
             f"rotation angle {theta:.9f} is within 1e-6 of pi; log is ambiguous"
         )
-    # vee(R - R^T) = 2 sin(theta) * axis
-    vee = 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    if obtuse:
+        # The column with the largest diagonal, signed to agree with vee.
+        s = 0.5 * (m + m.T) - cos_theta * np.eye(3)
+        axis = s[:, np.argmax(np.diag(s))]
+        axis = axis * (theta / np.linalg.norm(axis))
+        return axis if axis @ vee >= 0.0 else -axis
     if theta < SMALL_ANGLE:
         # theta/sin(theta) -> 1 + theta^2/6
         return vee * (1.0 + theta * theta / 6.0)

@@ -4,14 +4,15 @@ Sampling convention: a continuous point p = (u, v) is valid iff it lies in
 [0, w-1] x [0, h-1] (pixel centers at integer coordinates, up to a 1e-9
 border epsilon so that identity reprojection never flags border pixels).
 Out-of-bounds samples return 0 and are marked invalid (zero fill, never
-clamped). On integer grid lines the gradient takes the right/lower cell's
-linear piece (floor binning).
+clamped). Corner rule: a point reads the cell whose top-left corner is its
+floor (floor binning), so on an integer grid line the gradient takes the
+right/lower cell's linear piece; the last column and row use the cell
+before them, and along an axis one pixel long the gradient is 0.
 
 One gather serves every sampler: points are clipped into the image and
-their four corners read by flat index from the source padded with a zero
-bottom row and right column, so a corner past the edge reads 0 (where its
-weight is 0 anyway). Values and (u, v) derivatives share those corners, and
-inverse_warp, warp_jacobians and loss_gradients share one reprojection.
+their four corners read by flat index from the source itself. Values and
+(u, v) derivatives share those corners, and inverse_warp, warp_jacobians
+and loss_gradients share one reprojection.
 Derivatives leave it as the sampler gradient and the transformed points:
 camera's _channel_rows chains each channel through them into the rows that
 warp_jacobians masks and the solver's IRLS curvature is built from, and
@@ -50,7 +51,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _channel_rows, _project_grid, _rays, _transform_grid
+from .camera import (CameraIntrinsics, _channel_rows, _project_grid, _rays, _stacked_points,
+                     _transform_grid)
 from .exceptions import _check_finite
 from .se3 import SE3Transform
 
@@ -176,8 +178,9 @@ def _bilinear(data: np.ndarray, u: np.ndarray, v: np.ndarray, grad: bool) -> tup
 
     u and v are float arrays that broadcast to the points' shape; values,
     d_u and d_v have that shape plus the channel axis and are unfilled where
-    the mask is False. Corner (u0, v0) of the zero-padded (h + 1) x (w + 1)
-    grid is at flat index v0 * (w + 1) + u0.
+    the mask is False. Corner (u0, v0) is at flat index v0 * w + u0, with
+    u0 in [0, w - 2] and v0 in [0, h - 2] (the module's corner rule); on an
+    axis one pixel long the neighbour is the pixel itself.
     """
     h, w, c = data.shape
     valid = ((u >= -BORDER_EPS) & (u <= w - 1 + BORDER_EPS)
@@ -185,22 +188,21 @@ def _bilinear(data: np.ndarray, u: np.ndarray, v: np.ndarray, grad: bool) -> tup
     # out= keeps a 0-d point an array, so the in-place steps below apply.
     fu = np.clip(u, 0.0, float(w - 1), out=np.empty(np.shape(u)))
     fv = np.clip(v, 0.0, float(h - 1), out=np.empty(np.shape(v)))
-    u0, v0 = np.floor(fu), np.floor(fv)
-    idx = v0.astype(np.intp) * (w + 1) + u0.astype(np.intp)
+    u0, v0 = np.minimum(np.floor(fu), max(w - 2, 0)), np.minimum(np.floor(fv), max(h - 2, 0))
+    idx = v0.astype(np.intp) * w + u0.astype(np.intp)
     fu -= u0
     fv -= v0
     del u0, v0
     fu, fv = fu[..., None], fv[..., None]
     gu, gv = 1.0 - fu, 1.0 - fv
-    padded = np.empty((h + 1, w + 1, c))
-    padded[:h, :w] = data
-    padded[h], padded[:h, w] = 0.0, 0.0
-    flat = padded.reshape(-1, c)
-    # The corners in the blend's order, at idx + 0, 1, w + 1 and w + 2; mode="clip"
-    # keeps NaN coordinates (invalid anyway) from raising. part is one corner's
-    # weighted term; without derivatives the corners are read into it too.
+    du, dv = min(w - 1, 1), w * min(h - 1, 1)
+    flat = data.reshape(-1, c)
+    # The corners in the blend's order, at idx + 0, du, dv and du + dv. Every
+    # index is in flat for finite coordinates, and mode="clip" skips numpy's
+    # bounds check, which costs about as much as the gather. part is one
+    # corner's weighted term; without derivatives the corners are read into it too.
     corners, vals, part = [], None, None
-    for step, wu, wv in ((0, gu, gv), (1, fu, gv), (w, gu, fv), (1, fu, fv)):
+    for step, wu, wv in ((0, gu, gv), (du, fu, gv), (dv - du, gu, fv), (du, fu, fv)):
         idx += step
         corner = np.take(flat, idx, axis=0, mode="clip", out=None if grad else part)
         if grad:
@@ -240,7 +242,7 @@ def sample_grid(img: ImageBuffer, uv: np.ndarray) -> tuple[np.ndarray, np.ndarra
         (values, valid): (..., c) interpolated values (0 where invalid) and
         the bool in-bounds mask.
     """
-    uv = np.asarray(uv, dtype=float)
+    uv = _stacked_points(uv)
     vals, valid, _ = _bilinear(img.data, uv[..., 0], uv[..., 1], grad=False)
     return np.where(valid[..., None], vals, 0.0), valid
 
@@ -252,7 +254,7 @@ def sample_grad_grid(img: ImageBuffer, uv: np.ndarray) -> np.ndarray:
         (..., 2, c) array; row 0 is d/du, row 1 is d/dv. Out-of-bounds points
         get zeros (callers mask them anyway).
     """
-    uv = np.asarray(uv, dtype=float)
+    uv = _stacked_points(uv)
     _, valid, d_uv = _bilinear(img.data, uv[..., 0], uv[..., 1], grad=True)
     return np.where(valid[..., None, None], np.stack(d_uv, axis=-2), 0.0)
 
@@ -260,13 +262,12 @@ def sample_grad_grid(img: ImageBuffer, uv: np.ndarray) -> np.ndarray:
 def _resample(arr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Read an (h, w) or (h, w, c) array on the grid of columns u by rows v.
 
-    Coordinates are clipped to the array's extent first, so a resize reads
-    the border sample where its map points past it and every point is in
-    bounds. Returns a (len(v), len(u)) or (len(v), len(u), c) array.
+    _bilinear clips the coordinates to the array's extent, so a resize reads
+    the border sample where its map points past it. Returns a
+    (len(v), len(u)) or (len(v), len(u), c) array.
     """
     arr = np.asarray(arr, dtype=float)
     h, w = arr.shape[:2]
-    u, v = np.clip(u, 0.0, w - 1.0), np.clip(v, 0.0, h - 1.0)
     vals = _bilinear(arr.reshape(h, w, -1), u[None, :], v[:, None], grad=False)[0]
     return vals.reshape((len(v), len(u)) + arr.shape[2:])
 

@@ -253,6 +253,32 @@ class TestSinglePoint:
         np.testing.assert_array_equal(d_pose, np.zeros((2, 6)))
 
 
+class TestStackedPointChecks:
+    """The stacked views refuse the points and depths their docstrings exclude."""
+
+    T = SE3Transform.from_translation(np.array([0.0, 0.0, 5.0]))
+
+    @pytest.mark.parametrize("uv, depth, name", [
+        ((1.0, 2.0), -1.0, "depth"),
+        ((1.0, 2.0), 0.0, "depth"),
+        ((np.nan, 2.0), 4.0, "uv"),
+        ((1.0, 2.0, 3.0), 4.0, "uv"),
+    ])
+    def test_reproject_grid_rejects(self, uv, depth, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            reproject_grid(np.array(uv), depth, self.T, K)
+
+    @pytest.mark.parametrize("uv, depth, name", [
+        ((1.0, 2.0), np.inf, "depth"),
+        ((1.0, 2.0), -2.0, "depth"),
+        ((1.0, np.inf), 4.0, "uv"),
+        (np.zeros((4, 4)), np.ones(4), "uv"),
+    ])
+    def test_reproject_jacobian_grid_rejects(self, uv, depth, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            reproject_jacobian_grid(np.array(uv), depth, self.T, K)
+
+
 class TestReprojectJacobian:
     def test_depth_jacobian_matches_fd(self):
         rng = np.random.default_rng(6)

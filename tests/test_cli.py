@@ -509,6 +509,7 @@ class TestBadFlags:
             ["synth", "--baseline", "0,0,0,inf,0,0", "--out", "x"],
             ["synth", "--baseline", "0,0,0,4,0,0", "--out", "x"],
             ["align", "--pair", "x", "--perturb-rot", "180"],
+            ["synth", "--baseline", "0.3,0,0,3.1415925,0,0", "--out", "x"],  # log_so3 refuses it
         ],
     )
     def test_returns_2(self, argv, capsys):

@@ -106,7 +106,7 @@ class TestLogSo3:
         for _ in range(200):
             w = rng.normal(size=3)
             w = w / np.linalg.norm(w) * rng.uniform(1e-6, math.pi - 1e-3)
-            np.testing.assert_allclose(log_so3(exp_so3(w)), w, atol=1e-9)
+            np.testing.assert_allclose(log_so3(exp_so3(w)), w, rtol=0, atol=1e-9)
 
     def test_round_trip_tiny_angles(self):
         rng = np.random.default_rng(5)
@@ -119,7 +119,14 @@ class TestLogSo3:
 
     def test_near_pi_round_trip(self):
         w = np.array([0.0, 0.0, math.pi - 1e-5])
-        np.testing.assert_allclose(log_so3(exp_so3(w)), w, atol=1e-9)
+        np.testing.assert_allclose(log_so3(exp_so3(w)), w, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("decade", range(6))
+    def test_round_trip_every_decade_below_pi(self, decade):
+        rng = np.random.default_rng(40 + decade)
+        for axis in rng.normal(size=(200, 3)):
+            w = axis / np.linalg.norm(axis) * (math.pi - 10.0 ** -decade)
+            np.testing.assert_allclose(log_so3(exp_so3(w)), w, rtol=0, atol=1e-9)
 
     def test_at_pi_raises(self):
         with pytest.raises(AmbiguousLogError):
@@ -232,6 +239,10 @@ class TestPose6DoF:
     def test_rejects_rotation_norm_at_pi(self):
         with pytest.raises(ValueError):
             Pose6DoF(np.array([math.pi, 0.0, 0.0]), np.zeros(3))
+
+    def test_rejects_rotation_norm_the_log_map_refuses(self):
+        with pytest.raises(ValueError, match="rotation-vector norm"):
+            Pose6DoF(np.array([math.pi - 1e-9, 0.0, 0.0]), np.zeros(3))
 
 
 class TestBfConsistencyLoss:

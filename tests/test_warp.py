@@ -234,6 +234,13 @@ class TestBilinearSample:
         np.testing.assert_allclose(vals[ok], want, atol=1e-15)
 
 
+@pytest.mark.parametrize("sampler", [sample_grid, sample_grad_grid])
+@pytest.mark.parametrize("uv", [(np.nan, 1.0), (0.5, np.inf), (0.5, 0.5, 0.5), np.zeros((2, 1))])
+def test_samplers_reject_points_that_are_not_finite_pairs(sampler, uv):
+    with pytest.raises(ValueError, match="^uv must"):
+        sampler(RAMP22, np.array(uv))
+
+
 class TestBilinearSampleGrad:
     def test_hand_slopes(self):
         g = sample_grad_grid(RAMP22, np.array([0.3, 0.6]))
@@ -259,10 +266,24 @@ class TestBilinearSampleGrad:
 
     def test_grid_line_uses_right_cell(self):
         # At u = 1.0 on a 1x3 ramp [0, 1, 5], the derivative is the right
-        # cell's slope 5 - 1 = 4 (floor binning).
+        # cell's slope 5 - 1 = 4: an inner grid line reads the cell it opens.
         img = ImageBuffer.grayscale(np.array([[0.0, 1.0, 5.0]]) / 5.0)
         g = sample_grad_grid(img, np.array([1.0, 0.0]))
         assert g[0, 0] * 5.0 == pytest.approx(4.0, abs=1e-13)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("uv, want", [
+        ((2.0, 0.0), (4.0, 0.0)),  # the last column takes the cell before it
+        ((0.5, 0.0), (1.0, 0.0)),  # along an axis one pixel long the slope is 0
+    ])
+    def test_edge_slopes_on_a_one_pixel_ramp(self, uv, want, transpose):
+        # The 1x3 ramp [0, 1, 5], or the 3x1 one with u and v swapped.
+        ramp = np.array([[0.0, 1.0, 5.0]]) / 5.0
+        img = ImageBuffer.grayscale(ramp.T if transpose else ramp)
+        if transpose:
+            uv, want = uv[::-1], want[::-1]
+        g = sample_grad_grid(img, np.array(uv))
+        np.testing.assert_allclose(g[:, 0] * 5.0, want, rtol=0, atol=1e-13)
 
     def test_batch_keeps_shape_and_zeroes_out_of_bounds(self):
         g = sample_grad_grid(_rgb_ramp(), BATCH)
@@ -475,6 +496,42 @@ class TestWarpJacobians:
             np.testing.assert_allclose(analytic[both], fd[both], rtol=1e-6, atol=1e-7)
         np.testing.assert_array_equal(d_depth[~valid.data], 0.0)
         np.testing.assert_array_equal(d_pose[~valid.data], 0.0)
+
+
+class TestLastRowAndColumn:
+    """At the identity pose the last row and column sample on the image's
+    edge; their Jacobians take the slope of the cell inside the image."""
+
+    K = CameraIntrinsics(fx=16.0, fy=16.0, cx=7.5, cy=7.5)
+    DEPTH = DepthMap(np.full((16, 16), 4.0))
+
+    @staticmethod
+    def _texture() -> ImageBuffer:
+        v, u = np.mgrid[0:16, 0:16].astype(float)
+        return ImageBuffer.grayscale((np.sin(0.5 * u) * np.cos(0.4 * v) + 1.5) / 3.0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_edge_matches_inside_finite_difference(self, axis):
+        # t_x moves u and t_y moves v by fx t / z; stepping t back keeps the
+        # last column (axis 0) or row (axis 1) in the image, on its cell's
+        # linear piece, so the one-sided difference is that cell's slope.
+        src, step = self._texture(), 1e-6
+        _, d_pose = warp_jacobians(src, self.DEPTH, SE3Transform.identity(), self.K)
+        at, _ = inverse_warp(src, self.DEPTH, SE3Transform.identity(), self.K)
+        delta = np.zeros(3)
+        delta[axis] = -step
+        lo, valid = inverse_warp(src, self.DEPTH, SE3Transform.from_translation(delta), self.K)
+        edge = (slice(None), -1) if axis == 0 else (-1, slice(None))
+        assert valid.data[edge].all()
+        fd = (_gray(at) - _gray(lo)) / step
+        np.testing.assert_allclose(d_pose[..., 0, 3 + axis][edge], fd[edge], rtol=0, atol=1e-6)
+
+    def test_flat_image_has_zero_curvature(self):
+        flat = ImageBuffer.grayscale(np.full((16, 16), 0.5))
+        grads = loss_gradients(flat, flat, self.DEPTH, SE3Transform.identity(), self.K,
+                               WeightMask.ones(16, 16), LossWeights(), curvature=True)
+        np.testing.assert_array_equal(grads.h_pose, 0.0)
+        np.testing.assert_array_equal(grads.d_pose, 0.0)
 
 
 def _peak_images(call) -> float:
