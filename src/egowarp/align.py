@@ -19,7 +19,10 @@ SE(3) transformation parameterizations and on-manifold optimization",
 2010): its gradient and curvature are pulled back through C = d(F, B) /
 d(F, E), and a step retracts F and E, then sets B = E o F^-1.
 Each iteration makes one loss_gradients call per warp direction, at its
-starting state, and every block steps from that one evaluation: in
+starting state, and every block steps from that one evaluation. The call
+asks for what the iteration's blocks read: pose_only mode and both
+directions of the pair solve ask for the pose gradient and curvature
+alone (pose_only=True), and pose_and_depth for the depth block's too. In
 pose_and_depth the depth step comes from the gradient taken before the pose
 step, and its line search runs from the moved pose. Steps pass an Armijo
 test, so they never increase the loss; _backtrack's docstring states the
@@ -165,16 +168,15 @@ def perturb_pose(
     return Pose6DoF(log_so3(rotated.r), rotated.t + offset)
 
 
-def _direction(
-    target: ImageBuffer, source: ImageBuffer, k: CameraIntrinsics, weights: LossWeights
-):
+def _direction(target: ImageBuffer, source: ImageBuffer, k: CameraIntrinsics,
+               weights: LossWeights, pose_only: bool):
     """One warp direction at one level: (loss(pose, depth, smo), grads(pose, depth)).
 
     loss is the single-pair total, +inf when nothing is valid; smo must be
     smoothness(depth, target), which callers compute once per depth map.
-    grads is the direction's one loss_gradients call, with curvature. Both
-    use the level's all-ones mask, whose explainability term is the
-    constant 0.
+    grads is the direction's one loss_gradients call, with curvature, and
+    with pose_only it asks for the pose block alone. Both use the level's
+    all-ones mask, whose explainability term is the constant 0.
     """
     ones = WeightMask.ones(target.height, target.width)
 
@@ -187,7 +189,8 @@ def _direction(
         return total_loss(photo, smo, 0.0, 0.0, weights)
 
     def grads(pose: SE3Transform, depth: DepthMap):
-        return loss_gradients(target, source, depth, pose, k, ones, weights, curvature=True)
+        return loss_gradients(target, source, depth, pose, k, ones, weights, curvature=True,
+                              pose_only=pose_only)
 
     return loss, grads
 
@@ -356,7 +359,7 @@ def align_pose(
         t_l, s_l, k_l, d_l = levels[li]  # the caller's depth, also after a skipped level
         if refine_depth and ran:  # hand the coarser level's estimate up
             d_l = _floored(upsample2x(x[1].data, t_l.height, t_l.width))
-        loss_l, grads_l = _direction(t_l, s_l, k_l, opts.weights)
+        loss_l, grads_l = _direction(t_l, s_l, k_l, opts.weights, pose_only=not refine_depth)
 
         def retract_depth(x, delta):  # projected above DEPTH_FLOOR
             d = _floored(x[1].data + delta)
@@ -407,8 +410,8 @@ def align_pose_pair(
 
     def level(li: int, poses: tuple[SE3Transform, SE3Transform], _ran: bool):
         t_l, s_l, k_l, d_t, d_s = levels[li]
-        loss_f, grads_f = _direction(t_l, s_l, k_l, w)
-        loss_b, grads_b = _direction(s_l, t_l, k_l, w)
+        loss_f, grads_f = _direction(t_l, s_l, k_l, w, pose_only=True)
+        loss_b, grads_b = _direction(s_l, t_l, k_l, w, pose_only=True)
         smo_f, smo_b = smoothness(d_t, t_l), smoothness(d_s, s_l)
 
         def loss_fn(poses):  # inf when either direction has no valid pixel

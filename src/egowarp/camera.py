@@ -18,7 +18,8 @@ and a column of v, w + h floats) and loss_gradients are built from them.
 The package's only row formulas chain an upstream a = d(.)/d(X') on from
 there: _depth_rows, _pose_rows, their sum over all points, _pose_sum, and
 _channel_rows, the rows of pixel gradients (g_u, g_v) chained through J_pi,
-which reproject_jacobian_grid, warp_jacobians and the curvature all use.
+which reproject_jacobian_grid, warp_jacobians and the curvature all use (a
+pose-only curvature asks it for the pose rows alone).
 
 The pose Jacobian uses the same 6-parameter convention everywhere in this
 package: columns 0..2 are a left-multiplicative rotation perturbation
@@ -157,15 +158,18 @@ def _pose_sum(a: np.ndarray, rx: np.ndarray) -> np.ndarray:
 
 
 def _channel_rows(
-    grad: tuple, transformed: tuple, depth: np.ndarray, k: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray]:
+    grad: tuple, transformed: tuple, depth: np.ndarray | None, k: CameraIntrinsics
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Unmasked (..., c) depth and (..., c, 6) pose rows of the (..., c) pixel
     gradients grad = (g_u, g_v) at the points of the _transform_grid result
-    transformed: each g_c is chained to a_c = g_c^T J_pi, then to its rows."""
+    transformed: each g_c is chained to a_c = g_c^T J_pi, then to its rows.
+    With depth None only the pose rows are built, and None stands in for
+    the depth rows."""
     rx, x_src, _, z_safe = transformed
     a = _projection_vjp(x_src[..., None, :], z_safe[..., None], k, *grad)
     rx = rx[..., None, :]
-    return _depth_rows(a, rx, depth[..., None]), _pose_rows(a, rx)
+    d_rows = None if depth is None else _depth_rows(a, rx, depth[..., None])
+    return d_rows, _pose_rows(a, rx)
 
 
 def _stacked_points(uv, depth=None):

@@ -19,13 +19,21 @@ def _check_count(value, name: str, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}")
 
 
+def _holds_bool(value) -> bool:
+    """True if value is a bool (Python, numpy or a bool-dtype array) or a
+    tuple or list holding one at any depth; an array is judged by its dtype
+    alone."""
+    if isinstance(value, (tuple, list)):
+        return any(_holds_bool(x) for x in value)
+    return isinstance(value, bool) or getattr(value, "dtype", None) == np.bool_
+
+
 def _check_finite(value, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """value as a float array; raise ValueError naming the argument if it
-    is a bool (Python, numpy or a bool-dtype array; _check_count rejects
-    bools too) or a tuple or list holding one, lacks `shape` (when given) or
-    has a non-finite entry. A rejected scalar is quoted in the message."""
-    items = value if isinstance(value, (tuple, list)) else (value,)
-    if any(isinstance(x, bool) or getattr(x, "dtype", None) == np.bool_ for x in items):
+    holds a bool (_holds_bool; _check_count rejects bools too), lacks
+    `shape` (when given) or has a non-finite entry. A rejected scalar is
+    quoted in the message."""
+    if _holds_bool(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
     arr = np.asarray(value, dtype=float)
     if shape is not None and arr.shape != shape:

@@ -4,6 +4,10 @@ Components: masked photometric L1 on an inverse-warped reconstruction,
 explainability regularization (cross entropy of the mask against constant 1),
 edge-aware first-order depth smoothness, and the weighted total that also
 accepts a backward-forward pose consistency term computed elsewhere.
+
+loss_gradients returns the gradients in depth, pose and mask, and with
+curvature=True the IRLS curvature h_pose and h_depth (None otherwise); with
+pose_only=True it builds the pose entries alone: d_depth, d_mask, h_depth None.
 """
 
 from __future__ import annotations
@@ -52,11 +56,12 @@ class WeightMask(_PixelArray):
 
 class LossGradients(NamedTuple):
     """Analytic gradients of the single-pair total (photo + smo + reg), and
-    the photometric term's IRLS curvature when it was asked for."""
+    the photometric term's IRLS curvature when it was asked for; a
+    pose-only request leaves the depth and mask entries None."""
 
-    d_depth: np.ndarray  # (h, w)
+    d_depth: np.ndarray | None  # (h, w)
     d_pose: np.ndarray  # (6,)
-    d_mask: np.ndarray  # (h, w)
+    d_mask: np.ndarray | None  # (h, w)
     h_pose: np.ndarray | None = None  # (6, 6)
     h_depth: np.ndarray | None = None  # (h, w), the Hessian's diagonal
 
@@ -190,6 +195,7 @@ def loss_gradients(
     mask: WeightMask,
     weights: LossWeights,
     curvature: bool = False,
+    pose_only: bool = False,
 ) -> LossGradients:
     """Gradients of photo + lambda_smo*smo + lambda_reg*reg for one pair.
 
@@ -217,13 +223,21 @@ def loss_gradients(
     channels the two rows of S's Cholesky factor replace them: at most two
     pseudo-channels of rows per pixel.
 
+    pose_only=True asks for the pose block alone, all that a solve with a
+    fixed depth and mask reads: the depth rows, the smoothness subgradient,
+    the mask terms and the curvature's depth rows are not built, and d_pose
+    and h_pose come from the same statements as in the full call, so they
+    are the full call's bit for bit.
+
     Returns:
         LossGradients(d_depth (h, w), d_pose (6,), d_mask (h, w), h_pose,
         h_depth); the pose entries follow the left-perturbation rotation
-        convention, and h_pose and h_depth are None unless curvature is True.
+        convention, h_pose and h_depth are None unless curvature is True,
+        and d_depth, d_mask and h_depth are None when pose_only is True.
     """
-    if not isinstance(curvature, bool):
-        raise ValueError(f"curvature must be True or False, got {curvature!r}")
+    for name, flag in (("curvature", curvature), ("pose_only", pose_only)):
+        if not isinstance(flag, bool):
+            raise ValueError(f"{name} must be True or False, got {flag!r}")
     _check_same_size(target, source, "target", "source")
     _check_same_size(target, depth, "target", "depth")
     _check_same_size(target, mask, "target", "mask")
@@ -248,20 +262,22 @@ def loss_gradients(
     rx, x_src, _, z_safe = transformed
     d_x = _projection_vjp(x_src, z_safe, k, *d_uv)  # dL/dX'
     d_photo_pose = _pose_sum(d_x, rx)
-    d_depth = _depth_rows(d_x, rx, depth.data)
-    d_depth += weights.lambda_smo * _smoothness_grad_depth(depth, target)
-
     abs_diff = np.abs(diff, out=diff)
-    d_mask = _csum(abs_diff)
-    d_mask *= valid
-    d_mask /= n_valid
-    # d(reg)/d(mask) = -1 / (n_pix mask), 0 where the floor clamps the mask
-    d_reg = np.maximum(mask.data, MASK_FLOOR)
-    d_reg *= mask.data.size
-    np.divide(-1.0, d_reg, out=d_reg)
-    d_reg[mask.data <= MASK_FLOOR] = 0.0
-    d_mask += weights.lambda_reg * d_reg
-    del d_uv, d_x, d_reg
+    d_depth = d_mask = None
+    if not pose_only:
+        d_depth = _depth_rows(d_x, rx, depth.data)
+        d_depth += weights.lambda_smo * _smoothness_grad_depth(depth, target)
+        d_mask = _csum(abs_diff)
+        d_mask *= valid
+        d_mask /= n_valid
+        # d(reg)/d(mask) = -1 / (n_pix mask), 0 where the floor clamps the mask
+        d_reg = np.maximum(mask.data, MASK_FLOOR)
+        d_reg *= mask.data.size
+        np.divide(-1.0, d_reg, out=d_reg)
+        d_reg[mask.data <= MASK_FLOOR] = 0.0
+        d_mask += weights.lambda_reg * d_reg
+        del d_reg
+    del d_uv, d_x
     grads = LossGradients(d_depth, d_photo_pose, d_mask)
     if not curvature:
         return grads
@@ -283,6 +299,7 @@ def loss_gradients(
         l21 = np.divide(s_uv, l11, out=g_v[..., 0], where=l11 > 0.0)
         s_vv -= np.multiply(l21, l21, out=s_uv)
         np.sqrt(np.maximum(s_vv, 0.0, out=s_vv), out=g_v[..., 1])
-    j_depth, j_pose = _channel_rows((g_u, g_v), transformed, depth.data, k)
+    j_depth, j_pose = _channel_rows((g_u, g_v), transformed, None if pose_only else depth.data, k)
     j_pose = j_pose.reshape(-1, 6)
-    return grads._replace(h_pose=j_pose.T @ j_pose, h_depth=_cdot(j_depth, j_depth))
+    return grads._replace(h_pose=j_pose.T @ j_pose,
+                          h_depth=None if pose_only else _cdot(j_depth, j_depth))

@@ -53,7 +53,7 @@ import numpy as np
 
 from .camera import (CameraIntrinsics, _channel_rows, _project_grid, _rays, _stacked_points,
                      _transform_grid)
-from .exceptions import _check_finite
+from .exceptions import _check_finite, _holds_bool
 from .se3 import SE3Transform
 
 # Tolerance for the in-bounds test; absorbs reprojection round-off at borders.
@@ -66,9 +66,10 @@ class _PixelArray:
 
     `data` is stored as a _DTYPE array, not copied when it already is one,
     with the axes _AXES, at least one pixel, finite values and, when _RANGE
-    is set, values in that closed range; bool data is no number for a
-    float type. A subclass's __post_init__ adds its own rules. Every
-    rejection is a ValueError that names the type.
+    is set, values in that closed range; for a float type, bool data (a
+    bool array, or a bool at any depth of nested lists) is no number. A
+    subclass's __post_init__ adds its own rules. Every rejection is a
+    ValueError that names the type.
     """
 
     data: np.ndarray
@@ -79,7 +80,7 @@ class _PixelArray:
 
     def __post_init__(self) -> None:
         name = type(self).__name__
-        if self._DTYPE is float and np.asarray(self.data).dtype == np.bool_:
+        if self._DTYPE is float and _holds_bool(self.data):
             raise ValueError(f"{name} values must be a number, got a bool array")
         data = np.asarray(self.data, dtype=self._DTYPE)
         if data.ndim != len(self._AXES) or data.size == 0:

@@ -675,18 +675,18 @@ class TestStepRule:
 class TestEvaluationCounts:
     """One loss_gradients call per iteration in both align_pose modes, at
     the state the iteration starts from, two (one per direction) in the pair
-    solve, no state evaluated twice in a row in any mode, and a
-    non-increasing history. Every loss evaluation warps through
+    solve, each asking for the blocks its solve reads, no state evaluated
+    twice in a row in any mode, and a non-increasing history. Every loss evaluation warps through
     egowarp.align.inverse_warp once per direction, the binding a profiler
     wraps to count them."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Image heights and (depth, pose) arguments of the loss_gradients
-        calls, the number of egowarp.align.inverse_warp calls, and the
-        inverse_warp calls made by each loss evaluation inside
-        align._backtrack."""
-        counts = SimpleNamespace(grads=[], states=[], warps=0, per_loss_eval=[])
+        """Image heights, (depth, pose) arguments and keyword arguments of
+        the loss_gradients calls, the number of egowarp.align.inverse_warp
+        calls, and the inverse_warp calls made by each loss evaluation
+        inside align._backtrack."""
+        counts = SimpleNamespace(grads=[], states=[], kwargs=[], warps=0, per_loss_eval=[])
         inner_grads = align_module.loss_gradients
         inner_warp = align_module.inverse_warp
         inner_backtrack = align_module._backtrack
@@ -694,6 +694,7 @@ class TestEvaluationCounts:
         def grads(*args, **kwargs):
             counts.grads.append(args[0].height)
             counts.states.append(args[2:4])
+            counts.kwargs.append(kwargs)
             return inner_grads(*args, **kwargs)
 
         def warp(*args, **kwargs):
@@ -723,6 +724,9 @@ class TestEvaluationCounts:
         assert report.iters > 0
         assert len(counted.grads) == per_iter * report.iters
         assert set(counted.grads) == {32, 16, 8}
+        # Only pose_and_depth reads the depth block.
+        pose_only = mode == "pose_only"
+        assert counted.kwargs == [{"curvature": True, "pose_only": pose_only}] * len(counted.grads)
         assert _monotone(report.loss_history)
         # One warp per line-search evaluation, plus each level's starting loss.
         assert counted.per_loss_eval and set(counted.per_loss_eval) == {1}
@@ -739,6 +743,8 @@ class TestEvaluationCounts:
         )
         assert report.iters > 0
         assert len(counted.grads) == 2 * report.iters
+        # Both directions ask for the pose block alone.
+        assert counted.kwargs == [{"curvature": True, "pose_only": True}] * len(counted.grads)
         assert _monotone(report.loss_history)
         assert counted.per_loss_eval and set(counted.per_loss_eval) == {2}
         assert counted.warps == 2 * (len(counted.per_loss_eval) + 3)

@@ -61,3 +61,20 @@ def _scene(row):
 def test_bool_field_of_a_packed_record_rejected(make, name, got):
     with pytest.raises(ValueError, match=f"^{name} must be a number, got .*{got}"):
         make()
+
+
+_NESTED_EYE = [[True, False, False], [False, True, False], [False, False, True]]
+_NESTED_MATRIX = [[1.0, 0.0, 0.0, True], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("make, name, got", [
+    (lambda: Rotation(_NESTED_EYE), "rotation matrix", "True"),
+    (lambda: SE3Transform.from_matrix(_NESTED_MATRIX), "homogeneous transform", "True"),
+    (lambda: DepthMap([[1.0, True]]), "DepthMap values", _NOT_PRINTED),
+], ids=["Rotation-nested", "SE3Transform.from_matrix-nested", "DepthMap-nested"])
+def test_bool_nested_in_lists_rejected(make, name, got):
+    """A bool inside a list inside a list is no number either: numpy would
+    read True as 1.0 once a float sits beside it."""
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got .*{got}"):
+        make()

@@ -412,6 +412,34 @@ class TestCurvature:
             loss_gradients(target, source, depth, pose, k, mask, LossWeights(), curvature=bad)
 
 
+class TestPoseOnly:
+    """pose_only=True builds the pose block alone, from the same statements
+    as the full call, on _curvature_setup's pair: about 30 % of its pixels
+    warp out of frame and its mask is not 1."""
+
+    @pytest.mark.parametrize("curvature", [False, True])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_pose_block_is_the_full_calls_bit_for_bit(self, channels, curvature):
+        target, source, depth, pose, k, mask, valid = _curvature_setup()
+        assert np.mean(valid.data) < 0.8 and np.any(mask.data < 1.0)
+        target, source = (ImageBuffer(img.data[..., :channels]) for img in (target, source))
+        full, alone = (loss_gradients(target, source, depth, pose, k, mask, LossWeights(),
+                                      curvature=curvature, pose_only=pose_only)
+                       for pose_only in (False, True))
+        assert alone.d_pose.tobytes() == full.d_pose.tobytes()
+        if curvature:
+            assert alone.h_pose.tobytes() == full.h_pose.tobytes()
+        else:
+            assert alone.h_pose is None and full.h_pose is None
+        assert alone.d_depth is None and alone.d_mask is None and alone.h_depth is None
+
+    @pytest.mark.parametrize("bad", [1, "yes", None])
+    def test_non_bool_rejected(self, bad):
+        target, source, depth, pose, k, mask, _ = _curvature_setup()
+        with pytest.raises(ValueError, match="^pose_only must be True or False"):
+            loss_gradients(target, source, depth, pose, k, mask, LossWeights(), pose_only=bad)
+
+
 def _behind_camera_setup():
     """RGB pair whose near top-right patch (depth 0.6) ends up behind a
     camera that moves 1.0 forward: reproject_grid zero-fills those 20
@@ -522,7 +550,7 @@ class TestOneTransform:
         assert calls == {"_transform_grid": 1, "reproject_jacobian_grid": 0}
 
 
-def _loss_gradients_peak(curvature):
+def _loss_gradients_peak(curvature, pose_only=False):
     """tracemalloc peak of one loss_gradients call at 256 x 256 RGB, the
     benchmark's training-stream shape, in images of 256 x 256 x 3 float64."""
     rng = np.random.default_rng(0)
@@ -533,14 +561,15 @@ def _loss_gradients_peak(curvature):
     mask = WeightMask.ones(256, 256)
     tracemalloc.start()
     try:
-        loss_gradients(target, source, depth, pose, k, mask, LossWeights(), curvature=curvature)
+        loss_gradients(target, source, depth, pose, k, mask, LossWeights(), curvature=curvature,
+                       pose_only=pose_only)
         return tracemalloc.get_traced_memory()[1] / (256 * 256 * 3 * 8)
     finally:
         tracemalloc.stop()
 
 
 def test_loss_gradients_memory_budget():
-    """The gradient builds its temporaries in place (11.8 images; 15.5 when
+    """The gradient builds its temporaries in place (10.8 images; 15.5 when
     each step allocated)."""
     assert _loss_gradients_peak(curvature=False) < 14.0
 
@@ -550,6 +579,12 @@ def test_loss_gradients_curvature_memory_budget():
     weighted before they are built (13.1 images; 19.8 with (h w c) x 6 rows
     and an IRLS-weighted copy of them)."""
     assert _loss_gradients_peak(curvature=True) < 18.0
+
+
+def test_loss_gradients_pose_only_curvature_memory_budget():
+    """The pose solves' call builds neither the depth and mask gradients nor
+    the curvature's depth rows (11.8 images; 13.1 for the full call)."""
+    assert _loss_gradients_peak(curvature=True, pose_only=True) < 12.5
 
 
 @pytest.mark.parametrize("channels", [1, 3])
