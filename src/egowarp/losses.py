@@ -218,10 +218,10 @@ def loss_gradients(
     J = d(recon)/d(depth) per pixel (the depth Hessian is diagonal). J is
     linear in the channel's pixel gradient (g_u, g_v), so the rows are built,
     as warp_jacobians builds them, from the sqrt(w)-weighted gradients,
-    and h_pose is the one product J^T J. Only each pixel's 2 x 2
-    S = sum_c w (g_u, g_v)^T (g_u, g_v) enters both, so with more than two
-    channels the two rows of S's Cholesky factor replace them: at most two
-    pseudo-channels of rows per pixel.
+    and h_pose is the one product J J^T of the (6, N) pose rows. Only each
+    pixel's 2 x 2 S = sum_c w (g_u, g_v)^T (g_u, g_v) enters both, so with
+    more than two channels the two rows of S's Cholesky factor replace
+    them: at most two pseudo-channels of rows per pixel.
 
     pose_only=True asks for the pose block alone, all that a solve with a
     fixed depth and mask reads: the depth rows, the smoothness subgradient,
@@ -300,6 +300,6 @@ def loss_gradients(
         s_vv -= np.multiply(l21, l21, out=s_uv)
         np.sqrt(np.maximum(s_vv, 0.0, out=s_vv), out=g_v[..., 1])
     j_depth, j_pose = _channel_rows((g_u, g_v), transformed, None if pose_only else depth.data, k)
-    j_pose = j_pose.reshape(-1, 6)
-    return grads._replace(h_pose=j_pose.T @ j_pose,
+    j_pose = j_pose.reshape(6, -1)
+    return grads._replace(h_pose=j_pose @ j_pose.T,
                           h_depth=None if pose_only else _cdot(j_depth, j_depth))

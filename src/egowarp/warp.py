@@ -26,17 +26,17 @@ the public samplers, sample_grid and sample_grad_grid, alone. The warp's
 rays K^-1 (u, v, 1) are separable: a row of x parts from the columns u and
 a column of y parts from the rows v, w + h floats per call.
 
-The kernels here and in camera and losses build their full-size
-temporaries in place: out= and in-place ufuncs write into arrays the kernel
-allocated itself. Each formula keeps its order of operations, so the
-results are the plain expressions' bit for bit. A temporary is let go
-before the next large allocation, since at 256 x 256 RGB a fresh page costs
-more than the arithmetic done on it. A caller's input is never written, and
-every returned array is freshly allocated and the caller's. A short axis,
-the channels or x, y, z, is contracted with plane arithmetic,
-x[..., 0] + x[..., 1] + ..., not by a numpy reduction over it, which runs
-several times slower on a 3-long axis; only the einsums that measured
-faster at 256 x 256 stay (loss_gradients' d/du and d/dv, the depth rows).
+The kernels here and in camera and losses build their full-size temporaries
+in place: out= and in-place ufuncs write into arrays the kernel allocated
+itself. Each formula keeps its order of operations, so the results are the
+plain expressions' bit for bit. A temporary is let go before the next large
+allocation, since at 256 x 256 RGB a fresh page costs more than the
+arithmetic done on it. A caller's input is never written, and every
+returned array is freshly allocated and the caller's. Points and pose rows
+are camera's (3, ...) and (6, ...) stacks of planes, and the channel axis,
+last, is contracted with plane arithmetic, x[..., 0] + x[..., 1] + ...: a
+numpy reduction runs several times slower on a short axis. Only
+loss_gradients' d/du and d/dv keep the einsum that measured faster.
 
 The five per-pixel types (ImageBuffer, DepthMap and ValidityMask here,
 WeightMask in losses and FeatureMap in attention) share one checked base,
@@ -51,8 +51,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .camera import (CameraIntrinsics, _channel_rows, _project_grid, _rays, _stacked_points,
-                     _transform_grid)
+from .camera import (CameraIntrinsics, _channel_rows, _masked_rows, _project_grid, _rays,
+                     _stacked_points, _transform_grid)
 from .exceptions import _check_finite, _holds_bool
 from .se3 import SE3Transform
 
@@ -336,8 +336,4 @@ def warp_jacobians(
         those pixels.
     """
     _, valid, grad, transformed = _warp_eval(source, depth, pose, k, jacobians=True)
-    d_depth, d_pose = _channel_rows(grad, transformed, depth.data, k)
-    return (
-        np.where(valid[..., None], d_depth, 0.0),
-        np.where(valid[..., None, None], d_pose, 0.0),
-    )
+    return _masked_rows(_channel_rows(grad, transformed, depth.data, k), valid)

@@ -278,6 +278,67 @@ class TestStackedPointChecks:
         with pytest.raises(ValueError, match=f"^{name} must"):
             reproject_jacobian_grid(np.array(uv), depth, self.T, K)
 
+    @pytest.mark.parametrize("fn", [reproject_grid, reproject_jacobian_grid])
+    @pytest.mark.parametrize("uv_shape, depth", [
+        ((2,), np.full(3, 4.0)),
+        ((4, 5, 2), np.full((4, 1), 4.0)),
+        ((4, 5, 2), 4.0),
+    ])
+    def test_depth_must_match_the_points(self, fn, uv_shape, depth):
+        """One depth per pixel: a depth that would broadcast against uv, or
+        not, is refused by an error naming both."""
+        uv = np.ones(uv_shape)
+        with pytest.raises(ValueError, match=r"^depth must .* uv "):
+            fn(uv, depth, self.T, K)
+
+
+class TestTransformGrid:
+    def test_separable_rays_on_a_non_square_grid(self):
+        """The warp's rays, a row of u and a column of v, under a pose
+        rotated about all three axes: swapping the u and v terms of the
+        rotated ray would move every point."""
+        h, w = 48, 64
+        rng = np.random.default_rng(11)
+        depth = rng.uniform(2.0, 6.0, (h, w))
+        t = SE3Transform(exp_so3(np.array([0.2, -0.15, 0.25])), np.array([0.3, -0.2, 0.4]))
+        rays = _rays(np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None], K)
+        rx, x_src, valid, z_safe = _transform_grid(rays, depth, t)
+        assert rx.shape == x_src.shape == (3, h, w)
+        for i in range(h):
+            for j in range(w):
+                x = _backproject((j, i), depth[i, j])
+                want = t.apply(x)
+                scale = np.linalg.norm(want)
+                assert np.max(np.abs(x_src[:, i, j] - want)) <= 1e-12 * scale
+                assert np.max(np.abs(rx[:, i, j] - t.r.m @ x)) <= 1e-12 * scale
+        assert valid.all()
+        assert np.array_equal(z_safe, x_src[2])
+
+
+class TestPublicRowShapes:
+    """The rows are built component first; the public functions return them
+    with the pose axis last, as C-ordered arrays of their own."""
+
+    T = SE3Transform(exp_so3(np.array([0.01, -0.02, 0.03])), np.array([0.1, 0.05, 0.02]))
+
+    @pytest.mark.parametrize("shape", [(5, 7), ()])
+    def test_reproject_jacobian_grid(self, shape):
+        grid = np.stack(np.meshgrid(np.arange(7.0), np.arange(5.0)), axis=-1)
+        uv = grid if shape else grid[2, 3]
+        d_depth, d_pose, valid = reproject_jacobian_grid(uv, np.full(shape, 4.0), self.T, K)
+        assert d_depth.shape == shape + (2,) and d_pose.shape == shape + (2, 6)
+        assert valid.shape == shape
+        assert d_depth.flags.c_contiguous and d_pose.flags.c_contiguous
+
+    @pytest.mark.parametrize("h, w, c", [(5, 7, 1), (5, 7, 3), (1, 1, 3)])
+    def test_warp_jacobians(self, h, w, c):
+        rng = np.random.default_rng(12)
+        k = CameraIntrinsics(fx=8.0, fy=8.0, cx=(w - 1) / 2, cy=(h - 1) / 2)
+        source = ImageBuffer(rng.uniform(0.2, 0.8, (h, w, c)))
+        d_depth, d_pose = warp_jacobians(source, DepthMap(np.full((h, w), 4.0)), self.T, k)
+        assert d_depth.shape == (h, w, c) and d_pose.shape == (h, w, c, 6)
+        assert d_depth.flags.c_contiguous and d_pose.flags.c_contiguous
+
 
 class TestReprojectJacobian:
     def test_depth_jacobian_matches_fd(self):
