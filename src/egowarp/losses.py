@@ -254,7 +254,7 @@ def loss_gradients(
     # dL/dv and chained back through the reprojection. The temporaries are
     # deleted before the curvature block so that they do not raise its peak.
     sign = np.sign(diff)
-    d_uv = [np.einsum("hwc,hwc->hw", g, sign) for g in grad]
+    d_uv = [_cdot(g, sign) for g in grad]
     del sign
     for d in d_uv:
         np.negative(d, out=d)

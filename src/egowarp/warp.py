@@ -35,8 +35,7 @@ arithmetic done on it. A caller's input is never written, and every
 returned array is freshly allocated and the caller's. Points and pose rows
 are camera's (3, ...) and (6, ...) stacks of planes, and the channel axis,
 last, is contracted with plane arithmetic, x[..., 0] + x[..., 1] + ...: a
-numpy reduction runs several times slower on a short axis. Only
-loss_gradients' d/du and d/dv keep the einsum that measured faster.
+numpy reduction runs several times slower on a short axis.
 
 The five per-pixel types (ImageBuffer, DepthMap and ValidityMask here,
 WeightMask in losses and FeatureMap in attention) share one checked base,
