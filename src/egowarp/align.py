@@ -26,13 +26,12 @@ alone (pose_only=True), and pose_and_depth for the depth block's too. In
 pose_and_depth the depth step comes from the gradient taken before the pose
 step, and its line search runs from the moved pose. Steps pass an Armijo
 test, so they never increase the loss; _backtrack's docstring states the
-step rule, including where each block's next search starts. A coarse level
-only supplies the next level's start, so it also ends, with no line search,
-once every block's model predicts a decrease -g.d/2 below COARSE_RTOL of
-the loss; the finest level ends only when an iteration moves no block or at
-max_iters. A level whose starting loss is not finite (no valid pixel) is
-skipped, so loss histories stay finite; the next level then starts from the
-caller's depth, not an upsampled estimate.
+step rule, including where each block's next search starts. Every level
+ends, with no line search, once every block's model predicts a decrease
+-g.d/2 below MODEL_RTOL of the loss, or when an iteration moves no block,
+or at max_iters. A level whose starting loss is not finite (no valid pixel)
+is skipped, so loss histories stay finite; the next level then starts from
+the caller's depth, not an upsampled estimate.
 
 A loss evaluation is one inverse_warp per direction; what cannot change
 within a level is hoisted out of it. The all-ones mask is built once per
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .exceptions import DegenerateInputError, _check_count, _check_finite
+from .exceptions import DegenerateInputError, _check_count, _check_finite, _check_type
 from .losses import (
     LossWeights,
     WeightMask,
@@ -77,9 +76,9 @@ ARMIJO_FACTOR = 0.5
 GAIN_HIGH = 0.75
 GAIN_LOW = 0.25
 TOL_STEP = 1e-6
-# A coarse level ends once every block's model decrease -g.d/2 is below this
-# fraction of the loss: it only supplies the next level's start.
-COARSE_RTOL = 1e-4
+# A level ends once every block's model decrease -g.d/2 is below this
+# fraction of the loss.
+MODEL_RTOL = 1e-4
 _MAX_BACKTRACKS = 10
 # Depth estimates are kept above this during projected steps.
 DEPTH_FLOOR = 1e-3
@@ -113,25 +112,23 @@ class AlignOptions:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("max_iters", "pyramid_levels"):
             _check_count(getattr(self, name), name, 1)
-        if not isinstance(self.weights, LossWeights):
-            raise ValueError(f"weights must be a LossWeights, got {self.weights!r}")
+        _check_type(self.weights, LossWeights, "weights")
 
 
 @dataclass(frozen=True, eq=False)
 class AlignReport:
     """Outcome of align_pose.
 
-    converged is True iff the finest level ran and its last iteration moved
-    no block: for each block, the Newton step was not a descent direction
-    (as at a zero gradient), or the Armijo line search found no decrease
-    within _MAX_BACKTRACKS halvings of the block's start step before the
-    move fell below TOL_STEP. It says the step's model is exhausted, not that
-    the gradient vanished: at an L1 kink it never does, and in pose_and_depth
-    mode the diagonal depth step can stop short of the minimum. Hitting
-    max_iters reports False. A coarse level also ends once every block's
-    model predicts less than COARSE_RTOL of the loss (that iteration counts
-    in iters), but converged still describes the finest level alone. Levels
-    with a non-finite starting loss are skipped and add no iters.
+    A level ends for one of four reasons, each iteration counting in iters:
+    (1) every block's model predicts a decrease below MODEL_RTOL of the
+    loss; (2) an iteration moved no block: each block's Newton step did not
+    descend (as at a zero gradient), or its Armijo search found no decrease
+    within _MAX_BACKTRACKS halvings of its start step before the move fell
+    below TOL_STEP; (3) max_iters; (4) a non-finite starting loss skips it.
+    converged is True iff the finest level ran and ended by (1) or (2): the
+    step's model is exhausted, not the gradient zero; at an L1 kink it never
+    is, and in pose_and_depth mode the diagonal depth step can stop short of
+    the minimum.
     loss_history holds the finest level's finite total losses: the initial
     value, then one entry per accepted step (non-increasing by construction).
     """
@@ -315,12 +312,11 @@ def _coarse_to_fine(x, level, opts):
     (newton(ev), retract(x, delta)): newton gives the block's slope and
     Newton step from evaluate's result. evaluate runs once at the top of each
     iteration and every block steps from that one result, so a level stopped
-    by max_iters never evaluates its last state. A level converges when an
-    iteration moves no block; a coarse level (li > 0) also ends, before any
-    line search, at an iteration where every block's model decrease
-    -slope / 2 is below COARSE_RTOL times the loss. loss, converged and
-    history describe the finest level; history is its starting loss, then
-    every accepted loss.
+    by max_iters never evaluates its last state. A level converges, before
+    any line search, at an iteration where every block's model decrease
+    -slope / 2 is below MODEL_RTOL times the loss, or when an iteration
+    moves no block. loss, converged and history describe the finest level;
+    history is its starting loss, then every accepted loss.
     """
     iters, ran = 0, False
     for li in range(opts.pyramid_levels - 1, -1, -1):
@@ -333,7 +329,7 @@ def _coarse_to_fine(x, level, opts):
             iters += 1
             ev, converged = evaluate(x), True
             models = [newton(ev) for newton, _ in blocks]
-            if li > 0 and all(-slope / 2 < COARSE_RTOL * loss for slope, _ in models):
+            if all(-slope / 2 < MODEL_RTOL * loss for slope, _ in models):
                 break
             for b, (_, retract) in enumerate(blocks):
                 res = _backtrack(loss_fn, retract, x, loss, *models[b], starts[b])

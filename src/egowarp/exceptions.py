@@ -3,7 +3,8 @@
 Everything derives from ValueError so callers that do not care about the
 distinction can catch one thing. Plain ValueError is raised directly for
 generic invalid arguments: empty lists, bool, misshapen or non-finite inputs
-(_check_finite), and too small or non-integer counts (_check_count).
+(_check_finite), too small or non-integer counts (_check_count), and record
+fields of the wrong type (_check_type).
 """
 
 import numbers
@@ -17,6 +18,12 @@ def _check_count(value, name: str, low: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}")
+
+
+def _check_type(value, cls: type, name: str) -> None:
+    """Raise ValueError naming the field unless value is a cls."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _holds_bool(value) -> bool:

@@ -18,6 +18,7 @@ from .exceptions import (
     DegenerateSnippetError,
     _check_count,
     _check_finite,
+    _check_type,
 )
 from .se3 import SE3Transform, compose, inverse
 from .warp import DepthMap, _check_same_size
@@ -63,6 +64,8 @@ class Trajectory:
         poses = tuple(self.poses)
         if len(poses) != ts.size:
             raise ValueError(f"{len(poses)} poses vs {ts.size} timestamps")
+        for i, pose in enumerate(poses):
+            _check_type(pose, SE3Transform, f"poses[{i}]")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "poses", poses)
 

@@ -17,9 +17,19 @@ from .exceptions import _check_count
 from .warp import DepthMap, ImageBuffer, _resample
 
 
+def _grid(arr) -> np.ndarray:
+    """arr as a float array; raise ValueError naming its shape unless it is
+    a non-empty (h, w) or (h, w, c) array."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.ndim not in (2, 3) or arr.size == 0:
+        raise ValueError(
+            f"expected a non-empty (h, w) or (h, w, c) array, got shape {arr.shape}")
+    return arr
+
+
 def downsample2x(arr: np.ndarray) -> np.ndarray:
     """Average 2x2 blocks of an (h, w) or (h, w, c) array."""
-    arr = np.asarray(arr, dtype=float)
+    arr = _grid(arr)
     h, w = arr.shape[0] // 2 * 2, arr.shape[1] // 2 * 2
     if h < 2 or w < 2:
         raise ValueError(f"array {arr.shape} too small to downsample")
@@ -75,6 +85,7 @@ def upsample2x(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """
     _check_count(out_h, "out_h", 1)
     _check_count(out_w, "out_w", 1)
+    arr = _grid(arr)
     u = (np.arange(out_w) + 0.5) / 2.0 - 0.5
     v = (np.arange(out_h) + 0.5) / 2.0 - 0.5
     return _resample(arr, u, v)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import AmbiguousLogError, _check_finite
+from .exceptions import AmbiguousLogError, _check_finite, _check_type
 
 # Below this angle Rodrigues coefficients switch to 2nd-order Taylor series.
 SMALL_ANGLE = 1e-8
@@ -69,6 +69,7 @@ class SE3Transform:
     t: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_type(self.r, Rotation, "r")
         object.__setattr__(self, "t", _check_finite(self.t, "translation", (3,)))
 
     @classmethod

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraIntrinsics, _rays
-from .exceptions import _check_count, _check_finite
+from .exceptions import _check_count, _check_finite, _check_type
 from .metrics import DEFAULT_MAX_DEPTH
 from .se3 import SE3Transform
 from .warp import DepthMap, ImageBuffer, ValidityMask, _check_same_size
@@ -78,6 +78,8 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if len(self.planes) == 0:
             raise ValueError("scene needs at least one plane")
+        for i, plane in enumerate(self.planes):
+            _check_type(plane, PlaneSpec, f"planes[{i}]")
         if len(self.texture_freqs) == 0:
             raise ValueError("texture needs at least one term")
         rows = (_check_finite(row, "texture terms") for row in self.texture_freqs)

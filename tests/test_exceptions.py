@@ -78,3 +78,15 @@ def test_bool_nested_in_lists_rejected(make, name, got):
     read True as 1.0 once a float sits beside it."""
     with pytest.raises(ValueError, match=f"^{name} must be a number, got .*{got}"):
         make()
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: SE3Transform(np.eye(3), np.zeros(3)), r"r must be a Rotation, got ndarray"),
+    (lambda: Trajectory(np.arange(2.0), (1, 2)), r"poses\[0\] must be a SE3Transform, got int"),
+    (lambda: SceneSpec((1,), ((0, 0, 0.5, 0),)), r"planes\[0\] must be a PlaneSpec, got int"),
+], ids=["SE3Transform", "Trajectory", "SceneSpec"])
+def test_member_of_the_wrong_type_rejected(make, name):
+    """A record rejects a member of the wrong type when it is built, naming
+    the field, not later with an AttributeError where the member is used."""
+    with pytest.raises(ValueError, match=f"^{name}$"):
+        make()

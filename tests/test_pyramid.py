@@ -3,6 +3,8 @@ upsampling values, and ramp and rendered-depth oracles for the upsample."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,20 @@ class TestDownsample2x:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             downsample2x(np.ones((1, 4)))
+
+
+@pytest.mark.parametrize("resample, arr", [
+    (downsample2x, np.ones(4)),
+    (downsample2x, np.float64(1.0)),
+    (lambda a: upsample2x(a, 2, 2), np.ones(4)),
+    (lambda a: upsample2x(a, 2, 2), np.ones((0, 3))),
+    (lambda a: upsample2x(a, 4, 4), np.ones((2, 2, 1, 1))),
+], ids=["down-1d", "down-0d", "up-1d", "up-empty", "up-4d"])
+def test_array_that_is_not_an_image_rejected(resample, arr):
+    """Both resamplers take a non-empty (h, w) or (h, w, c) array, and
+    name the shape of any other."""
+    with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(arr)}")):
+        resample(arr)
 
 
 class TestDownscaleIntrinsics:
