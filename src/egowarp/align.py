@@ -33,11 +33,16 @@ or at max_iters. A level whose starting loss is not finite (no valid pixel)
 is skipped, so loss histories stay finite; the next level then starts from
 the caller's depth, not an upsampled estimate.
 
-A loss evaluation is one inverse_warp per direction; what cannot change
-within a level is hoisted out of it. The all-ones mask is built once per
-level (its explainability term is the constant 0) and smoothness once per
-depth map: once per level for a fixed depth, and in pose_and_depth mode once
-per depth step, carried in the state beside its depth.
+A loss evaluation is one inverse_warp per direction, with one exception:
+an align_pose line-search candidate whose lambda_smo * smoothness alone
+exceeds its Armijo bound loss0 + ARMIJO_C * t * slope gets +inf with no
+warp. The photometric term is >= 0, so the total would fail the same test,
+and every decision is the one the warp would give. What cannot change
+within a level is hoisted out of the evaluation. The all-ones mask is built
+once per level (its explainability term is the constant 0) and smoothness
+once per depth map: once per level for a fixed depth, and in pose_and_depth
+mode once per depth step, carried in the state beside its depth. align_pose
+computes it from the target's edge weights, built once per level.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ from .exceptions import DegenerateInputError, _check_count, _check_finite, _chec
 from .losses import (
     LossWeights,
     WeightMask,
+    _edge_weights,
+    _smoothness,
     loss_gradients,
     photometric_l1,
     smoothness,
@@ -177,17 +184,23 @@ def perturb_pose(
 
 def _direction(target: ImageBuffer, source: ImageBuffer, k: CameraIntrinsics,
                weights: LossWeights, pose_only: bool):
-    """One warp direction at one level: (loss(pose, depth, smo), grads(pose, depth)).
+    """One warp direction at one level: (loss(pose, depth, smo, bound),
+    grads(pose, depth)).
 
     loss is the single-pair total, +inf when nothing is valid; smo must be
     smoothness(depth, target), which callers compute once per depth map.
-    grads is the direction's one loss_gradients call, with curvature, and
-    with pose_only it asks for the pose block alone. Both use the level's
-    all-ones mask, whose explainability term is the constant 0.
+    It is +inf too, with no warp, when lambda_smo * smo > bound: the total
+    adds the photometric term, which is >= 0, to that product first, so it
+    would exceed bound as well. grads is the direction's one loss_gradients
+    call, with curvature, and with pose_only it asks for the pose block
+    alone. Both use the level's all-ones mask, whose explainability term is
+    the constant 0.
     """
     ones = WeightMask.ones(target.height, target.width)
 
-    def loss(pose: SE3Transform, depth: DepthMap, smo: float) -> float:
+    def loss(pose: SE3Transform, depth: DepthMap, smo: float, bound: float = np.inf) -> float:
+        if weights.lambda_smo * smo > bound:
+            return float("inf")
         recon, valid = inverse_warp(source, depth, pose, k)
         try:
             photo = photometric_l1(target, recon, ones, valid)
@@ -203,12 +216,21 @@ def _direction(target: ImageBuffer, source: ImageBuffer, k: CameraIntrinsics,
 
 
 def _level_inputs(opts: AlignOptions | None, target: ImageBuffer, source: ImageBuffer,
-                  k: CameraIntrinsics, **depths: DepthMap):
+                  k: CameraIntrinsics, depths: dict, inits: dict):
     """(opts or the default options, one (target, source, k, *depths) tuple
-    per pyramid level, finest first). A source or depth that does not pair
-    with target, or a target too small for opts.pyramid_levels, raises
-    ValueError naming the caller's argument."""
-    opts = AlignOptions() if opts is None else opts
+    per pyramid level, finest first). depths and inits map the caller's
+    argument names to its depth maps and initial poses. An argument of the
+    wrong type, a source or depth that does not pair with target, or a
+    target too small for opts.pyramid_levels raises ValueError naming the
+    caller's argument."""
+    for name, value, cls in (("target", target, ImageBuffer), ("source", source, ImageBuffer),
+                             *((n, d, DepthMap) for n, d in depths.items()),
+                             ("k", k, CameraIntrinsics),
+                             *((n, p, Pose6DoF) for n, p in inits.items())):
+        _check_type(value, cls, name)
+    if opts is None:
+        opts = AlignOptions()
+    _check_type(opts, AlignOptions, "opts")
     n = opts.pyramid_levels
     for name, arr in (("source", source), *depths.items()):
         _check_same_size(target, arr, "target", name)
@@ -231,6 +253,11 @@ def _backtrack(loss_fn, retract, x, loss0, slope, direction, step):
     """One block's Armijo line search (factor ARMIJO_FACTOR, c = ARMIJO_C)
     along direction, whose slope g . d is slope, halving from step.
 
+    A candidate x + t d is accepted iff its loss is finite and at most the
+    Armijo bound loss0 + ARMIJO_C * t * slope. loss_fn(x, bound) gets that
+    bound, so it may return +inf without its full evaluation once a part of
+    the loss already exceeds it (align_pose's smoothness term does).
+
     Returns (x_new, loss_new, next start) or None. None comes at once, with
     no loss evaluation, when direction does not descend, and otherwise after
     _MAX_BACKTRACKS halvings or once the move is shorter than TOL_STEP; the
@@ -251,8 +278,9 @@ def _backtrack(loss_fn, retract, x, loss0, slope, direction, step):
         if step * dir_norm < TOL_STEP:
             return None
         cand = retract(x, step * direction)
-        cand_loss = loss_fn(cand)
-        if np.isfinite(cand_loss) and cand_loss <= loss0 + ARMIJO_C * step * slope:
+        bound = loss0 + ARMIJO_C * step * slope
+        cand_loss = loss_fn(cand, bound)
+        if np.isfinite(cand_loss) and cand_loss <= bound:
             predicted = -step * slope * (1 - step / 2)
             return cand, cand_loss, _next_start(step, (loss0 - cand_loss) / predicted)
         step *= ARMIJO_FACTOR
@@ -307,21 +335,22 @@ def _retract_pair(poses: tuple[SE3Transform, SE3Transform], delta: np.ndarray):
 def _coarse_to_fine(x, level, opts):
     """Levels coarsest to finest; returns (x, loss, iters, converged, history).
 
-    level(li, x, ran) gives level li's (starting state, loss(x), evaluate(x),
-    blocks); ran says whether level li + 1 ran (was not skipped). A block is
-    (newton(ev), retract(x, delta)): newton gives the block's slope and
-    Newton step from evaluate's result. evaluate runs once at the top of each
-    iteration and every block steps from that one result, so a level stopped
-    by max_iters never evaluates its last state. A level converges, before
-    any line search, at an iteration where every block's model decrease
-    -slope / 2 is below MODEL_RTOL times the loss, or when an iteration
-    moves no block. loss, converged and history describe the finest level;
+    level(li, x, ran) gives level li's (starting state, loss(x, bound),
+    evaluate(x), blocks); loss gets _backtrack's Armijo bound, and inf for
+    the level's starting loss; ran says whether level li + 1 ran (was not
+    skipped). A block is (newton(ev), retract(x, delta)): newton gives the
+    block's slope and Newton step from evaluate's result. evaluate runs once
+    at the top of each iteration and every block steps from that one
+    result, so a level stopped by max_iters never evaluates its last state.
+    A level converges, before any line search, at an iteration where every
+    block's model decrease -slope / 2 is below MODEL_RTOL times the loss, or
+    when an iteration moves no block. loss, converged and history describe the finest level;
     history is its starting loss, then every accepted loss.
     """
     iters, ran = 0, False
     for li in range(opts.pyramid_levels - 1, -1, -1):
         x, loss_fn, evaluate, blocks = level(li, x, ran)
-        loss = loss_fn(x)
+        loss = loss_fn(x, np.inf)
         ran, converged = bool(np.isfinite(loss)), False
         history = [loss] if ran else []
         starts = [1.0] * len(blocks)
@@ -364,7 +393,7 @@ def align_pose(
     Returns:
         AlignReport; depth is the refined map in pose_and_depth mode.
     """
-    opts, levels = _level_inputs(opts, target, source, k, depth=depth)
+    opts, levels = _level_inputs(opts, target, source, k, {"depth": depth}, {"init": init})
     refine_depth = opts.mode == "pose_and_depth"
 
     def level(li: int, x: tuple[SE3Transform, DepthMap | None, float | None], ran: bool):
@@ -372,16 +401,17 @@ def align_pose(
         if refine_depth and ran:  # hand the coarser level's estimate up
             d_l = _floored(upsample2x(x[1].data, t_l.height, t_l.width))
         loss_l, grads_l = _direction(t_l, s_l, k_l, opts.weights, pose_only=not refine_depth)
+        edges = _edge_weights(t_l)  # the target's, shared by every depth of the level
 
         def retract_depth(x, delta):  # projected above DEPTH_FLOOR
             d = _floored(x[1].data + delta)
-            return x[0], d, smoothness(d, t_l)
+            return x[0], d, _smoothness(d.data, edges)
 
         blocks = [(lambda g: _gauss_newton(g.d_pose, g.h_pose),
                    lambda x, delta: (retract_pose(x[0], delta), *x[1:]))]
         if refine_depth:
             blocks.append((lambda g: _diagonal_newton(g.d_depth, g.h_depth), retract_depth))
-        return ((x[0], d_l, smoothness(d_l, t_l)), lambda x: loss_l(*x),
+        return ((x[0], d_l, _smoothness(d_l.data, edges)), lambda x, bound: loss_l(*x, bound),
                 lambda x: grads_l(*x[:2]), blocks)
 
     (pose, depth_est, _), loss, iters, converged, history = _coarse_to_fine(
@@ -414,10 +444,11 @@ def align_pose_pair(
     bf_consistency_loss([(forward, backward)]). Depths stay fixed, so
     opts.mode must be "pose_only".
     """
-    if opts is not None and opts.mode != "pose_only":
+    opts, levels = _level_inputs(
+        opts, target, source, k, {"depth_target": depth_target, "depth_source": depth_source},
+        {"init_forward": init_forward, "init_backward": init_backward})
+    if opts.mode != "pose_only":
         raise ValueError(f"align_pose_pair solves poses only, got mode {opts.mode!r}")
-    opts, levels = _level_inputs(opts, target, source, k,
-                                 depth_target=depth_target, depth_source=depth_source)
     w = opts.weights
 
     def level(li: int, poses: tuple[SE3Transform, SE3Transform], _ran: bool):
@@ -426,7 +457,7 @@ def align_pose_pair(
         loss_b, grads_b = _direction(s_l, t_l, k_l, w, pose_only=True)
         smo_f, smo_b = smoothness(d_t, t_l), smoothness(d_s, s_l)
 
-        def loss_fn(poses):  # inf when either direction has no valid pixel
+        def loss_fn(poses, _bound):  # inf when either direction has no valid pixel
             fwd, bwd = poses
             return (loss_f(fwd, d_t, smo_f) + loss_b(bwd, d_s, smo_b)
                     + w.lambda_bf * bf_consistency_loss([(fwd, bwd)]))

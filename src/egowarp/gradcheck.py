@@ -36,7 +36,7 @@ from .exceptions import _check_count
 from .losses import (
     LossWeights,
     WeightMask,
-    _forward_diffs,
+    _edge_weights,
     explainability_reg,
     loss_gradients,
     photometric_l1,
@@ -255,8 +255,8 @@ def _check_losses(rng: np.random.Generator) -> list:
     g = loss_gradients(target, source, depth, pose, k, mask, weights)
     # Per-pixel depth FD; a pixel also needs its smoothness edges sign-stable.
     edge_ok = np.ones((h, w), dtype=bool)
-    for ahead, behind, dd, _ in _forward_diffs(depth, target):
-        sign_stable = np.abs(dd) > KINK_MARGIN
+    for ahead, behind, _ in _edge_weights(target):
+        sign_stable = np.abs(depth.data[ahead] - depth.data[behind]) > KINK_MARGIN
         edge_ok[ahead] &= sign_stable
         edge_ok[behind] &= sign_stable
     depth_ok = edge_ok & (~valid.data | stable)

@@ -8,6 +8,11 @@ accepts a backward-forward pose consistency term computed elsewhere.
 loss_gradients returns the gradients in depth, pose and mask, and with
 curvature=True the IRLS curvature h_pose and h_depth (None otherwise); with
 pose_only=True it builds the pose entries alone: d_depth, d_mask, h_depth None.
+
+The smoothness edge weights exp(-mean_c |dI|) depend on the image alone.
+_edge_weights builds them, and smoothness, its depth gradient, gradcheck's
+edge-stability mask and the aligner share it; the aligner builds them once
+per pyramid level and runs _smoothness on them for each depth it tries.
 """
 
 from __future__ import annotations
@@ -115,18 +120,32 @@ def _cdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_diffs(depth: DepthMap, image: ImageBuffer):
-    """Yield (ahead, behind, dD, exp(-mean_c |dI|)) for each axis with a
-    forward difference, x first and then y, where dD = D[ahead] - D[behind];
-    an axis of length 1 has none and is skipped."""
-    d, img = depth.data, image.data
+def _edge_weights(image: ImageBuffer) -> list:
+    """[(ahead, behind, exp(-mean_c |I[ahead] - I[behind]|))] for each axis
+    with a forward difference, x first and then y: the edge weights of
+    smoothness and its gradient, which depend on the image alone. An axis of
+    length 1 has none and is skipped."""
+    img = image.data
+    edges = []
     for axis, ahead, behind in ((1, np.s_[:, 1:], np.s_[:, :-1]), (0, np.s_[1:], np.s_[:-1])):
-        if d.shape[axis] > 1:
+        if img.shape[axis] > 1:
             di = img[ahead] - img[behind]
             weight = _csum(np.abs(di, out=di))
-            del di  # not held across the yield
+            del di  # freed before the next axis
             weight /= -img.shape[2]  # -mean_c |dI|, as np.mean divides
-            yield ahead, behind, d[ahead] - d[behind], np.exp(weight, out=weight)
+            edges.append((ahead, behind, np.exp(weight, out=weight)))
+    return edges
+
+
+def _smoothness(depth: np.ndarray, edges: list) -> float:
+    """smoothness of the depth array under the edge weights of _edge_weights."""
+    total = 0.0
+    for ahead, behind, weight in edges:
+        dd = depth[ahead] - depth[behind]
+        np.abs(dd, out=dd)
+        dd *= weight
+        total += float(np.mean(dd))
+    return total
 
 
 def smoothness(depth: DepthMap, image: ImageBuffer) -> float:
@@ -138,12 +157,7 @@ def smoothness(depth: DepthMap, image: ImageBuffer) -> float:
     excluded. An axis without defined entries contributes 0.
     """
     _check_same_size(depth, image, "depth", "image")
-    total = 0.0
-    for *_, dd, weight in _forward_diffs(depth, image):
-        np.abs(dd, out=dd)
-        dd *= weight
-        total += float(np.mean(dd))
-    return total
+    return _smoothness(depth.data, _edge_weights(image))
 
 
 def multiscale_smoothness(
@@ -176,11 +190,13 @@ def total_loss(
 
 def _smoothness_grad_depth(depth: DepthMap, image: ImageBuffer) -> np.ndarray:
     """d(smoothness)/d(depth), scatter of the per-difference subgradients."""
-    grad = np.zeros_like(depth.data)
-    for ahead, behind, dd, weight in _forward_diffs(depth, image):
+    d = depth.data
+    grad = np.zeros_like(d)
+    for ahead, behind, weight in _edge_weights(image):
+        dd = d[ahead] - d[behind]
         s = np.sign(dd, out=dd)
         s *= weight
-        s /= dd.size
+        s /= s.size
         grad[ahead] += s
         grad[behind] -= s
     return grad

@@ -40,8 +40,10 @@ Quantitative thresholds were chosen with several times the measured margin:
   iteration moved nothing, 69 when every level did, 210 from the full
   step); asserted at 40. A failed search keeps its block's start:
   pose_and_depth at 64x64 from 5 percent depth noise and four inits makes
-  2,398 warps (3,185 when a failed search reset its block's start to 1);
-  asserted at 2,800. Its depth block keeps predicting a large decrease, so
+  1,850 warps, since a depth candidate whose smoothness term alone fails
+  the Armijo test is rejected without one (2,398 when every candidate
+  warped, 3,185 when a failed search also reset its block's start to 1);
+  asserted at 1,900. Its depth block keeps predicting a large decrease, so
   no level of it ends early.
 """
 
@@ -68,6 +70,8 @@ from egowarp import (
     default_intrinsics,
     exp_so3,
     explainability_reg,
+    image_pyramid,
+    intrinsics_pyramid,
     inverse,
     inverse_warp,
     log_so3,
@@ -223,9 +227,9 @@ def _flat(size: int, channels: int = 1) -> ImageBuffer:
 
 
 class TestInputChecks:
-    """A size, channel or pyramid-depth mismatch is rejected before the
-    pyramid is built, naming the caller's arguments, not the coarsest
-    level's arrays."""
+    """An argument of the wrong type, or a size, channel or pyramid-depth
+    mismatch, is rejected before the pyramid is built, naming the caller's
+    arguments, not the coarsest level's arrays."""
 
     SOLVES = {
         "pose": lambda t, s, dt, ds, opts: align_pose(
@@ -267,6 +271,39 @@ class TestInputChecks:
                                              "pixels, got target 16x16$"):
             self.SOLVES[solve](_flat(16), _flat(16), depth, depth,
                                AlignOptions(pyramid_levels=6))
+
+    # One wrong-type value per argument of each solve, with the type it needs.
+    WRONG = {
+        "target": (DepthMap(np.full((16, 16), 0.5)), "ImageBuffer"),
+        "source": (np.full((16, 16, 1), 0.5), "ImageBuffer"),
+        "depth": (np.ones((16, 16)), "DepthMap"),
+        "k": (np.eye(3), "CameraIntrinsics"),
+        "init": (SE3Transform.from_translation(GT_TRANS), "Pose6DoF"),
+        "opts": ({"mode": "pose_only"}, "AlignOptions"),
+    }
+
+    @pytest.mark.parametrize("solve, name, kind", [
+        *(("pose", name, name) for name in ("target", "source", "depth", "k", "init", "opts")),
+        *(("pair", name, kind) for name, kind in (
+            ("target", "target"), ("source", "source"), ("depth_target", "depth"),
+            ("depth_source", "depth"), ("k", "k"), ("init_forward", "init"),
+            ("init_backward", "init"), ("opts", "opts"))),
+    ])
+    def test_wrong_type_named(self, solve, name, kind):
+        depth, pose = DepthMap(np.ones((16, 16))), Pose6DoF(np.zeros(3), GT_TRANS)
+        args = {"target": _flat(16), "source": _flat(16), "k": default_intrinsics(16, 16),
+                "opts": AlignOptions()}
+        if solve == "pose":
+            args.update(depth=depth, init=pose)
+        else:
+            args.update(depth_target=depth, depth_source=depth, init_forward=pose,
+                        init_backward=pose)
+        value, cls = self.WRONG[kind]
+        args[name] = value
+        run = align_pose if solve == "pose" else align_pose_pair
+        message = f"^{name} must be a {cls}, got {type(value).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            run(**args)
 
     def test_deepest_pyramid_the_image_allows_runs(self):
         # 16 = 2^4, so five levels reach a 1x1 image and run.
@@ -548,7 +585,7 @@ class TestZeroGradient:
         # after the one evaluation of its starting loss.
         losses = []
 
-        def loss(x):
+        def loss(x, _bound):
             losses.append(x)
             return 1.0
 
@@ -610,7 +647,7 @@ class TestStepRule:
     def test_searches_start_at_the_last_accepted_step(self, monkeypatch):
         evals, starts, accepted, nexts = [], [], [], []
 
-        def loss(x):
+        def loss(x, _bound):
             evals.append(x)
             return float(np.sum(self.A * x * x))
 
@@ -648,7 +685,8 @@ class TestStepRule:
         the 1/2 it accepted first, not at 1."""
         a = np.tile(self.A, 2)
         _, _, iters, _, history = self._solve(
-            np.ones(12), lambda x: float(np.sum(a * x * x)), lambda x: (2 * a * x, 2 * a / 3),
+            np.ones(12), lambda x, _bound: float(np.sum(a * x * x)),
+            lambda x: (2 * a * x, 2 * a / 3),
             [self._block(slice(0, 6), flip_at=2), self._block(slice(6, 12))],
             max_iters=3, pyramid_levels=1)
         assert iters == 3 and len(history) == 6
@@ -661,7 +699,8 @@ class TestStepRule:
         starts each block's first search at 1."""
         a = np.tile(self.A, 2)
         x, _, iters, converged, history = self._solve(
-            np.ones(12), lambda x: float(np.sum(a * x * x)), lambda x: (2 * a * x, 2 * a / 3),
+            np.ones(12), lambda x, _bound: float(np.sum(a * x * x)),
+            lambda x: (2 * a * x, 2 * a / 3),
             [self._block(slice(0, 6)), self._block(slice(6, 12))],
             max_iters=3, pyramid_levels=2)
         assert (iters, converged) == (6, False)
@@ -694,7 +733,7 @@ class TestModelStop:
         (coarsest first)."""
         log = []
 
-        def loss(x):
+        def loss(x, _bound):
             log[-1]["losses"] += 1
             return 1.0 + float(np.sum(x * x))
 
@@ -747,17 +786,20 @@ class TestEvaluationCounts:
     """One loss_gradients call per iteration in both align_pose modes, at
     the state the iteration starts from, two (one per direction) in the pair
     solve, each asking for the blocks its solve reads, no state evaluated
-    twice in a row in any mode, and a non-increasing history. Every loss evaluation warps through
-    egowarp.align.inverse_warp once per direction, the binding a profiler
-    wraps to count them."""
+    twice in a row in any mode, and a non-increasing history. Every loss
+    evaluation warps through egowarp.align.inverse_warp once per direction,
+    the binding a profiler wraps to count them, except an align_pose line
+    search candidate whose lambda_smo * smoothness alone exceeds its Armijo
+    bound: that one does not warp."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         """Image heights, (depth, pose) arguments and keyword arguments of
         the loss_gradients calls, the number of egowarp.align.inverse_warp
         calls, and the inverse_warp calls made by each loss evaluation
-        inside align._backtrack."""
-        counts = SimpleNamespace(grads=[], states=[], kwargs=[], warps=0, per_loss_eval=[])
+        inside align._backtrack, with that evaluation's (state, bound)."""
+        counts = SimpleNamespace(grads=[], states=[], kwargs=[], warps=0, per_loss_eval=[],
+                                 candidates=[])
         inner_grads = align_module.loss_gradients
         inner_warp = align_module.inverse_warp
         inner_backtrack = align_module._backtrack
@@ -773,10 +815,11 @@ class TestEvaluationCounts:
             return inner_warp(*args, **kwargs)
 
         def backtrack(loss_fn, *args):
-            def counted_loss(x):
+            def counted_loss(x, bound):
                 before = counts.warps
-                loss = loss_fn(x)
+                loss = loss_fn(x, bound)
                 counts.per_loss_eval.append(counts.warps - before)
+                counts.candidates.append((x, bound))
                 return loss
             return inner_backtrack(counted_loss, *args)
 
@@ -788,9 +831,9 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("mode, per_iter", [("pose_only", 1), ("pose_and_depth", 1)])
     def test_align_pose(self, counted, slanted32, mode, per_iter):
         pair, _, k, gt6 = slanted32
+        opts = AlignOptions(mode=mode, max_iters=40)
         report = align_pose(
-            pair.target, pair.source, pair.gt_depth, k, perturb_pose(gt6, 1.0, 0.02, seed=5),
-            AlignOptions(mode=mode, max_iters=40),
+            pair.target, pair.source, pair.gt_depth, k, perturb_pose(gt6, 1.0, 0.02, seed=5), opts
         )
         assert report.iters > 0
         assert len(counted.grads) == per_iter * report.iters
@@ -799,9 +842,37 @@ class TestEvaluationCounts:
         pose_only = mode == "pose_only"
         assert counted.kwargs == [{"curvature": True, "pose_only": pose_only}] * len(counted.grads)
         assert _monotone(report.loss_history)
-        # One warp per line-search evaluation, plus each level's starting loss.
-        assert counted.per_loss_eval and set(counted.per_loss_eval) == {1}
-        assert counted.warps == len(counted.per_loss_eval) + 3
+        # At most one warp per line-search evaluation, plus each level's
+        # starting loss. A candidate makes none exactly when its smoothness
+        # term alone exceeds the Armijo bound, which never happens to a
+        # pose-only candidate: its smoothness is the starting depth's.
+        targets = {t.height: t for t in image_pyramid(pair.target, opts.pyramid_levels)}
+        over = [opts.weights.lambda_smo * smoothness(d, targets[d.height]) > bound
+                for (_, d, _), bound in counted.candidates]
+        assert counted.per_loss_eval == [0 if o else 1 for o in over]
+        assert any(over) == (mode == "pose_and_depth")
+        assert counted.warps == len(counted.per_loss_eval) - sum(over) + 3
+
+    def test_skipped_candidates_fail_the_armijo_test(self, counted, slanted32):
+        """Every pose_and_depth candidate rejected without a warp has a total
+        loss, recomputed by the public loss stack, above its Armijo bound."""
+        pair, _, k, gt6 = slanted32
+        opts = AlignOptions(mode="pose_and_depth", max_iters=40)
+        align_pose(pair.target, pair.source, pair.gt_depth, k,
+                   perturb_pose(gt6, 1.0, 0.02, seed=5), opts)
+        n = opts.pyramid_levels
+        levels = {t.height: (t, s, k_l) for t, s, k_l in zip(
+            image_pyramid(pair.target, n), image_pyramid(pair.source, n),
+            intrinsics_pyramid(k, n))}
+        skipped = [c for c, warps in zip(counted.candidates, counted.per_loss_eval) if warps == 0]
+        assert skipped
+        for (pose, depth, _), bound in skipped:
+            target, source, k_l = levels[depth.height]
+            ones = WeightMask.ones(target.height, target.width)
+            recon, valid = inverse_warp(source, depth, pose, k_l)
+            total = total_loss(photometric_l1(target, recon, ones, valid),
+                               smoothness(depth, target), 0.0, 0.0, opts.weights)
+            assert total > bound
 
     def test_align_pose_pair(self, counted, slanted32):
         pair, depth_source, k, gt6 = slanted32
@@ -857,7 +928,9 @@ class TestEvaluationCounts:
     def test_pose_and_depth_warp_budget(self, counted):
         """pose_and_depth at 64^2 from 5 % depth noise and four inits: a
         failed search keeps its block's start, so a converged pose block does
-        not halve from 1 again while the depth still moves."""
+        not halve from 1 again while the depth still moves, and a depth
+        candidate whose smoothness term alone fails the Armijo test does not
+        warp."""
         k = default_intrinsics(64, 64)
         pair = render_pair(
             make_scene("slanted_plane"), SE3Transform.from_translation(GT_TRANS), k, 64, 64
@@ -870,7 +943,7 @@ class TestEvaluationCounts:
                                 perturb_pose(gt6, 1.0, 0.02, seed=seed),
                                 AlignOptions(mode="pose_and_depth", max_iters=100))
             assert report.converged and _monotone(report.loss_history)
-        assert counted.warps <= 2800
+        assert counted.warps <= 1900
 
     @pytest.mark.parametrize("size, max_warps", [(64, 45), (128, 80)])
     def test_pair_solve_warp_budget(self, counted, size, max_warps):

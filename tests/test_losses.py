@@ -37,7 +37,7 @@ from egowarp import (
     total_loss,
     warp_jacobians,
 )
-from egowarp.losses import _csum
+from egowarp.losses import _csum, _edge_weights, _smoothness, _smoothness_grad_depth
 
 
 def _img(rows) -> ImageBuffer:
@@ -164,6 +164,47 @@ class TestSmoothness:
         depth = DepthMap(np.array([[1.0], [2.0]]))
         img = _img([[0.0], [0.0]])
         assert smoothness(depth, img) == 1.0
+
+    @staticmethod
+    def _per_edge(d: np.ndarray, img: np.ndarray):
+        """(smoothness, gradient) one forward difference at a time, x edges
+        then y edges in row-major order, each weighted by np.exp of
+        -mean_c |dI| summed channel by channel (math.exp may differ from
+        numpy's by an ulp); each axis's terms are averaged by np.mean."""
+        h, w, c = img.shape
+        total, grad = 0.0, np.zeros((h, w))
+        for dy, dx in ((0, 1), (1, 0)):
+            terms = np.zeros((h - dy, w - dx))
+            if terms.size == 0:
+                continue
+            for i in range(h - dy):
+                for j in range(w - dx):
+                    q = (i + dy, j + dx)
+                    edge = 0.0
+                    for ch in range(c):
+                        edge += abs(img[q][ch] - img[i, j, ch])
+                    weight = np.exp(edge / -c)
+                    terms[i, j] = abs(d[q] - d[i, j]) * weight
+                    step = np.sign(d[q] - d[i, j]) * weight / terms.size
+                    grad[q] += step
+                    grad[i, j] -= step
+            total += float(np.mean(terms))
+        return total, grad
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 7, 1), (7, 1, 1), (9, 13, 3)])
+    def test_edge_weights_match_a_per_edge_loop(self, shape):
+        """smoothness, its depth gradient and the aligner's per-level form
+        (edge weights built once, then _smoothness per depth) are the
+        per-edge loop's, bit for bit, also on axes with no forward
+        difference."""
+        rng = np.random.default_rng(sum(shape))
+        img = ImageBuffer(rng.uniform(0.0, 1.0, shape))
+        depth = DepthMap(rng.uniform(1.0, 5.0, shape[:2]))
+        want_smo, want_grad = self._per_edge(depth.data, img.data)
+        assert smoothness(depth, img) == want_smo
+        assert _smoothness(depth.data, _edge_weights(img)) == want_smo
+        np.testing.assert_array_equal(_smoothness_grad_depth(depth, img), want_grad)
+        assert len(_edge_weights(img)) == (shape[0] > 1) + (shape[1] > 1)
 
     def test_multiscale_sums_levels(self):
         rng = np.random.default_rng(3)

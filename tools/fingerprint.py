@@ -8,7 +8,9 @@ Every workload runs at seeds 1 and 3, operations 0 and 1, untimed and
 unchecked, in a fixed directory under the system temp dir, so the paths the
 CLI prints are the same for every checkout. Each leaf of an operation's
 output prints as `workload:seed:op.path sha256`, where the path follows
-dict keys and field names with `.` and sequence indices with `[i]`. Run it
+dict keys and field names with `.` and sequence indices with `[i]`. Then
+every field of grad_check(c, 42, 3) prints as `gradcheck:c.field sha256`
+for each component c, so its errors compare at full precision. Run it
 on two checkouts, one after the other, and `diff` the outputs to see which
 results a change moved. BLAS runs on one thread, as in the benchmark.
 """
@@ -34,8 +36,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from workloads import WORKLOADS  # noqa: E402
 
+from egowarp.gradcheck import COMPONENTS, grad_check  # noqa: E402
+
 SEEDS = (1, 3)
 OPS = (0, 1)
+GRADCHECK_SEED, GRADCHECK_TRIALS = 42, 3
 WORKDIR = Path(tempfile.gettempdir()) / "egowarp-fingerprint"
 
 
@@ -89,6 +94,10 @@ def main() -> int:
                         print(path, sha)
     finally:
         shutil.rmtree(WORKDIR, ignore_errors=True)
+    for c in COMPONENTS:
+        report = grad_check(c, GRADCHECK_SEED, GRADCHECK_TRIALS)
+        for path, sha in leaves(f"gradcheck:{c}", report):
+            print(path, sha)
     return 0
 
 
