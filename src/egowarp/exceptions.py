@@ -2,9 +2,9 @@
 
 Everything derives from ValueError so callers that do not care about the
 distinction can catch one thing. Plain ValueError is raised directly for
-generic invalid arguments: empty lists, bool, misshapen or non-finite inputs
-(_check_finite), too small or non-integer counts (_check_count), and record
-fields of the wrong type (_check_type).
+generic invalid arguments: empty lists, bool, string, bytes or complex,
+misshapen or non-finite inputs (_check_finite), too small or non-integer
+counts (_check_count), and record fields of the wrong type (_check_type).
 """
 
 import numbers
@@ -37,15 +37,19 @@ def _holds_bool(value) -> bool:
 
 def _check_finite(value, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """value as a float array; raise ValueError naming the argument if it
-    holds a bool (_holds_bool; _check_count rejects bools too), lacks
-    `shape` (when given) or has a non-finite entry. A rejected scalar is
-    quoted in the message."""
+    holds a bool (_holds_bool; _check_count rejects bools too), a string,
+    bytes or a complex number, lacks `shape` (when given) or has a
+    non-finite entry. A rejected scalar is quoted in the message."""
     if _holds_bool(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    arr = np.asarray(value, dtype=float)
+    arr = np.asarray(value)
+    if arr.dtype.kind in "USc":  # float() would parse a string or drop an imaginary part
+        got = f"a {arr.dtype} array" if isinstance(value, np.ndarray) else repr(value)
+        raise ValueError(f"{name} must be real, got {got}")
+    arr = arr.astype(float, copy=False)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         got = f", got {value!r}" if arr.ndim == 0 else ""
         raise ValueError(f"{name} must be finite{got}")
     return arr

@@ -37,6 +37,7 @@ from .losses import (
     LossWeights,
     WeightMask,
     _edge_weights,
+    _smoothness,
     explainability_reg,
     loss_gradients,
     photometric_l1,
@@ -244,27 +245,36 @@ def _check_losses(rng: np.random.Generator) -> list:
     else:
         raise RuntimeError("could not draw a kink-free loss configuration")
 
-    def total(recon_l, valid_l, smo: float, m: WeightMask) -> float:
-        photo = photometric_l1(target, recon_l, m, valid_l)
-        return total_loss(photo, smo, explainability_reg(m), 0.0, weights)
+    def total(recon_l, valid_l, smo: float, m: WeightMask, reg: float) -> float:
+        return total_loss(photometric_l1(target, recon_l, m, valid_l), smo, reg, 0.0, weights)
 
-    def warped_loss(depth_arr: np.ndarray, pose_t: SE3Transform) -> float:
-        d = DepthMap(depth_arr)
-        return total(*inverse_warp(source, d, pose_t, k), smoothness(d, target), mask)
+    # Each sweep recomputes only the terms its variable moves: the mask's
+    # explainability term is built once for the depth and pose sweeps, the
+    # smoothness once for the pose and mask sweeps, and the depth sweep runs
+    # smoothness's own _smoothness on the target's edge weights, built once.
+    edges = _edge_weights(target)
+    smo = smoothness(depth, target)
+    reg = explainability_reg(mask)
+
+    def warped_loss(depth_arr: np.ndarray, pose_t: SE3Transform, smo_d: float) -> float:
+        return total(*inverse_warp(source, DepthMap(depth_arr), pose_t, k), smo_d, mask, reg)
+
+    def masked_loss(m_arr: np.ndarray) -> float:
+        m = WeightMask(m_arr)
+        return total(recon, valid, smo, m, explainability_reg(m))
 
     g = loss_gradients(target, source, depth, pose, k, mask, weights)
     # Per-pixel depth FD; a pixel also needs its smoothness edges sign-stable.
     edge_ok = np.ones((h, w), dtype=bool)
-    for ahead, behind, _ in _edge_weights(target):
+    for ahead, behind, _ in edges:
         sign_stable = np.abs(depth.data[ahead] - depth.data[behind]) > KINK_MARGIN
         edge_ok[ahead] &= sign_stable
         edge_ok[behind] &= sign_stable
     depth_ok = edge_ok & (~valid.data | stable)
-    fd_depth = _fd(lambda d: warped_loss(d, pose), depth.data, depth_ok)
-    fd_pose = _fd_pose(lambda p: warped_loss(depth.data, p), pose)
-    # Neither the warp nor smoothness depends on the mask; the sweep reuses them.
-    smo = smoothness(depth, target)
-    fd_mask = _fd(lambda m: total(recon, valid, smo, WeightMask(m)), mask.data)
+    fd_depth = _fd(lambda d: warped_loss(d, pose, _smoothness(d, edges)), depth.data, depth_ok)
+    fd_pose = _fd_pose(lambda p: warped_loss(depth.data, p, smo), pose)
+    # Neither the warp nor smoothness depends on the mask.
+    fd_mask = _fd(masked_loss, mask.data)
     return [
         ("d_depth", g.d_depth, fd_depth, depth_ok),
         ("d_pose", g.d_pose, fd_pose, None),

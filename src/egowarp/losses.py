@@ -12,11 +12,14 @@ pose_only=True it builds the pose entries alone: d_depth, d_mask, h_depth None.
 The smoothness edge weights exp(-mean_c |dI|) depend on the image alone.
 _edge_weights builds them, and smoothness, its depth gradient, gradcheck's
 edge-stability mask and the aligner share it; the aligner builds them once
-per pyramid level and runs _smoothness on them for each depth it tries.
+per pyramid level, and gradcheck once per trial, and each runs _smoothness
+on them for each depth it tries.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,8 +101,9 @@ def explainability_reg(mask: WeightMask) -> float:
     (1 / N) * sum_p -log(mask(p)); mask values are clamped to >= 1e-7 so the
     regularizer diverges no further once a mask pixel collapses.
     """
-    clamped = np.maximum(mask.data, MASK_FLOOR)
-    return float(np.mean(-np.log(clamped)))
+    logs = np.log(np.maximum(mask.data, MASK_FLOOR))
+    # The negated mean, as sum / size: negation commutes with the sum, bit for bit.
+    return -float(np.add.reduce(logs, axis=None) / logs.size)
 
 
 def _csum(x: np.ndarray) -> np.ndarray:
@@ -144,7 +148,7 @@ def _smoothness(depth: np.ndarray, edges: list) -> float:
         dd = depth[ahead] - depth[behind]
         np.abs(dd, out=dd)
         dd *= weight
-        total += float(np.mean(dd))
+        total += float(np.add.reduce(dd, axis=None) / dd.size)  # np.mean's sum / size
     return total
 
 
@@ -176,9 +180,18 @@ def multiscale_smoothness(
 def total_loss(
     photo: float, smo: float, reg: float, bf: float, weights: LossWeights
 ) -> float:
-    """photo + lambda_smo * smo + lambda_reg * reg + lambda_bf * bf."""
+    """photo + lambda_smo * smo + lambda_reg * reg + lambda_bf * bf.
+
+    Each part must be a finite real number; a bool, a string, None or an
+    array raises ValueError naming the part.
+    """
     parts = (photo, smo, reg, bf)
-    if not all(np.isfinite(p) for p in parts):
+    for name, part in zip(("photo", "smo", "reg", "bf"), parts):
+        if type(part) is not float and (
+                isinstance(part, bool) or not isinstance(part, numbers.Real)):
+            raise ValueError(f"loss component {name} must be a real number, got {part!r}")
+    if not (math.isfinite(photo) and math.isfinite(smo) and math.isfinite(reg)
+            and math.isfinite(bf)):
         raise ValueError(f"loss components must be finite, got {parts}")
     return float(
         photo

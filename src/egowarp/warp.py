@@ -40,11 +40,15 @@ numpy reduction runs several times slower on a short axis.
 The five per-pixel types (ImageBuffer, DepthMap and ValidityMask here,
 WeightMask in losses and FeatureMap in attention) share one checked base,
 _PixelArray; each states only its own rules. float64 and bool data are
-stored without a copy.
+stored without a copy. The check is one pass: the data is converted once,
+and for a float type one min and one max decide finiteness, the value range
+and DepthMap's > 0 rule, since a NaN carries through both and an infinity
+shows in one. The rules still run in their order: finite, range, then > 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -52,7 +56,7 @@ import numpy as np
 
 from .camera import (CameraIntrinsics, _channel_rows, _masked_rows, _project_grid, _rays,
                      _stacked_points, _transform_grid)
-from .exceptions import _check_finite, _holds_bool
+from .exceptions import _holds_bool
 from .se3 import SE3Transform
 
 # Tolerance for the in-bounds test; absorbs reprojection round-off at borders.
@@ -64,11 +68,12 @@ class _PixelArray:
     """Checked per-pixel array, the base of the five public per-pixel types.
 
     `data` is stored as a _DTYPE array, not copied when it already is one,
-    with the axes _AXES, at least one pixel, finite values and, when _RANGE
-    is set, values in that closed range; for a float type, bool data (a
-    bool array, or a bool at any depth of nested lists) is no number. A
-    subclass's __post_init__ adds its own rules. Every rejection is a
-    ValueError that names the type.
+    with the axes _AXES, at least one pixel, finite values, when _RANGE is
+    set values in that closed range, and when _POSITIVE is set values > 0;
+    for a float type, bool data (a bool array, or a bool at any depth of
+    nested lists) is no number, and no type takes strings, bytes or complex
+    numbers. A subclass's __post_init__ adds its own rules. Every rejection
+    is a ValueError that names the type.
     """
 
     data: np.ndarray
@@ -76,21 +81,32 @@ class _PixelArray:
     _AXES: ClassVar[str] = "hw"
     _DTYPE: ClassVar[type] = float
     _RANGE: ClassVar[tuple[float, float] | None] = None
+    _POSITIVE: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         name = type(self).__name__
         if self._DTYPE is float and _holds_bool(self.data):
             raise ValueError(f"{name} values must be a number, got a bool array")
-        data = np.asarray(self.data, dtype=self._DTYPE)
+        data = np.asarray(self.data)
+        if data.dtype.kind in "USc":
+            raise ValueError(f"{name} values must be real, got a {data.dtype} array")
+        data = data.astype(self._DTYPE, copy=False)
         if data.ndim != len(self._AXES) or data.size == 0:
             axes = ", ".join(self._AXES)
             raise ValueError(f"{name} must be a non-empty ({axes}) array, got {data.shape}")
         if self._DTYPE is float:  # bool data is finite and in [0, 1] anyway
-            _check_finite(data, f"{name} values")
+            # NaN carries through both reductions and an infinity shows in
+            # one, so the two extremes decide every value rule.
+            lo = np.minimum.reduce(data, axis=None)
+            hi = np.maximum.reduce(data, axis=None)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} values must be finite")
             if self._RANGE is not None:
                 low, high = self._RANGE
-                if data.min() < low or data.max() > high:
+                if lo < low or hi > high:
                     raise ValueError(f"{name} values must lie in [{low}, {high}]")
+            if self._POSITIVE and lo <= 0.0:
+                raise ValueError(f"{name} values must be > 0")
         object.__setattr__(self, "data", data)
 
     @property
@@ -128,10 +144,7 @@ class ImageBuffer(_PixelArray):
 class DepthMap(_PixelArray):
     """Per-pixel positive depth, shape (h, w)."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.data.min() <= 0.0:
-            raise ValueError("DepthMap values must be > 0")
+    _POSITIVE = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +171,7 @@ class ValidityMask(_PixelArray):
 def _check_same_size(a: _PixelArray, b: _PixelArray, name_a: str, name_b: str) -> None:
     """Raise ValueError naming both arguments unless a and b have the same
     size and, when both are images, the same channel count."""
-    if (a.height, a.width) != (b.height, b.width):
+    if a.data.shape[:2] != b.data.shape[:2]:
         raise ValueError(
             f"{name_a} {a.height}x{a.width} and {name_b} {b.height}x{b.width} sizes differ"
         )
@@ -186,8 +199,10 @@ def _bilinear(data: np.ndarray, u: np.ndarray, v: np.ndarray, grad: bool) -> tup
     valid = ((u >= -BORDER_EPS) & (u <= w - 1 + BORDER_EPS)
              & (v >= -BORDER_EPS) & (v <= h - 1 + BORDER_EPS))
     # out= keeps a 0-d point an array, so the in-place steps below apply.
-    fu = np.clip(u, 0.0, float(w - 1), out=np.empty(np.shape(u)))
-    fv = np.clip(v, 0.0, float(h - 1), out=np.empty(np.shape(v)))
+    fu = np.maximum(u, 0.0, out=np.empty(np.shape(u)))
+    fv = np.maximum(v, 0.0, out=np.empty(np.shape(v)))
+    np.minimum(fu, float(w - 1), out=fu)
+    np.minimum(fv, float(h - 1), out=fv)
     u0, v0 = np.minimum(np.floor(fu), max(w - 2, 0)), np.minimum(np.floor(fv), max(h - 2, 0))
     idx = v0.astype(np.intp) * w + u0.astype(np.intp)
     fu -= u0

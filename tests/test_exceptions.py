@@ -90,3 +90,24 @@ def test_member_of_the_wrong_type_rejected(make, name):
     the field, not later with an AttributeError where the member is used."""
     with pytest.raises(ValueError, match=f"^{name}$"):
         make()
+
+
+@pytest.mark.parametrize("make, name, got", [
+    (lambda: LossWeights(lambda_smo="0.1"), "loss weights", "('0.1', 0.1, 0.1)"),
+    (lambda: CameraIntrinsics("100", 100, 3, 3), "intrinsics", "('100', 100, 3, 3)"),
+    (lambda: perturb_pose(Pose6DoF(np.zeros(3), np.ones(3)), "1.0", 0.02, 1), "rot_deg",
+     "'1.0'"),
+    (lambda: perturb_pose(Pose6DoF(np.zeros(3), np.ones(3)), b"1.0", 0.02, 1), "rot_deg",
+     "b'1.0'"),
+    (lambda: Pose6DoF(np.array([0.1j, 0, 0]), np.zeros(3)), "rotation vector",
+     "a complex128 array"),
+    (lambda: DepthMap(np.full((2, 2), 1 + 1j)), "DepthMap values", "a complex128 array"),
+    (lambda: ImageBuffer([[["0.5"]]]), "ImageBuffer values", "a <U3 array"),
+], ids=["LossWeights-str", "CameraIntrinsics-str", "perturb_pose-str", "perturb_pose-bytes",
+        "Pose6DoF-complex", "DepthMap-complex", "ImageBuffer-str"])
+def test_string_or_complex_rejected(make, name, got):
+    """A float conversion would parse a string and drop an imaginary part;
+    the check names the argument instead of failing later or truncating."""
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == f"{name} must be real, got {got}"

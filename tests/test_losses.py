@@ -233,8 +233,27 @@ class TestTotalLoss:
         )
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^loss components must be finite, got \(nan, "):
             total_loss(float("nan"), 0.0, 0.0, 0.0, LossWeights())
+
+    @pytest.mark.parametrize("part", range(4), ids=["photo", "smo", "reg", "bf"])
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, np.array([0.5, 0.5]),
+                                     np.array(0.5), 0.5j],
+                             ids=["bool", "numpy-bool", "str", "None", "array", "0-d-array",
+                                  "complex"])
+    def test_part_of_the_wrong_type_named(self, part, bad):
+        """A bool would add as 1.0, and a string, None, an array or a complex
+        number would fail inside numpy or pass as an array; each is rejected
+        by its type, with the part named."""
+        parts = [0.5, 0.0, 0.0, 0.0]
+        parts[part] = bad
+        name = ("photo", "smo", "reg", "bf")[part]
+        with pytest.raises(ValueError, match=f"^loss component {name} must be a real number"):
+            total_loss(*parts, LossWeights())
+
+    def test_numpy_and_int_parts_accepted(self):
+        w = LossWeights()
+        assert total_loss(np.float64(1.0), np.float32(0.5), 1, 0, w) == pytest.approx(1.15)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

@@ -102,26 +102,47 @@ PIXEL_IDS = [cls.__name__ for cls, _, _ in PIXEL_TYPES]
 
 
 def _rejected_arrays():
+    """(cls, data, message) for each rejection, with the message in full: a
+    value rule's message is that of the first rule the data breaks, in the
+    order finite, range, then the type's own rule (ValidityMask's 0/1 rule
+    runs first)."""
     for cls, shape, bad in PIXEL_TYPES:
+        name, axes = cls.__name__, ", ".join(cls._AXES)
         cases = {
             "rank": np.ones(shape[:-1]),
             "rank+1": np.ones(shape + (1,)),
             "zero-size": np.ones((0,) + shape[1:]),
         }
-        for case, value in (("nan", np.nan), ("inf", np.inf), ("range", bad)):
-            if value is not None:
+        messages = {case: f"{name} must be a non-empty ({axes}) array, got {data.shape}"
+                    for case, data in cases.items()}
+        if cls is ValidityMask:
+            finite = out_of_range = "ValidityMask entries must be 0/1"
+        else:
+            finite = f"{name} values must be finite"
+            out_of_range = ("DepthMap values must be > 0" if cls is DepthMap
+                            else f"{name} values must lie in [0.0, 1.0]")
+        for case, entries, message in (
+                ("nan", {(1, 2): np.nan}, finite), ("inf", {(1, 2): np.inf}, finite),
+                ("nan-first", {(0, 0): np.nan}, finite), ("-inf", {(1, 2): -np.inf}, finite),
+                ("range", {(1, 2): bad}, out_of_range),
+                ("nan+range", {(0, 1): bad, (1, 2): np.nan}, finite)):
+            if None not in entries.values():
                 cases[case] = np.ones(shape)
-                cases[case][1, 2] = value
+                for at, value in entries.items():
+                    cases[case][at] = value
+                messages[case] = message
         for case, data in cases.items():
-            yield pytest.param(cls, data, id=f"{cls.__name__}-{case}")
-    yield pytest.param(ImageBuffer, np.ones((2, 3, 2)), id="ImageBuffer-channels")
+            yield pytest.param(cls, data, messages[case], id=f"{name}-{case}")
+    yield pytest.param(ImageBuffer, np.ones((2, 3, 2)),
+                       "ImageBuffer must have 1 or 3 channels, got 2", id="ImageBuffer-channels")
 
 
 class TestPixelArrays:
-    @pytest.mark.parametrize("cls, data", _rejected_arrays())
-    def test_rejection_names_the_type(self, cls, data):
-        with pytest.raises(ValueError, match=cls.__name__):
+    @pytest.mark.parametrize("cls, data, message", _rejected_arrays())
+    def test_rejection_names_the_type(self, cls, data, message):
+        with pytest.raises(ValueError) as err:
             cls(data)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("cls, shape, bad", PIXEL_TYPES, ids=PIXEL_IDS)
     def test_stored_without_copy(self, cls, shape, bad):
@@ -348,6 +369,15 @@ class TestInverseWarpIdentity:
             )
             assert valid.data.all()
             np.testing.assert_allclose(recon.data, src.data, atol=1e-12)
+
+    def test_negative_zero_keeps_its_sign(self):
+        """The reconstruction's final clip to [0, 1] keeps -0.0 as -0.0
+        (np.clip does; np.maximum(-0.0, 0.0) would return +0.0)."""
+        src = ImageBuffer(np.full((4, 5, 3), -0.0))
+        recon, valid = inverse_warp(src, DepthMap(np.full((4, 5), 2.0)), SE3Transform.identity(),
+                                    CameraIntrinsics(fx=5.0, fy=5.0, cx=2.0, cy=1.5))
+        assert valid.data.all()
+        assert np.all(recon.data == 0.0) and np.all(np.signbit(recon.data))
 
 
 class TestInverseWarpShift:

@@ -9,10 +9,11 @@ unchecked, in a fixed directory under the system temp dir, so the paths the
 CLI prints are the same for every checkout. Each leaf of an operation's
 output prints as `workload:seed:op.path sha256`, where the path follows
 dict keys and field names with `.` and sequence indices with `[i]`. Then
-every field of grad_check(c, 42, 3) prints as `gradcheck:c.field sha256`
-for each component c, so its errors compare at full precision. Run it
-on two checkouts, one after the other, and `diff` the outputs to see which
-results a change moved. BLAS runs on one thread, as in the benchmark.
+every field of grad_check(c, 42, 100) prints as `gradcheck:c.field sha256`
+for each component c, so its errors compare at full precision: the 100
+trials of tier-1's gradcheck criterion. Run it on two checkouts, one after
+the other, and `diff` the outputs to see which results a change moved.
+BLAS runs on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from egowarp.gradcheck import COMPONENTS, grad_check  # noqa: E402
 
 SEEDS = (1, 3)
 OPS = (0, 1)
-GRADCHECK_SEED, GRADCHECK_TRIALS = 42, 3
+GRADCHECK_SEED, GRADCHECK_TRIALS = 42, 100
 WORKDIR = Path(tempfile.gettempdir()) / "egowarp-fingerprint"
 
 
