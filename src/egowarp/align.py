@@ -19,19 +19,15 @@ SE(3) transformation parameterizations and on-manifold optimization",
 2010): its gradient and curvature are pulled back through C = d(F, B) /
 d(F, E), and a step retracts F and E, then sets B = E o F^-1.
 Each iteration makes one loss_gradients call per warp direction, at its
-starting state, and every block steps from that one evaluation. The call
-asks for what the iteration's blocks read: pose_only mode and both
-directions of the pair solve ask for the pose gradient and curvature
-alone (pose_only=True), and pose_and_depth for the depth block's too. In
-pose_and_depth the depth step comes from the gradient taken before the pose
-step, and its line search runs from the moved pose. Steps pass an Armijo
-test, so they never increase the loss; _backtrack's docstring states the
-step rule, including where each block's next search starts. Every level
-ends, with no line search, once every block's model predicts a decrease
--g.d/2 below MODEL_RTOL of the loss, or when an iteration moves no block,
-or at max_iters. A level whose starting loss is not finite (no valid pixel)
-is skipped, so loss histories stay finite; the next level then starts from
-the caller's depth, not an upsampled estimate.
+starting state, for the blocks the solve reads (pose_only=True except in
+pose_and_depth mode), and every block steps from it. In pose_and_depth the
+depth step comes from the gradient taken before the pose step, and its line
+search runs from the moved pose. Steps pass an Armijo test (_backtrack), so
+they never increase the loss; a block whose search fails leaves the level,
+which ends, with no line search, once every block left predicts a decrease
+-g.d/2 below MODEL_RTOL of the loss, once none is left, or at max_iters. A
+level with a non-finite starting loss (no valid pixel) is skipped, so loss
+histories stay finite, and the next level starts from the caller's depth.
 
 A loss evaluation is one inverse_warp per direction, with one exception:
 an align_pose line-search candidate whose lambda_smo * smoothness alone
@@ -127,11 +123,11 @@ class AlignReport:
     """Outcome of align_pose.
 
     A level ends for one of four reasons, each iteration counting in iters:
-    (1) every block's model predicts a decrease below MODEL_RTOL of the
-    loss; (2) an iteration moved no block: each block's Newton step did not
-    descend (as at a zero gradient), or its Armijo search found no decrease
-    within _MAX_BACKTRACKS halvings of its start step before the move fell
-    below TOL_STEP; (3) max_iters; (4) a non-finite starting loss skips it.
+    (1) every block left in it predicts a decrease below MODEL_RTOL of the
+    loss; (2) no block is left: a block leaves once its Newton step does not
+    descend (as at a zero gradient) or its Armijo search finds no decrease
+    within _MAX_BACKTRACKS halvings before the move falls below TOL_STEP;
+    (3) max_iters; (4) a non-finite starting loss skips it.
     converged is True iff the finest level ran and ended by (1) or (2): the
     step's model is exhausted, not the gradient zero; at an L1 kink it never
     is, and in pose_and_depth mode the diagonal depth step can stop short of
@@ -260,8 +256,7 @@ def _backtrack(loss_fn, retract, x, loss0, slope, direction, step):
 
     Returns (x_new, loss_new, next start) or None. None comes at once, with
     no loss evaluation, when direction does not descend, and otherwise after
-    _MAX_BACKTRACKS halvings or once the move is shorter than TOL_STEP; the
-    block then does not move and its next search starts at the same step.
+    _MAX_BACKTRACKS halvings or once the move is shorter than TOL_STEP.
     An accepted step t sets the next start by its gain ratio, the actual
     over the decrease -t s (1 - t/2) that the block's quadratic model
     predicts along its Newton step t d (as d^T H d = -s; Madsen, Nielsen &
@@ -269,7 +264,6 @@ def _backtrack(loss_fn, retract, x, loss0, slope, direction, step):
     convergence more residuals fall below the IRLS floor, the model
     underestimates the curvature and the full step overshoots, so a search
     that started at length 1 would pay a rejected evaluation per halving.
-    Each level starts every block's first search at 1.
     """
     if not slope < 0.0:
         return None
@@ -342,10 +336,12 @@ def _coarse_to_fine(x, level, opts):
     block's slope and Newton step from evaluate's result. evaluate runs once
     at the top of each iteration and every block steps from that one
     result, so a level stopped by max_iters never evaluates its last state.
-    A level converges, before any line search, at an iteration where every
-    block's model decrease -slope / 2 is below MODEL_RTOL times the loss, or
-    when an iteration moves no block. loss, converged and history describe the finest level;
-    history is its starting loss, then every accepted loss.
+    Each level starts every block at step 1, and a block whose _backtrack
+    returns None leaves it: no Newton step, search or say in the model test.
+    A level converges, before any line search, once every block left has a
+    model decrease -slope / 2 below MODEL_RTOL times the loss, or once none
+    is left. loss, converged and history describe the finest level; history
+    is its starting loss, then every accepted loss.
     """
     iters, ran = 0, False
     for li in range(opts.pyramid_levels - 1, -1, -1):
@@ -353,19 +349,19 @@ def _coarse_to_fine(x, level, opts):
         loss = loss_fn(x, np.inf)
         ran, converged = bool(np.isfinite(loss)), False
         history = [loss] if ran else []
-        starts = [1.0] * len(blocks)
+        starts = dict.fromkeys(range(len(blocks)), 1.0)  # the blocks left, in order
         for _ in range(opts.max_iters if ran else 0):
             iters += 1
             ev, converged = evaluate(x), True
-            models = [newton(ev) for newton, _ in blocks]
-            if all(-slope / 2 < MODEL_RTOL * loss for slope, _ in models):
+            models = {b: blocks[b][0](ev) for b in starts}
+            if all(-slope / 2 < MODEL_RTOL * loss for slope, _ in models.values()):
                 break
-            for b, (_, retract) in enumerate(blocks):
-                res = _backtrack(loss_fn, retract, x, loss, *models[b], starts[b])
+            for b, model in models.items():  # only an accepted search puts b back
+                res = _backtrack(loss_fn, blocks[b][1], x, loss, *model, starts.pop(b))
                 if res is not None:
                     x, loss, starts[b] = res
                     history.append(loss)
-                    converged = False
+            converged = not starts
             if converged:
                 break
     return x, loss, iters, converged, tuple(history)

@@ -26,13 +26,14 @@ their diagonal; pose columns step along the six retract_pose directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import AttentionGateParams, FeatureMap, ag_backward, ag_forward
 from .camera import CameraIntrinsics, reproject_grid, reproject_jacobian_grid
-from .exceptions import _check_count
+from .exceptions import _check_count, _check_finite
 from .losses import (
     LossWeights,
     WeightMask,
@@ -302,18 +303,21 @@ def _check_attention(rng: np.random.Generator) -> list:
         raise RuntimeError("could not draw a ReLU-stable attention configuration")
     upstream = FeatureMap(rng.normal(0.0, 1.0, (h, w, f_x)))
 
-    def loss_at(p: AttentionGateParams, x_d: np.ndarray, g_d: np.ndarray) -> float:
-        _, gated = ag_forward(FeatureMap(x_d), FeatureMap(g_d), p)
-        return float(np.sum(upstream.data * gated.data))
+    def loss_at(p: AttentionGateParams, x_m: FeatureMap, g_m: FeatureMap) -> float:
+        return float(np.sum(upstream.data * ag_forward(x_m, g_m, p)[1].data))
+
+    def bumped(name: str, a: np.ndarray) -> AttentionGateParams:  # checks that field alone
+        p, checked = copy.copy(params), _check_finite(a, name)
+        object.__setattr__(p, name, checked if checked.ndim else float(checked))
+        return p
 
     d_params, d_x, d_g = ag_backward(x, g, params, upstream)
     terms = []
     for name in ("w_x", "w_g", "psi", "b_xg", "b_psi"):
-        fd = _fd(lambda a, n=name: loss_at(replace(params, **{n: a}), x.data, g.data),
-                 getattr(params, name))
+        fd = _fd(lambda a, n=name: loss_at(bumped(n, a), x, g), getattr(params, name))
         terms.append((f"d_params.{name}", getattr(d_params, name), fd, None))
-    terms.append(("d_x", d_x.data, _fd(lambda a: loss_at(params, a, g.data), x.data), None))
-    terms.append(("d_g", d_g.data, _fd(lambda a: loss_at(params, x.data, a), g.data), None))
+    terms.append(("d_x", d_x.data, _fd(lambda a: loss_at(params, FeatureMap(a), g), x.data), None))
+    terms.append(("d_g", d_g.data, _fd(lambda a: loss_at(params, x, FeatureMap(a)), g.data), None))
     return terms
 
 
