@@ -19,15 +19,19 @@ SE(3) transformation parameterizations and on-manifold optimization",
 2010): its gradient and curvature are pulled back through C = d(F, B) /
 d(F, E), and a step retracts F and E, then sets B = E o F^-1.
 Each iteration makes one loss_gradients call per warp direction, at its
-starting state, for the blocks the solve reads (pose_only=True except in
-pose_and_depth mode), and every block steps from it. In pose_and_depth the
+starting state, for the blocks still in the level (pose_only=True unless
+the depth block is), and every block steps from it. In pose_and_depth the
 depth step comes from the gradient taken before the pose step, and its line
 search runs from the moved pose. Steps pass an Armijo test (_backtrack), so
-they never increase the loss; a block whose search fails leaves the level,
-which ends, with no line search, once every block left predicts a decrease
--g.d/2 below MODEL_RTOL of the loss, once none is left, or at max_iters. A
-level with a non-finite starting loss (no valid pixel) is skipped, so loss
-histories stay finite, and the next level starts from the caller's depth.
+they never increase the loss. A block leaves the level once its search
+fails, or once it accepts a step that lowers the loss by less than
+MODEL_RTOL of the loss before it (the block keeps that step): a block that
+no longer moves the loss costs no more searches there, as in
+block-coordinate descent (Tseng, JOTA 2001). A level ends, with no line
+search, once every block left predicts a decrease -g.d/2 below MODEL_RTOL
+of the loss, once none is left, or at max_iters. A level with a non-finite
+starting loss (no valid pixel) is skipped, so loss histories stay finite,
+and the next level starts from the caller's depth.
 
 A loss evaluation is one inverse_warp per direction, with one exception:
 an align_pose line-search candidate whose lambda_smo * smoothness alone
@@ -80,7 +84,8 @@ GAIN_HIGH = 0.75
 GAIN_LOW = 0.25
 TOL_STEP = 1e-6
 # A level ends once every block's model decrease -g.d/2 is below this
-# fraction of the loss.
+# fraction of the loss, and a block leaves it once a step it accepts lowers
+# the loss by less than this fraction of the loss before that step.
 MODEL_RTOL = 1e-4
 _MAX_BACKTRACKS = 10
 # Depth estimates are kept above this during projected steps.
@@ -125,9 +130,11 @@ class AlignReport:
     A level ends for one of four reasons, each iteration counting in iters:
     (1) every block left in it predicts a decrease below MODEL_RTOL of the
     loss; (2) no block is left: a block leaves once its Newton step does not
-    descend (as at a zero gradient) or its Armijo search finds no decrease
-    within _MAX_BACKTRACKS halvings before the move falls below TOL_STEP;
-    (3) max_iters; (4) a non-finite starting loss skips it.
+    descend (as at a zero gradient), once its Armijo search finds no
+    decrease within _MAX_BACKTRACKS halvings before the move falls below
+    TOL_STEP, or once its search accepts a step that lowers the loss by less
+    than MODEL_RTOL of the loss before it (the step is kept); (3) max_iters;
+    (4) a non-finite starting loss skips it.
     converged is True iff the finest level ran and ended by (1) or (2): the
     step's model is exhausted, not the gradient zero; at an L1 kink it never
     is, and in pose_and_depth mode the diagonal depth step can stop short of
@@ -179,7 +186,7 @@ def perturb_pose(
 
 
 def _direction(target: ImageBuffer, source: ImageBuffer, k: CameraIntrinsics,
-               weights: LossWeights, pose_only: bool):
+               weights: LossWeights):
     """One warp direction at one level: (loss(pose, depth, smo, bound),
     grads(pose, depth)).
 
@@ -188,9 +195,9 @@ def _direction(target: ImageBuffer, source: ImageBuffer, k: CameraIntrinsics,
     It is +inf too, with no warp, when lambda_smo * smo > bound: the total
     adds the photometric term, which is >= 0, to that product first, so it
     would exceed bound as well. grads is the direction's one loss_gradients
-    call, with curvature, and with pose_only it asks for the pose block
-    alone. Both use the level's all-ones mask, whose explainability term is
-    the constant 0.
+    call, with curvature, and with pose_only (the default) it asks for the
+    pose block alone. Both use the level's all-ones mask, whose
+    explainability term is the constant 0.
     """
     ones = WeightMask.ones(target.height, target.width)
 
@@ -204,7 +211,7 @@ def _direction(target: ImageBuffer, source: ImageBuffer, k: CameraIntrinsics,
             return float("inf")
         return total_loss(photo, smo, 0.0, 0.0, weights)
 
-    def grads(pose: SE3Transform, depth: DepthMap):
+    def grads(pose: SE3Transform, depth: DepthMap, pose_only: bool = True):
         return loss_gradients(target, source, depth, pose, k, ones, weights, curvature=True,
                               pose_only=pose_only)
 
@@ -330,18 +337,22 @@ def _coarse_to_fine(x, level, opts):
     """Levels coarsest to finest; returns (x, loss, iters, converged, history).
 
     level(li, x, ran) gives level li's (starting state, loss(x, bound),
-    evaluate(x), blocks); loss gets _backtrack's Armijo bound, and inf for
-    the level's starting loss; ran says whether level li + 1 ran (was not
-    skipped). A block is (newton(ev), retract(x, delta)): newton gives the
-    block's slope and Newton step from evaluate's result. evaluate runs once
-    at the top of each iteration and every block steps from that one
-    result, so a level stopped by max_iters never evaluates its last state.
-    Each level starts every block at step 1, and a block whose _backtrack
-    returns None leaves it: no Newton step, search or say in the model test.
-    A level converges, before any line search, once every block left has a
-    model decrease -slope / 2 below MODEL_RTOL times the loss, or once none
-    is left. loss, converged and history describe the finest level; history
-    is its starting loss, then every accepted loss.
+    evaluate(x, left), blocks); loss gets _backtrack's Armijo bound, and inf
+    for the level's starting loss; ran says whether level li + 1 ran (was
+    not skipped). A block is (newton(ev), retract(x, delta)): newton gives
+    the block's slope and Newton step from evaluate's result. evaluate runs
+    once at the top of each iteration, and left holds the indices of the
+    blocks still in the level, the only ones that read its result; every
+    block steps from that one result, so a level stopped by max_iters never
+    evaluates its last state. Each level starts every block at step 1. A
+    block leaves the level when its _backtrack returns None, or when the
+    step it accepts lowers the loss by less than MODEL_RTOL times the loss
+    before it (x keeps that step): no Newton step, search or say in the
+    model test after that. A level converges, before any line search, once
+    every block left has a model decrease -slope / 2 below MODEL_RTOL times
+    the loss, or once none is left. loss, converged and history describe
+    the finest level; history is its starting loss, then every accepted
+    loss.
     """
     iters, ran = 0, False
     for li in range(opts.pyramid_levels - 1, -1, -1):
@@ -352,15 +363,19 @@ def _coarse_to_fine(x, level, opts):
         starts = dict.fromkeys(range(len(blocks)), 1.0)  # the blocks left, in order
         for _ in range(opts.max_iters if ran else 0):
             iters += 1
-            ev, converged = evaluate(x), True
+            ev, converged = evaluate(x, starts), True
             models = {b: blocks[b][0](ev) for b in starts}
             if all(-slope / 2 < MODEL_RTOL * loss for slope, _ in models.values()):
                 break
-            for b, model in models.items():  # only an accepted search puts b back
+            for b, model in models.items():  # only a search that gains puts b back
                 res = _backtrack(loss_fn, blocks[b][1], x, loss, *model, starts.pop(b))
-                if res is not None:
-                    x, loss, starts[b] = res
-                    history.append(loss)
+                if res is None:
+                    continue
+                x, new_loss, start = res
+                if loss - new_loss >= MODEL_RTOL * loss:
+                    starts[b] = start
+                loss = new_loss
+                history.append(loss)
             converged = not starts
             if converged:
                 break
@@ -396,7 +411,7 @@ def align_pose(
         t_l, s_l, k_l, d_l = levels[li]  # the caller's depth, also after a skipped level
         if refine_depth and ran:  # hand the coarser level's estimate up
             d_l = _floored(upsample2x(x[1].data, t_l.height, t_l.width))
-        loss_l, grads_l = _direction(t_l, s_l, k_l, opts.weights, pose_only=not refine_depth)
+        loss_l, grads_l = _direction(t_l, s_l, k_l, opts.weights)
         edges = _edge_weights(t_l)  # the target's, shared by every depth of the level
 
         def retract_depth(x, delta):  # projected above DEPTH_FLOOR
@@ -407,8 +422,9 @@ def align_pose(
                    lambda x, delta: (retract_pose(x[0], delta), *x[1:]))]
         if refine_depth:
             blocks.append((lambda g: _diagonal_newton(g.d_depth, g.h_depth), retract_depth))
+        # Block 1, the depth block, is the only one that reads the depth rows.
         return ((x[0], d_l, _smoothness(d_l.data, edges)), lambda x, bound: loss_l(*x, bound),
-                lambda x: grads_l(*x[:2]), blocks)
+                lambda x, left: grads_l(*x[:2], pose_only=1 not in left), blocks)
 
     (pose, depth_est, _), loss, iters, converged, history = _coarse_to_fine(
         (init.to_transform(), None, None), level, opts
@@ -449,8 +465,8 @@ def align_pose_pair(
 
     def level(li: int, poses: tuple[SE3Transform, SE3Transform], _ran: bool):
         t_l, s_l, k_l, d_t, d_s = levels[li]
-        loss_f, grads_f = _direction(t_l, s_l, k_l, w, pose_only=True)
-        loss_b, grads_b = _direction(s_l, t_l, k_l, w, pose_only=True)
+        loss_f, grads_f = _direction(t_l, s_l, k_l, w)
+        loss_b, grads_b = _direction(s_l, t_l, k_l, w)
         smo_f, smo_b = smoothness(d_t, t_l), smoothness(d_s, s_l)
 
         def loss_fn(poses, _bound):  # inf when either direction has no valid pixel
@@ -458,7 +474,7 @@ def align_pose_pair(
             return (loss_f(fwd, d_t, smo_f) + loss_b(bwd, d_s, smo_b)
                     + w.lambda_bf * bf_consistency_loss([(fwd, bwd)]))
 
-        def evaluate(poses):  # the 12-vector gradient and IRLS curvature in (F, E)
+        def evaluate(poses, _left):  # the 12-vector gradient and IRLS curvature in (F, E)
             fwd, bwd = poses
             g_f, g_b = grads_f(fwd, d_t), grads_b(bwd, d_s)
             e, jac = bf_residual_jacobian(fwd, bwd)

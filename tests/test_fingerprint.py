@@ -1,6 +1,7 @@
 """tools/fingerprint.py's walker over an operation's output: equal outputs
 print equal lines, and a 1-ulp move of one array entry changes that leaf's
-line and no other."""
+line and no other, and reads as a relative move of about 1e-16 there and 0
+on every other numeric leaf."""
 
 import importlib.util
 from pathlib import Path
@@ -58,3 +59,30 @@ def test_one_ulp_changes_that_leaf_alone(bump, path):
 def test_unknown_leaf_type_rejected():
     with pytest.raises(TypeError, match="wl:1:0.x"):
         _lines({"x": object()})
+
+
+@pytest.mark.parametrize("bump, path", [
+    ("d_pose", "wl:1:0.grads.d_pose"),
+    ("depth", "wl:1:0.report.depth.data"),
+])
+def test_one_ulp_moves_that_leaf_alone_by_about_1e_16(tmp_path, bump, path):
+    """Saved and reloaded, a 1-ulp bump of one entry reads as a relative
+    move of about 1e-16 on its leaf and 0 on every other numeric leaf."""
+    files = tmp_path / "before.npz", tmp_path / "after.npz"
+    for file, out in zip(files, (_output(), _output(bump))):
+        np.savez(file, **fingerprint.numeric_leaves("wl:1:0", out))
+    before, after = (fingerprint.load(str(f)) for f in files)
+    assert before.keys() == after.keys()
+    assert "wl:1:0.report.iters" in before and "wl:1:0.report.converged" not in before
+    moved = fingerprint.moves(before, after)
+    assert moved.keys() == before.keys()
+    assert 5e-17 < moved.pop(path) < 5e-16
+    assert set(moved.values()) == {0.0}
+
+
+@pytest.mark.parametrize("a, b, move", [
+    ([0.0], [0.0], 0.0), ([0.0], [1e-300], np.inf), ([np.nan], [np.nan], 0.0),
+    ([1.0], [np.nan], np.inf), ([2.0, 4.0], [2.0, 5.0], 0.25), ([1.0], [1.0, 1.0], np.inf),
+])
+def test_largest_move(a, b, move):
+    assert fingerprint.largest_move(np.array(a), np.array(b)) == move
