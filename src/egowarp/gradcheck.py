@@ -22,6 +22,11 @@ Components (one random configuration per trial):
              scalar <upstream, gated> of ag_forward.
 Per-pixel maps depend on depth(p) alone, so one whole-map depth step gives
 their diagonal; pose columns step along the six retract_pose directions.
+The losses depth sweep and the attention x and g sweeps still evaluate their
+scalar per entry, but run inverse_warp or ag_forward once per sign on the
+whole map stepped (per feature for x and g): an entry's recon and validity,
+or gated, are the unstepped ones with its pixel taken from that run, bit for
+bit a direct call's, since both maps do per-position arithmetic only.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .se3 import SE3Transform, exp_so3, retract_pose
 from .warp import (
     DepthMap,
     ImageBuffer,
+    ValidityMask,
     inverse_warp,
     pixel_grid,
     warp_jacobians,
@@ -125,6 +131,32 @@ def _fd(f, x: np.ndarray, include: np.ndarray | None = None) -> np.ndarray:
     for idx in np.ndindex(fd.shape):
         if include is None or include[idx]:
             fd[idx] = _central(f, lambda eps: _bumped(x, idx, eps))
+    return fd
+
+
+def _fd_local(
+    f, maps, base: tuple, x: np.ndarray, include: np.ndarray | None = None
+) -> np.ndarray:
+    """Central differences of f(maps(x), x) along each entry of an (h, w, ...)
+    array x (0 outside include), where maps(x) is a tuple of arrays whose
+    position (i, j) depends on x[i, j] alone, and base is maps(x). maps runs
+    once per sign and trailing index c, on x moved at [..., *c]; entry
+    (i, j, *c)'s maps are base with (i, j) taken from that run."""
+
+    def spliced(stepped: tuple, pos: tuple) -> tuple:
+        out = tuple(b.copy() for b in base)
+        for o, m in zip(out, stepped):
+            o[pos] = m[pos]
+        return out
+
+    fd = np.zeros(np.shape(x))
+    for c in np.ndindex(fd.shape[2:]):
+        stepped = {eps: maps(_bumped(x, (..., *c), eps)) for eps in (FD_STEP, -FD_STEP)}
+        for pos in np.ndindex(fd.shape[:2]):
+            idx = pos + c
+            if include is None or include[idx]:
+                fd[idx] = _central(lambda moved: f(*moved), lambda eps: (
+                    spliced(stepped[eps], pos), _bumped(x, idx, eps)))
     return fd
 
 
@@ -257,8 +289,12 @@ def _check_losses(rng: np.random.Generator) -> list:
     smo = smoothness(depth, target)
     reg = explainability_reg(mask)
 
-    def warped_loss(depth_arr: np.ndarray, pose_t: SE3Transform, smo_d: float) -> float:
-        return total(*inverse_warp(source, DepthMap(depth_arr), pose_t, k), smo_d, mask, reg)
+    def warp_maps(depth_arr: np.ndarray) -> tuple:
+        return tuple(m.data for m in inverse_warp(source, DepthMap(depth_arr), pose, k))
+
+    def depth_loss(maps: tuple, depth_arr: np.ndarray) -> float:
+        recon_d, valid_d = ImageBuffer(maps[0]), ValidityMask(maps[1])
+        return total(recon_d, valid_d, _smoothness(depth_arr, edges), mask, reg)
 
     def masked_loss(m_arr: np.ndarray) -> float:
         m = WeightMask(m_arr)
@@ -272,8 +308,9 @@ def _check_losses(rng: np.random.Generator) -> list:
         edge_ok[ahead] &= sign_stable
         edge_ok[behind] &= sign_stable
     depth_ok = edge_ok & (~valid.data | stable)
-    fd_depth = _fd(lambda d: warped_loss(d, pose, _smoothness(d, edges)), depth.data, depth_ok)
-    fd_pose = _fd_pose(lambda p: warped_loss(depth.data, p, smo), pose)
+    fd_depth = _fd_local(depth_loss, warp_maps, (recon.data, valid.data), depth.data, depth_ok)
+    fd_pose = _fd_pose(
+        lambda p: total(*inverse_warp(source, depth, p, k), smo, mask, reg), pose)
     # Neither the warp nor smoothness depends on the mask.
     fd_mask = _fd(masked_loss, mask.data)
     return [
@@ -303,8 +340,11 @@ def _check_attention(rng: np.random.Generator) -> list:
         raise RuntimeError("could not draw a ReLU-stable attention configuration")
     upstream = FeatureMap(rng.normal(0.0, 1.0, (h, w, f_x)))
 
-    def loss_at(p: AttentionGateParams, x_m: FeatureMap, g_m: FeatureMap) -> float:
-        return float(np.sum(upstream.data * ag_forward(x_m, g_m, p)[1].data))
+    def gated(x_m: FeatureMap, g_m: FeatureMap, p: AttentionGateParams = params) -> tuple:
+        return (ag_forward(x_m, g_m, p)[1].data,)
+
+    def gated_loss(maps: tuple, _=None) -> float:
+        return float(np.sum(upstream.data * maps[0]))
 
     def bumped(name: str, a: np.ndarray) -> AttentionGateParams:  # checks that field alone
         p, checked = copy.copy(params), _check_finite(a, name)
@@ -314,11 +354,12 @@ def _check_attention(rng: np.random.Generator) -> list:
     d_params, d_x, d_g = ag_backward(x, g, params, upstream)
     terms = []
     for name in ("w_x", "w_g", "psi", "b_xg", "b_psi"):
-        fd = _fd(lambda a, n=name: loss_at(bumped(n, a), x, g), getattr(params, name))
+        fd = _fd(lambda a, n=name: gated_loss(gated(x, g, bumped(n, a))), getattr(params, name))
         terms.append((f"d_params.{name}", getattr(d_params, name), fd, None))
-    terms.append(("d_x", d_x.data, _fd(lambda a: loss_at(params, FeatureMap(a), g), x.data), None))
-    terms.append(("d_g", d_g.data, _fd(lambda a: loss_at(params, x, FeatureMap(a)), g.data), None))
-    return terms
+    base = gated(x, g)
+    fd_x = _fd_local(gated_loss, lambda a: gated(FeatureMap(a), g), base, x.data)
+    fd_g = _fd_local(gated_loss, lambda a: gated(x, FeatureMap(a)), base, g.data)
+    return terms + [("d_x", d_x.data, fd_x, None), ("d_g", d_g.data, fd_g, None)]
 
 
 _CHECKERS = {

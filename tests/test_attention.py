@@ -124,6 +124,44 @@ class TestAgForward:
             ag_forward(x, g, _scalar_params())
 
 
+class TestAgForwardLocality:
+    """alpha and gated at a position depend on that position's x and g
+    alone, the property gradcheck's spliced x and g sweeps rest on: bumping
+    one entry of x or g changes both at its position only, to the values a
+    bump of that feature at every position gives there, bit for bit. Brute
+    force over every entry, with no ReLU margin."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("which", ["x", "g"])
+    def test_one_entry_bump_moves_that_position_alone(self, seed, which):
+        rng = np.random.default_rng([11, seed])
+        h, w = (int(n) for n in rng.integers(2, 5, 2))
+        f_x, f_g, f_int = (int(n) for n in rng.integers(1, 5, 3))
+        maps = {"x": rng.normal(size=(h, w, f_x)), "g": rng.normal(size=(h, w, f_g))}
+        params = AttentionGateParams(
+            w_x=rng.normal(size=(f_x, f_int)), w_g=rng.normal(size=(f_g, f_int)),
+            psi=rng.normal(size=f_int), b_xg=rng.normal(size=f_int), b_psi=float(rng.normal()))
+
+        def forward(arr):
+            moved = dict(maps, **{which: arr})
+            alpha, gated = ag_forward(FeatureMap(moved["x"]), FeatureMap(moved["g"]), params)
+            return alpha.data, gated.data
+
+        base = forward(maps[which])
+        for eps in (1e-5, -1e-5, 1.5):
+            for f in range(maps[which].shape[2]):
+                whole_arr = maps[which].copy()
+                whole_arr[..., f] += eps
+                whole = forward(whole_arr)
+                for p in np.ndindex(h, w):
+                    bumped = maps[which].copy()
+                    bumped[p + (f,)] += eps
+                    for got, b, wh in zip(forward(bumped), base, whole):
+                        want = b.copy()
+                        want[p] = wh[p]
+                        assert got.tobytes() == want.tobytes(), (eps, f, p)
+
+
 class TestGateParams:
     @pytest.mark.parametrize(
         "field, value, message",

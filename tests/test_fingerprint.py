@@ -1,7 +1,8 @@
 """tools/fingerprint.py's walker over an operation's output: equal outputs
 print equal lines, and a 1-ulp move of one array entry changes that leaf's
 line and no other, and reads as a relative move of about 1e-16 there and 0
-on every other numeric leaf."""
+on every other numeric leaf. The gradcheck lines cover every term of trials
+0 and 1, so a moved finite difference shows on its own line."""
 
 import importlib.util
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egowarp import AlignReport, DepthMap, LossGradients, Pose6DoF
+from egowarp import AlignReport, DepthMap, LossGradients, Pose6DoF, gradcheck
 
 _SPEC = importlib.util.spec_from_file_location(
     "fingerprint", Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py")
@@ -86,3 +87,44 @@ def test_one_ulp_moves_that_leaf_alone_by_about_1e_16(tmp_path, bump, path):
 ])
 def test_largest_move(a, b, move):
     assert fingerprint.largest_move(np.array(a), np.array(b)) == move
+
+
+def _gradcheck_lines(monkeypatch):
+    monkeypatch.setattr(fingerprint, "GRADCHECK_TRIALS", 1)  # the term lines do not read it
+    return [f"{path} {sha}" for name, out in fingerprint.gradcheck_outputs()
+            for path, sha in fingerprint.leaves(name, out)]
+
+
+def test_gradcheck_lines_cover_every_term_of_two_trials(monkeypatch):
+    lines = _gradcheck_lines(monkeypatch)
+    assert lines == _gradcheck_lines(monkeypatch)
+    paths = [line.split()[0] for line in lines]
+    assert len(set(paths)) == len(paths)
+    for c in gradcheck.COMPONENTS:
+        assert f"gradcheck:{c}.max_rel_err" in paths
+        for i in (0, 1):
+            names = [t[0] for t in gradcheck._CHECKERS[c](np.random.default_rng([42, i]))]
+            got = sorted(p for p in paths if p.startswith(f"gradcheck:{c}:{i}."))
+            assert got == sorted(f"gradcheck:{c}:{i}.{n}.{part}" for n in names
+                                 for part in ("analytic", "fd", "include"))
+    numeric = fingerprint.numeric_leaves("gradcheck:losses:0", fingerprint.terms("losses", 0))
+    assert "gradcheck:losses:0.d_depth.fd" in numeric
+    assert "gradcheck:losses:0.d_depth.include" not in numeric  # bool
+
+
+def test_one_ulp_in_one_fd_entry_changes_that_line_alone(monkeypatch):
+    inner = gradcheck._CHECKERS["losses"]
+
+    def moved(rng):
+        terms = inner(rng)
+        name, analytic, fd, include = terms[0]
+        fd = fd.copy()
+        idx = tuple(np.argwhere(include)[0])
+        fd[idx] = np.nextafter(fd[idx], np.inf)
+        return [(name, analytic, fd, include)] + terms[1:]
+
+    before = _lines(fingerprint.terms("losses", 1))
+    monkeypatch.setitem(gradcheck._CHECKERS, "losses", moved)
+    after = _lines(fingerprint.terms("losses", 1))
+    changed = [a.split()[0] for a, b in zip(before, after, strict=True) if a != b]
+    assert changed == ["wl:1:0.d_depth.fd"]

@@ -8,13 +8,28 @@ self-test: corrupting every analytic entry by c * (1 + |entry|), through a
 wrapped checker, guarantees a reported relative error of at least
 c / (1 + c) under the checker's unit-floored error measure, so c = 1e-2
 must push the report well above the 1e-4 pass threshold.
+
+The losses depth sweep and the attention x and g sweeps splice each entry's
+map from one whole-map step per sign; TestSplicedSweeps pins their terms to
+the brute-force per-entry sweeps below, one fresh inverse_warp or ag_forward
+per bump.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 from egowarp import grad_check, gradcheck
-from egowarp.gradcheck import COMPONENTS
+from egowarp.attention import AttentionGateParams, FeatureMap, ag_backward, ag_forward
+from egowarp.camera import CameraIntrinsics
+from egowarp.exceptions import _check_finite
+from egowarp.gradcheck import (COMPONENTS, KINK_MARGIN, _MAX_DRAWS, _edge_weights, _fd,
+                               _fd_pose, _random_depth, _random_image, _random_small_pose,
+                               _smoothness, _stable_pixels)
+from egowarp.losses import (LossWeights, WeightMask, explainability_reg, loss_gradients,
+                            photometric_l1, smoothness, total_loss)
+from egowarp.warp import DepthMap, inverse_warp
 
 PASS_TOL = 1e-4
 
@@ -132,3 +147,113 @@ class TestValidation:
     def test_numpy_integer_counts_accepted(self):
         report = grad_check("reproject", seed=np.int64(7), trials=np.int32(2))
         assert report.trials == 2
+
+
+def _per_entry_losses(rng: np.random.Generator) -> list:
+    """_check_losses with its depth sweep warping once per bump: the oracle."""
+    h = w = 8
+    k = CameraIntrinsics(8.0, 8.0, 3.5, 3.5)
+    for _ in range(_MAX_DRAWS):
+        target = _random_image(rng, h, w)
+        source = _random_image(rng, h, w)
+        depth = _random_depth(rng, h, w)
+        pose = _random_small_pose(rng)
+        mask = WeightMask(rng.uniform(0.2, 0.9, (h, w)))
+        weights = LossWeights(
+            lambda_smo=rng.uniform(0.05, 0.2),
+            lambda_reg=rng.uniform(0.05, 0.2),
+            lambda_bf=0.1,
+        )
+        recon, valid = inverse_warp(source, depth, pose, k)
+        stable, outside = _stable_pixels(source, depth, pose, k)
+        diff_ok = np.min(np.abs(target.data - recon.data), axis=2) > KINK_MARGIN
+        if np.all(np.where(valid.data, stable & diff_ok, outside)):
+            break
+
+    def total(recon_l, valid_l, smo: float, m: WeightMask, reg: float) -> float:
+        return total_loss(photometric_l1(target, recon_l, m, valid_l), smo, reg, 0.0, weights)
+
+    edges = _edge_weights(target)
+    smo = smoothness(depth, target)
+    reg = explainability_reg(mask)
+
+    def warped_loss(depth_arr: np.ndarray, pose_t, smo_d: float) -> float:
+        return total(*inverse_warp(source, DepthMap(depth_arr), pose_t, k), smo_d, mask, reg)
+
+    def masked_loss(m_arr: np.ndarray) -> float:
+        m = WeightMask(m_arr)
+        return total(recon, valid, smo, m, explainability_reg(m))
+
+    g = loss_gradients(target, source, depth, pose, k, mask, weights)
+    edge_ok = np.ones((h, w), dtype=bool)
+    for ahead, behind, _ in edges:
+        sign_stable = np.abs(depth.data[ahead] - depth.data[behind]) > KINK_MARGIN
+        edge_ok[ahead] &= sign_stable
+        edge_ok[behind] &= sign_stable
+    depth_ok = edge_ok & (~valid.data | stable)
+    fd_depth = _fd(lambda d: warped_loss(d, pose, _smoothness(d, edges)), depth.data, depth_ok)
+    fd_pose = _fd_pose(lambda p: warped_loss(depth.data, p, smo), pose)
+    fd_mask = _fd(masked_loss, mask.data)
+    return [
+        ("d_depth", g.d_depth, fd_depth, depth_ok),
+        ("d_pose", g.d_pose, fd_pose, None),
+        ("d_mask", g.d_mask, fd_mask, None),
+    ]
+
+
+def _per_entry_attention(rng: np.random.Generator) -> list:
+    """_check_attention with its x and g sweeps gating once per bump: the oracle."""
+    for _ in range(_MAX_DRAWS):
+        f_x, f_g, f_int = (int(n) for n in rng.integers(1, 5, 3))
+        h, w = (int(n) for n in rng.integers(2, 4, 2))
+        x = FeatureMap(rng.normal(0.0, 1.0, (h, w, f_x)))
+        g = FeatureMap(rng.normal(0.0, 1.0, (h, w, f_g)))
+        params = AttentionGateParams(
+            w_x=rng.normal(0.0, 0.6, (f_x, f_int)),
+            w_g=rng.normal(0.0, 0.6, (f_g, f_int)),
+            psi=rng.normal(0.0, 0.6, f_int),
+            b_xg=rng.normal(0.0, 0.6, f_int),
+            b_psi=float(rng.normal(0.0, 0.6)),
+        )
+        pre = x.data @ params.w_x + g.data @ params.w_g + params.b_xg
+        if np.min(np.abs(pre)) > KINK_MARGIN:
+            break
+    upstream = FeatureMap(rng.normal(0.0, 1.0, (h, w, f_x)))
+
+    def loss_at(p: AttentionGateParams, x_m: FeatureMap, g_m: FeatureMap) -> float:
+        return float(np.sum(upstream.data * ag_forward(x_m, g_m, p)[1].data))
+
+    def bumped(name: str, a: np.ndarray) -> AttentionGateParams:
+        p, checked = copy.copy(params), _check_finite(a, name)
+        object.__setattr__(p, name, checked if checked.ndim else float(checked))
+        return p
+
+    d_params, d_x, d_g = ag_backward(x, g, params, upstream)
+    terms = []
+    for name in ("w_x", "w_g", "psi", "b_xg", "b_psi"):
+        fd = _fd(lambda a, n=name: loss_at(bumped(n, a), x, g), getattr(params, name))
+        terms.append((f"d_params.{name}", getattr(d_params, name), fd, None))
+    terms.append(("d_x", d_x.data, _fd(lambda a: loss_at(params, FeatureMap(a), g), x.data), None))
+    terms.append(("d_g", d_g.data, _fd(lambda a: loss_at(params, x, FeatureMap(a)), g.data), None))
+    return terms
+
+
+def _assert_equal_terms(got: list, want: list) -> None:
+    assert [t[0] for t in got] == [t[0] for t in want]
+    for (name, *arrays), (_, *oracle) in zip(got, want):
+        for part, a, b in zip(("analytic", "fd", "include"), arrays, oracle):
+            assert (a is None) == (b is None), (name, part)
+            assert a is None or np.array_equal(a, b), (name, part)
+
+
+# Seed 42 is tier-1's gradcheck seed; 1 and 3 are the seeds cli-rgb-128 runs.
+_SWEEP_TRIALS = [(42, i) for i in range(10)] + [(s, i) for s in (1, 3) for i in range(3)]
+
+
+class TestSplicedSweeps:
+    @pytest.mark.parametrize("component, oracle", [
+        ("losses", _per_entry_losses), ("attention", _per_entry_attention)])
+    @pytest.mark.parametrize("seed, trial", _SWEEP_TRIALS)
+    def test_terms_equal_the_per_entry_sweeps(self, component, oracle, seed, trial):
+        got = gradcheck._CHECKERS[component](np.random.default_rng([seed, trial]))
+        _assert_equal_terms(got, oracle(np.random.default_rng([seed, trial])))

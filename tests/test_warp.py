@@ -27,6 +27,7 @@ from egowarp import (
     WeightMask,
     align_pose,
     align_pose_pair,
+    exp_so3,
     inverse_warp,
     loss_gradients,
     photometric_l1,
@@ -424,6 +425,39 @@ class TestInverseWarpShift:
         src = ImageBuffer.grayscale(np.ones((8, 8)))
         with pytest.raises(ValueError):
             inverse_warp(src, DepthMap(np.ones((4, 4))), SE3Transform.identity(), k)
+
+
+class TestInverseWarpLocality:
+    """A pixel's recon and validity depend on its own depth alone, the
+    property gradcheck's spliced depth sweep rests on: bumping depth at p
+    changes both at p only, to the values a whole-map bump gives there,
+    bit for bit. Brute force over every pixel, on random gray and RGB
+    frames with pixels out of frame; the seeds' large bumps flip some
+    pixel's validity."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4, 5, 6])
+    def test_one_pixel_bump_moves_that_pixel_alone(self, seed):
+        rng = np.random.default_rng([7, seed])
+        h, w = (int(n) for n in rng.integers(4, 8, 2))
+        k = CameraIntrinsics(*rng.uniform(5.0, 9.0, 2), (w - 1) / 2, (h - 1) / 2)
+        src = ImageBuffer(rng.uniform(0.0, 1.0, (h, w, (1, 3)[seed % 2])))
+        depth = rng.uniform(1.5, 4.0, (h, w))
+        pose = SE3Transform(exp_so3(rng.uniform(-0.1, 0.1, 3)), rng.uniform(-0.6, 0.6, 3))
+        recon, valid = inverse_warp(src, DepthMap(depth), pose, k)
+        assert valid.data.any() and not valid.data.all()
+        flips = 0
+        for eps in (1e-5, -1e-5, 0.7, -0.7):
+            whole_recon, whole_valid = inverse_warp(src, DepthMap(depth + eps), pose, k)
+            for p in np.ndindex(h, w):
+                bumped = depth.copy()
+                bumped[p] += eps
+                got_recon, got_valid = inverse_warp(src, DepthMap(bumped), pose, k)
+                want_recon, want_valid = recon.data.copy(), valid.data.copy()
+                want_recon[p], want_valid[p] = whole_recon.data[p], whole_valid.data[p]
+                assert got_recon.data.tobytes() == want_recon.tobytes(), (eps, p)
+                assert got_valid.data.tobytes() == want_valid.tobytes(), (eps, p)
+                flips += bool(got_valid.data[p] != valid.data[p])
+        assert flips > 0
 
 
 class TestWarpJacobians:

@@ -11,8 +11,11 @@ output prints as `workload:seed:op.path sha256`, where the path follows
 dict keys and field names with `.` and sequence indices with `[i]`. Then
 every field of grad_check(c, 42, 100) prints as `gradcheck:c.field sha256`
 for each component c, so its errors compare at full precision: the 100
-trials of tier-1's gradcheck criterion. Run it on two checkouts, one after
-the other, and `diff` the outputs to see which results a change moved.
+trials of tier-1's gradcheck criterion. Its terms follow, for trials 0 and
+1, as `gradcheck:c:i.term.part sha256` with part analytic, fd or include,
+so a finite difference that moves shows even where the worst error does
+not. Run it on two checkouts, one after the other, and `diff` the outputs
+to see which results a change moved.
 BLAS runs on one thread, as in the benchmark.
 
 To see how far they moved, save each run's numeric leaves (numbers and
@@ -50,11 +53,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from workloads import WORKLOADS  # noqa: E402
 
+from egowarp import gradcheck  # noqa: E402
 from egowarp.gradcheck import COMPONENTS, grad_check  # noqa: E402
 
 SEEDS = (1, 3)
 OPS = (0, 1)
 GRADCHECK_SEED, GRADCHECK_TRIALS = 42, 100
+TERM_TRIALS = (0, 1)
 WORKDIR = Path(tempfile.gettempdir()) / "egowarp-fingerprint"
 
 
@@ -133,9 +138,26 @@ def moves(before: dict[str, np.ndarray], after: dict[str, np.ndarray]) -> dict[s
     return {path: largest_move(a, after[path]) for path, a in before.items() if path in after}
 
 
+def terms(component: str, trial: int) -> dict:
+    """{term: {"analytic", "fd", "include"}} of one gradcheck trial at
+    GRADCHECK_SEED, as grad_check's trial of that index draws it."""
+    rng = np.random.default_rng([GRADCHECK_SEED, trial])
+    return {name: {"analytic": analytic, "fd": fd, "include": include}
+            for name, analytic, fd, include in gradcheck._CHECKERS[component](rng)}
+
+
+def gradcheck_outputs():
+    """Yield (name, output) of every gradcheck component's report, then of
+    its terms in each of TERM_TRIALS."""
+    for c in COMPONENTS:
+        yield f"gradcheck:{c}", grad_check(c, GRADCHECK_SEED, GRADCHECK_TRIALS)
+        for i in TERM_TRIALS:
+            yield f"gradcheck:{c}:{i}", terms(c, i)
+
+
 def outputs():
-    """Yield (name, output) of every workload operation, then of every
-    gradcheck component."""
+    """Yield (name, output) of every workload operation, then
+    gradcheck_outputs()."""
     shutil.rmtree(WORKDIR, ignore_errors=True)
     try:
         for wl in WORKLOADS.values():
@@ -147,8 +169,7 @@ def outputs():
                     yield f"{wl.name}:{seed}:{i}", wl.op(state, wl.inputs(state, i))[0]
     finally:
         shutil.rmtree(WORKDIR, ignore_errors=True)
-    for c in COMPONENTS:
-        yield f"gradcheck:{c}", grad_check(c, GRADCHECK_SEED, GRADCHECK_TRIALS)
+    yield from gradcheck_outputs()
 
 
 def load(file: str) -> dict[str, np.ndarray]:
